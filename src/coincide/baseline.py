@@ -17,7 +17,7 @@ import numpy as np
 
 from .covering import CoveringMap, LinearSurjectiveCovering
 from .errors import InsufficientData, NoCrossing, NotContractive
-from .linalg import NormTag, as_vector, norm
+from .linalg import NormTag, as_vector, norm, random_direction
 from .solver import (
     STATUS_CONVERGED,
     STATUS_MAX_STEPS,
@@ -33,7 +33,8 @@ from .problems import QuadraticMap, QuadraticProblem, build_quadratic_instance
 def estimate_lipschitz(v: SmoothMap, center, radius: float, pairs: int = 500,
                        seed: int = 0, norm_x: NormTag = NormTag.L2,
                        norm_y: NormTag = NormTag.L2) -> float:
-    """Sampled sup of ||v(x1) - v(x2)|| / ||x1 - x2|| on the working ball.
+    """Sampled sup of ||v(x1) - v(x2)|| / ||x1 - x2|| on the norm_x ball of
+    the given radius around center.
 
     Sampling under-estimates the true constant; prefer an analytic bound when
     one is available (e.g. 2 a tau_* for quadratic maps).
@@ -42,10 +43,10 @@ def estimate_lipschitz(v: SmoothMap, center, radius: float, pairs: int = 500,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):
-        d1 = rng.standard_normal(center.size)
-        d2 = rng.standard_normal(center.size)
-        x1 = center + rng.uniform(0, radius) * d1 / max(np.linalg.norm(d1), 1e-12)
-        x2 = center + rng.uniform(0, radius) * d2 / max(np.linalg.norm(d2), 1e-12)
+        d1 = random_direction(rng, center.size, norm_x)
+        d2 = random_direction(rng, center.size, norm_x)
+        x1 = center + rng.uniform(0, radius) * d1
+        x2 = center + rng.uniform(0, radius) * d2
         dist = norm(x1 - x2, norm_x)
         if dist < 1e-9:
             continue

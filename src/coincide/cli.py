@@ -6,7 +6,13 @@ Subcommands:
   compare  run majorant and baseline schemes side by side
 
 Exit codes: 0 converged, 2 certified partial result (max_steps), 1 for
-hypothesis violations (named H1/H2/crossing) and parse/validation failures.
+hypothesis violations (named H1/H2/crossing) and parse/validation failures,
+each reported as one stderr line named by ERROR_PREFIXES. residual_tol (config
+or --tol) must be finite and positive, max_steps (config or --max-steps) at
+least 1, and JSON Infinity/NaN literals are refused. A batch (several
+--config paths) writes each config to OUT/<file stem>, is refused when two
+stems collide, and exits 1 if any config failed, else 2 if any hit its step
+cap, else 0.
 All floats are printed with 17 significant digits so reruns are bit-identical.
 """
 
@@ -19,32 +25,32 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import AlphaCoveringProblem, alpha_iterate, compare_methods
+from .baseline import AlphaCoveringProblem, _rate_or_na, alpha_iterate, compare_methods
 from .config import (
     BuiltProblem,
     ConfigError,
-    ProblemConfig,
     build_problem,
+    checked_limits,
     gallery_config,
     gallery_names,
     load_config,
     save_config,
 )
 from .errors import (
+    BracketFailure,
     BudgetExceeded,
     CoincidenceError,
-    InsufficientData,
     NegativeDiscriminant,
     NoCrossing,
     NotContractive,
 )
+from .problems import QuadraticProblem
 from .solver import (
     STATUS_CONVERGED,
     STATUS_HYPOTHESIS,
     STATUS_MAX_STEPS,
     IterateTrace,
     coincidence_solve,
-    rate_estimate,
 )
 
 TRACE_HEADER = "j,tau,deviation,step_norm,residual"
@@ -53,6 +59,18 @@ COMPARE_HEADER = "method,steps,status,rate_regime,rate_value"
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARTIAL = 2
+
+# Exit code of a finished run by its status; any other status exits EXIT_FAIL.
+STATUS_EXIT = {STATUS_CONVERGED: EXIT_OK, STATUS_MAX_STEPS: EXIT_PARTIAL}
+
+# Stderr prefix of a run that raised; the first matching class wins.
+ERROR_PREFIXES = (
+    (NegativeDiscriminant, "NegativeDiscriminant"),
+    (NotContractive, "NotContractive"),
+    (BudgetExceeded, "hypothesis violation (H1)"),
+    ((NoCrossing, BracketFailure), "hypothesis violation (crossing)"),
+    (CoincidenceError, "config error"),
+)
 
 
 def _fmt(x: float) -> str:
@@ -72,11 +90,8 @@ def write_trace_csv(trace: IterateTrace, path: Path) -> None:
 
 
 def _rate_lines(trace: IterateTrace) -> list[str]:
-    try:
-        regime, value = rate_estimate(trace)
-        return [f"rate_regime: {regime}", f"rate_value: {_fmt(value)}"]
-    except InsufficientData:
-        return ["rate_regime: insufficient-data", "rate_value: nan"]
+    regime, value = _rate_or_na(trace)
+    return [f"rate_regime: {regime}", f"rate_value: {_fmt(value)}"]
 
 
 def write_summary(trace: IterateTrace, x_star, path: Path,
@@ -100,72 +115,52 @@ def write_summary(trace: IterateTrace, x_star, path: Path,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _guarded(run, *args) -> int:
+    """run(*args), with a CoincidenceError turned into one named stderr line."""
+    try:
+        return run(*args)
+    except CoincidenceError as err:
+        prefix = next(name for cls, name in ERROR_PREFIXES if isinstance(err, cls))
+        print(f"{prefix}: {err}", file=sys.stderr)
+        return EXIT_FAIL
+
+
+def load_built(config_path, tol, max_steps) -> BuiltProblem:
+    """Load and build a config, with --tol/--max-steps checked like its fields."""
+    cfg = load_config(config_path)
+    cfg.residual_tol, cfg.max_steps = checked_limits(
+        cfg.residual_tol if tol is None else tol,
+        cfg.max_steps if max_steps is None else max_steps)
+    return build_problem(cfg)
+
+
+def _quadratic(built: BuiltProblem, what: str) -> QuadraticProblem:
+    if built.quadratic is None:
+        raise ConfigError(f"{what} needs a quadratic instance")
+    return built.quadratic
+
+
 def _run_solve(config_path: str, out_dir: str, tol, max_steps, strict_h2: bool) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        cfg = load_config(config_path)
-        if tol is not None:
-            cfg.residual_tol = tol
-        if max_steps is not None:
-            cfg.max_steps = max_steps
-        built = build_problem(cfg)
-    except NegativeDiscriminant as err:
-        print(f"NegativeDiscriminant: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    except (ConfigError, CoincidenceError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_FAIL
-
-    try:
-        if cfg.method == "baseline":
-            return _run_baseline(built, out)
+    built = load_built(config_path, tol, max_steps)
+    cfg, q = built.config, built.quadratic
+    if cfg.method == "baseline":
+        p = AlphaCoveringProblem.from_quadratic(_quadratic(built, "method 'baseline'"))
+        x_star, trace = alpha_iterate(p, np.zeros(q.dim_x), cfg.residual_tol, cfg.max_steps)
+        extra = [f"alpha: {_fmt(p.alpha)}", f"beta: {_fmt(p.beta)}"]
+    else:
         x_star, trace = coincidence_solve(
             built.instance, residual_tol=cfg.residual_tol, max_steps=cfg.max_steps,
             h2_check="strict" if strict_h2 else "warn")
-    except NoCrossing as err:
-        print(f"hypothesis violation (crossing): {err}", file=sys.stderr)
-        return EXIT_FAIL
-    except BudgetExceeded as err:
-        print(f"hypothesis violation (H1): {err}", file=sys.stderr)
-        return EXIT_FAIL
-
-    extra = []
-    if built.quadratic is not None:
-        extra.append(f"equation_residual: {_fmt(built.quadratic.equation_residual(x_star))}")
-        extra.append(f"discriminant: {_fmt(built.quadratic.discriminant)}")
+        extra = [] if q is None else [
+            f"equation_residual: {_fmt(q.equation_residual(x_star))}",
+            f"discriminant: {_fmt(q.discriminant)}"]
     write_trace_csv(trace, out / "trace.csv")
     write_summary(trace, x_star, out / "summary.txt", extra)
-
-    if trace.status == STATUS_CONVERGED:
-        return EXIT_OK
-    if trace.status == STATUS_MAX_STEPS:
-        return EXIT_PARTIAL
     if trace.status == STATUS_HYPOTHESIS:
         print(f"hypothesis violation (H2): {trace.detail}", file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_FAIL
-
-
-def _run_baseline(built: BuiltProblem, out: Path) -> int:
-    if built.quadratic is None:
-        print("config error: method 'baseline' needs a quadratic instance", file=sys.stderr)
-        return EXIT_FAIL
-    cfg = built.config
-    try:
-        p = AlphaCoveringProblem.from_quadratic(built.quadratic)
-        x_star, trace = alpha_iterate(
-            p, np.zeros(built.quadratic.dim_x), cfg.residual_tol, cfg.max_steps)
-    except NotContractive as err:
-        print(f"NotContractive: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    except BudgetExceeded as err:
-        print(f"hypothesis violation (H1): {err}", file=sys.stderr)
-        return EXIT_FAIL
-    write_trace_csv(trace, out / "trace.csv")
-    write_summary(trace, x_star, out / "summary.txt",
-                  [f"alpha: {_fmt(p.alpha)}", f"beta: {_fmt(p.beta)}"])
-    return EXIT_OK if trace.status == STATUS_CONVERGED else EXIT_PARTIAL
+    return STATUS_EXIT.get(trace.status, EXIT_FAIL)
 
 
 def cmd_solve(args) -> int:
@@ -173,20 +168,25 @@ def cmd_solve(args) -> int:
     if len(configs) == 1:
         return _run_solve(configs[0], args.out, args.tol, args.max_steps, args.strict_h2)
     # Several configs: isolated output subdirectories, optionally in parallel.
-    jobs = []
+    jobs, owners = [], {}
     for path in configs:
         sub = Path(args.out) / Path(path).stem
+        if sub in owners:
+            raise ConfigError(f"configs {owners[sub]} and {path} would share the "
+                              f"output directory {sub}")
+        owners[sub] = path
         jobs.append((path, str(sub), args.tol, args.max_steps, args.strict_h2))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             codes = list(pool.map(_run_solve_star, jobs))
     else:
         codes = [_run_solve_star(job) for job in jobs]
-    return max(codes)
+    # A failure outranks a step cap, which outranks success.
+    return EXIT_FAIL if EXIT_FAIL in codes else max(codes)
 
 
 def _run_solve_star(job) -> int:
-    return _run_solve(*job)
+    return _guarded(_run_solve, *job)
 
 
 def cmd_gallery(args) -> int:
@@ -213,41 +213,20 @@ def cmd_gallery(args) -> int:
 def cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        cfg = load_config(args.config[0])
-        if args.tol is not None:
-            cfg.residual_tol = args.tol
-        if args.max_steps is not None:
-            cfg.max_steps = args.max_steps
-        built = build_problem(cfg)
-    except NegativeDiscriminant as err:
-        print(f"NegativeDiscriminant: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    except (ConfigError, CoincidenceError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_FAIL
-    if built.quadratic is None:
-        print("config error: compare needs a quadratic instance", file=sys.stderr)
-        return EXIT_FAIL
-
-    report = compare_methods(built.quadratic, tol=cfg.residual_tol,
+    built = load_built(args.config[0], args.tol, args.max_steps)
+    cfg = built.config
+    report = compare_methods(_quadratic(built, "compare"), tol=cfg.residual_tol,
                              max_steps=cfg.max_steps)
     lines = [COMPARE_HEADER]
     for run in report.runs:
-        value = "nan" if np.isnan(run.rate_value) else _fmt(run.rate_value)
-        lines.append(f"{run.method},{run.steps},{run.status},{run.rate_regime},{value}")
+        lines.append(f"{run.method},{run.steps},{run.status},{run.rate_regime},"
+                     f"{_fmt(run.rate_value)}")
     (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     if report.majorant_trace is not None:
         write_trace_csv(report.majorant_trace, out / "trace_majorant.csv")
     if report.baseline_trace is not None:
         write_trace_csv(report.baseline_trace, out / "trace_baseline.csv")
-
-    major = report.run_for("majorant")
-    if major.status == STATUS_CONVERGED:
-        return EXIT_OK
-    if major.status == STATUS_MAX_STEPS:
-        return EXIT_PARTIAL
-    return EXIT_FAIL
+    return STATUS_EXIT.get(report.run_for("majorant").status, EXIT_FAIL)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    return _guarded(args.func, args)
 
 
 if __name__ == "__main__":

@@ -2,14 +2,15 @@
 
 Configs are JSON: nested key/value objects plus arrays, numbers as decimal
 literals. json round-trips binary64 exactly (repr emits shortest round-trip
-literals), which keeps solve inputs reproducible bit for bit.
+literals), which keeps solve inputs reproducible bit for bit. The non-standard
+literals Infinity and NaN are refused.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .covering import LinearSurjectiveCovering
 from .errors import CoincidenceError
 from .linalg import NormTag, norm, smallest_singular_value
-from .majorant import MajorantPair, ScalarFn
+from .majorant import DEFAULT_HORIZON, MajorantPair, ScalarFn
 from .problems import (
     BilinearMap,
     QuadraticProblem,
@@ -86,14 +87,8 @@ def config_from_dict(data: dict) -> ProblemConfig:
         norms = (NormTag(norms_raw["x"]), NormTag(norms_raw["y"]))
     except (KeyError, ValueError, TypeError) as err:
         raise ConfigError(f"bad norms section: {norms_raw!r}") from err
-    try:
-        residual_tol = float(data.get("residual_tol", DEFAULT_RESIDUAL_TOL))
-        max_steps = int(data.get("max_steps", DEFAULT_MAX_STEPS))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad tolerance fields: {err}") from err
-    if residual_tol <= 0 or max_steps < 1:
-        raise ConfigError("residual_tol must be positive and max_steps >= 1")
-
+    residual_tol, max_steps = checked_limits(data.get("residual_tol", DEFAULT_RESIDUAL_TOL),
+                                             data.get("max_steps", DEFAULT_MAX_STEPS))
     cfg = ProblemConfig(
         kind=kind,
         method=method,
@@ -115,13 +110,30 @@ def config_from_dict(data: dict) -> ProblemConfig:
     return cfg
 
 
+def checked_limits(residual_tol, max_steps) -> tuple[float, int]:
+    """The stopping fields as (float, int): residual_tol finite and positive,
+    max_steps >= 1. Shared by config files and command-line overrides."""
+    try:
+        residual_tol = float(residual_tol)
+        max_steps = int(max_steps)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"bad tolerance fields: {err}") from err
+    if not (math.isfinite(residual_tol) and residual_tol > 0) or max_steps < 1:
+        raise ConfigError("residual_tol must be finite and positive and max_steps >= 1")
+    return residual_tol, max_steps
+
+
+def _reject_constant(literal: str):
+    raise ValueError(f"non-finite number {literal}")
+
+
 def load_config(path) -> ProblemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_reject_constant)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # malformed JSON, bad encoding, or a non-finite literal
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     return config_from_dict(data)
 
@@ -181,7 +193,7 @@ def _build_kantorovich(section: dict, norms) -> ProblemInstance:
         d = np.asarray(section["shift"], dtype=float)
         x0 = np.asarray(section["x0"], dtype=float)
         lip = float(section["lipschitz"])
-        radius = float(section.get("domain_radius", 1e6))
+        radius = float(section.get("domain_radius", DEFAULT_HORIZON))
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad kantorovich section: {err}") from err
     f = AffineMap(W, d, domain_center=x0, domain_radius=radius)

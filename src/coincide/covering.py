@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, RankDeficient
-from .linalg import NormTag, as_matrix, as_vector, norm
+from .linalg import NormTag, as_matrix, as_vector, norm, random_direction
 from .majorant import ScalarFn
 
 # Budget slack and relative inversion residual for the covering contract.
@@ -135,21 +135,6 @@ class CoveringAudit:
         return self.violations == 0
 
 
-def _random_direction(rng, dim, tag: NormTag):
-    if tag == NormTag.L2:
-        while True:
-            d = rng.standard_normal(dim)
-            n2 = np.linalg.norm(d)
-            if n2 > 1e-12:
-                return d / n2
-    d = rng.uniform(-1.0, 1.0, size=dim)
-    m = np.max(np.abs(d))
-    if m < 1e-12:
-        d[0] = 1.0
-        m = 1.0
-    return d / m
-
-
 def verify_covering_sampled(cover: CoveringMap, region_center, region_radius: float,
                             trials: int = 1000, seed: int = 0,
                             resid_tol: float = 1e-8,
@@ -169,14 +154,14 @@ def verify_covering_sampled(cover: CoveringMap, region_center, region_radius: fl
     max_resid = 0.0
     max_over = 0.0
     for _ in range(trials):
-        x_prime = center + region_radius * rng.uniform(-1.0, 1.0) * _random_direction(
+        x_prime = center + region_radius * rng.uniform(-1.0, 1.0) * random_direction(
             rng, center.size, cover.norm_x)
         tau_lo = rng.uniform(0.0, max(region_radius, 1.0))
         budget = rng.uniform(0.0, max(region_radius, 1.0))
         increment = cover.psi(tau_lo + budget) - cover.psi(tau_lo)
         psi_x = cover.evaluate(x_prime)
         frac = min(1.0, 2.0 * rng.uniform())
-        y = psi_x + frac * increment * _random_direction(rng, psi_x.size, cover.norm_y)
+        y = psi_x + frac * increment * random_direction(rng, psi_x.size, cover.norm_y)
         try:
             x = cover.solve_within(x_prime, y, budget)
         except BudgetExceeded as err:

@@ -17,6 +17,8 @@ from .errors import DimensionMismatch, RankDeficient
 
 # Relative rank cutoff: singular values <= RANK_TOL * sigma_max count as zero.
 RANK_TOL = 1e-12
+# Central-difference step for Jacobians that have no analytic form.
+FD_STEP = 1e-6
 
 
 class NormTag(str, Enum):
@@ -98,7 +100,26 @@ def smallest_singular_value(B) -> float:
     return float(s[-1])
 
 
-def finite_diff_jacobian(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-6) -> np.ndarray:
+def random_direction(rng, dim: int, tag: NormTag) -> np.ndarray:
+    """Random vector of unit norm under tag, from one draw of rng.
+
+    l2 normalizes a standard normal draw (uniform on the sphere); linf
+    scales a uniform draw on the cube onto its surface. A degenerate draw
+    (probability zero) falls back to the first basis vector.
+    """
+    if tag == NormTag.L2:
+        d = rng.standard_normal(dim)
+        size = np.linalg.norm(d)
+    else:
+        d = rng.uniform(-1.0, 1.0, size=dim)
+        size = np.max(np.abs(d))
+    if size <= 1e-12:
+        return np.eye(dim)[0]
+    return d / size
+
+
+def finite_diff_jacobian(f: Callable[[np.ndarray], np.ndarray], x,
+                         h: float = FD_STEP) -> np.ndarray:
     """Central-difference Jacobian of f at x; entrywise error O(h^2) for C^2 maps."""
     x = as_vector(x)
     if h <= 0:

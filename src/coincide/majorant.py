@@ -106,9 +106,9 @@ class MajorantPair:
     def gap_at_start(self) -> float:
         return self.phi(self.tau0) - self.psi(self.tau0)
 
-    def validate(self, points: int = VALIDATION_POINTS) -> None:
+    def validate(self) -> None:
         lo, hi = self.tau0, self.tau_end
-        step = (hi - lo) / points
+        step = (hi - lo) / VALIDATION_POINTS
         prev_psi = self.psi(lo)
         prev_phi = self.phi(lo)
         if not (math.isfinite(prev_psi) and math.isfinite(prev_phi)):
@@ -117,7 +117,7 @@ class MajorantPair:
             raise ValueError(
                 f"phi(tau0)={prev_phi} < psi(tau0)={prev_psi}: initial gap is negative"
             )
-        for k in range(1, points + 1):
+        for k in range(1, VALIDATION_POINTS + 1):
             t = lo + k * step
             ps, ph = self.psi(t), self.phi(t)
             if not (math.isfinite(ps) and math.isfinite(ph)):
@@ -139,9 +139,6 @@ class TauSequence:
 
     def __len__(self):
         return len(self.taus)
-
-    def tail(self, j: int) -> float:
-        return self.tau_star - self.taus[j]
 
 
 def _bisect(g, lo: float, hi: float, g_lo: float, g_hi: float) -> float:

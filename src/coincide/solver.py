@@ -22,7 +22,14 @@ import numpy as np
 
 from .errors import InsufficientData
 from .covering import CoveringMap
-from .linalg import NormTag, as_vector, finite_diff_jacobian, norm, operator_norm
+from .linalg import (
+    NormTag,
+    as_vector,
+    finite_diff_jacobian,
+    norm,
+    operator_norm,
+    random_direction,
+)
 from .majorant import MajorantPair, next_tau, smallest_crossing, validate_h2_start
 
 STATUS_CONVERGED = "converged"
@@ -35,6 +42,10 @@ TAIL_STOP = 1e-14
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_MAX_STEPS = 100_000
+
+# Sampled H2 derivative check: draws per solve, and the relative slack on phi'.
+H2_SAMPLES = 100
+H2_REL_SLACK = 1e-6
 
 
 class SmoothMap:
@@ -54,10 +65,9 @@ class CallableMap(SmoothMap):
     """Wrap plain callables as a smooth map; Jacobian falls back to central differences."""
 
     def __init__(self, f: Callable, jac: Optional[Callable] = None,
-                 domain_center=None, domain_radius: float = np.inf, fd_step: float = 1e-6):
+                 domain_center=None, domain_radius: float = np.inf):
         self._f = f
         self._jac = jac
-        self._h = fd_step
         self.domain_center = as_vector(domain_center if domain_center is not None else [0.0])
         self.domain_radius = float(domain_radius)
 
@@ -67,7 +77,7 @@ class CallableMap(SmoothMap):
     def jacobian(self, x):
         if self._jac is not None:
             return np.atleast_2d(np.asarray(self._jac(np.asarray(x, dtype=float)), dtype=float))
-        return finite_diff_jacobian(self._f, x, self._h)
+        return finite_diff_jacobian(self._f, x)
 
 
 class AffineMap(SmoothMap):
@@ -105,9 +115,6 @@ class ProblemInstance:
                 f"instance norms {(nx, ny)} disagree with covering norms "
                 f"{(self.cover.norm_x, self.cover.norm_y)}"
             )
-
-    def residual_at(self, x) -> float:
-        return norm(self.phi.evaluate(x) - self.cover.evaluate(x), self.norms[1])
 
 
 @dataclass
@@ -152,26 +159,17 @@ def _sample_in_tau_ball(rng, inst: ProblemInstance, tau0: float, tau_hi: float):
     """Random (tau, x) with ||x - x0|| <= tau - tau0 in the instance's X norm."""
     tau = rng.uniform(tau0, tau_hi)
     rho = rng.uniform(0.0, tau - tau0) if tau > tau0 else 0.0
-    dim = inst.x0.size
-    if inst.norms[0] == NormTag.L2:
-        d = rng.standard_normal(dim)
-        n2 = np.linalg.norm(d)
-        d = d / n2 if n2 > 1e-12 else np.eye(dim)[0]
-    else:
-        d = rng.uniform(-1.0, 1.0, size=dim)
-        m = np.max(np.abs(d))
-        d = d / m if m > 1e-12 else np.eye(dim)[0]
-    return tau, inst.x0 + rho * d
+    return tau, inst.x0 + rho * random_direction(rng, inst.x0.size, inst.norms[0])
 
 
 def validate_h2_derivative(inst: ProblemInstance, samples: int,
-                           tau_hi: float | None = None, seed: int = 1234,
-                           rel_slack: float = 1e-6) -> H2Report:
+                           tau_hi: float | None = None, seed: int = 1234) -> H2Report:
     """Sampled check of the derivative bound ||Phi'(x)|| <= phi'(tau).
 
     Draws random (tau, x) with ||x - x0|| <= tau - tau0 and compares the
-    subordinate operator norm of the Jacobian against phi'(tau) * (1 + slack).
-    The report carries the violation count and the worst excess.
+    subordinate operator norm of the Jacobian against
+    phi'(tau) * (1 + H2_REL_SLACK). The report carries the violation count
+    and the worst excess.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -185,7 +183,7 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
         tau, x = _sample_in_tau_ball(rng, inst, pair.tau0, tau_hi)
         J = np.atleast_2d(inst.phi.jacobian(x))
         op = operator_norm(J, inst.norms[0], inst.norms[1])
-        bound = pair.phi.derivative(tau) * (1.0 + rel_slack)
+        bound = pair.phi.derivative(tau) * (1.0 + H2_REL_SLACK)
         if op > bound:
             violations += 1
             max_excess = max(max_excess, op - bound)
@@ -195,8 +193,7 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
 def coincidence_solve(inst: ProblemInstance,
                       residual_tol: float = DEFAULT_RESIDUAL_TOL,
                       max_steps: int = DEFAULT_MAX_STEPS,
-                      h2_check: str = "warn",
-                      h2_samples: int = 100) -> tuple[np.ndarray, IterateTrace]:
+                      h2_check: str = "warn") -> tuple[np.ndarray, IterateTrace]:
     """Run the majorant-controlled coincidence iteration.
 
     Stops when the residual ||Phi(x_j) - Psi(x_j)|| drops to residual_tol, or
@@ -204,9 +201,10 @@ def coincidence_solve(inst: ProblemInstance,
     then within the certificate radius of the limit). Hitting max_steps
     returns the best iterate with its partial certificate rather than failing.
 
-    h2_check: "warn" (default) samples the derivative bound and warns on
-    violations, "strict" aborts the solve with a hypothesis_violation status,
-    "off" skips the check. The initial-gap condition is always enforced.
+    h2_check: "warn" (default) samples the derivative bound at H2_SAMPLES
+    points and warns on violations, "strict" aborts the solve with a
+    hypothesis_violation status, "off" skips the check. The initial-gap
+    condition is always enforced.
 
     Raises NoCrossing when the majorants never meet, and propagates
     BudgetExceeded when the covering breaks its contract.
@@ -233,7 +231,7 @@ def coincidence_solve(inst: ProblemInstance,
         return x, trace
 
     if h2_check != "off":
-        report = validate_h2_derivative(inst, h2_samples, tau_hi=tau_star)
+        report = validate_h2_derivative(inst, H2_SAMPLES, tau_hi=tau_star)
         if not report.clean:
             msg = (f"H2: sampled derivative bound violated {report.violations}/"
                    f"{report.samples} times (max excess {report.max_excess:.3e})")
@@ -311,7 +309,7 @@ def rate_estimate(trace: IterateTrace) -> tuple[str, float]:
 
 
 def check_jacobian(smooth: SmoothMap, samples: int = 100, seed: int = 0,
-                   radius: float | None = None, fd_step: float = 1e-6) -> float:
+                   radius: float | None = None) -> float:
     """Max entrywise gap between the analytic Jacobian and central differences."""
     rng = np.random.default_rng(seed)
     center = smooth.domain_center
@@ -321,12 +319,9 @@ def check_jacobian(smooth: SmoothMap, samples: int = 100, seed: int = 0,
             radius = 1.0
     worst = 0.0
     for _ in range(samples):
-        d = rng.standard_normal(center.size)
-        n2 = np.linalg.norm(d)
-        if n2 < 1e-12:
-            continue
-        x = center + rng.uniform(0.0, radius) * d / n2
+        d = random_direction(rng, center.size, NormTag.L2)  # drawn before the radius
+        x = center + rng.uniform(0.0, radius) * d
         J = np.atleast_2d(smooth.jacobian(x))
-        J_fd = finite_diff_jacobian(smooth.evaluate, x, fd_step)
+        J_fd = finite_diff_jacobian(smooth.evaluate, x)
         worst = max(worst, float(np.max(np.abs(J - J_fd))))
     return worst

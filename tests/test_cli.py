@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from coincide import cli, errors
 from coincide.cli import main
 from coincide.config import (
     ConfigError,
@@ -205,6 +206,96 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="norms"):
             config_from_dict({"kind": "quadratic", "quadratic": {},
                               "norms": {"x": "l3", "y": "l2"}})
+
+
+class TestBatch:
+    def test_exit_code_is_the_worst_outcome(self, tmp_path, capsys):
+        fail = write_json(tmp_path / "fail.json", scalar_config(1.25))
+        cap = write_json(tmp_path / "cap.json", scalar_config(1.0, max_steps=50))
+        ok = write_json(tmp_path / "ok.json", scalar_config(0.75))
+        out = str(tmp_path / "out")
+        for batch, code in (([fail, cap], 1), ([cap, fail], 1), ([ok, cap], 2)):
+            assert main(["solve", "--config", *batch, "--out", out]) == code, batch
+        assert (tmp_path / "out" / "cap" / "trace.csv").exists()
+        assert "NegativeDiscriminant" in capsys.readouterr().err
+
+    def test_colliding_stems_are_refused_before_any_run(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = write_json(tmp_path / "a" / "x.json", scalar_config(0.75))
+        second = write_json(tmp_path / "b" / "x.json", scalar_config(0.5))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", first, second, "--out", str(out),
+                     "--jobs", "2"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: ")
+        assert first in err[0] and second in err[0]
+        assert not out.exists()
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_literal_is_a_config_error(self, tmp_path, capsys, literal):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(scalar_config(0.75)).replace(
+            '"kind"', f'"residual_tol": {literal}, "kind"'), encoding="utf-8")
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_config(path)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("override", [["--tol", "nan"], ["--tol", "inf"],
+                                          ["--tol", "-1"], ["--tol", "0"],
+                                          ["--max-steps", "0"]],
+                             ids=lambda o: "=".join(o))
+    def test_bad_override_is_a_config_error(self, tmp_path, capsys, command, override):
+        cfg = write_json(tmp_path / "pos.json", scalar_config(0.75))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *override]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not any(out.iterdir())
+
+
+def _subclasses(cls):
+    return [cls] + [s for sub in cls.__subclasses__() for s in _subclasses(sub)]
+
+
+# The stderr prefix each CoincidenceError is reported under.
+EXPECTED_PREFIX = {
+    errors.CoincidenceError: "config error",
+    errors.DimensionMismatch: "config error",
+    errors.RankDeficient: "config error",
+    errors.InsufficientData: "config error",
+    ConfigError: "config error",
+    errors.NegativeDiscriminant: "NegativeDiscriminant",
+    errors.NotContractive: "NotContractive",
+    errors.BudgetExceeded: "hypothesis violation (H1)",
+    errors.NoCrossing: "hypothesis violation (crossing)",
+    errors.BracketFailure: "hypothesis violation (crossing)",
+}
+
+
+def test_every_error_type_has_an_expected_prefix():
+    assert set(_subclasses(errors.CoincidenceError)) == set(EXPECTED_PREFIX)
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("error", list(EXPECTED_PREFIX), ids=lambda e: e.__name__)
+def test_exit_table_names_every_error(tmp_path, capsys, monkeypatch, command, error):
+    def raise_error(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, "coincidence_solve", raise_error)
+    monkeypatch.setattr(cli, "compare_methods", raise_error)
+    cfg = write_json(tmp_path / "pos.json", scalar_config(0.75))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{EXPECTED_PREFIX[error]}: injected failure\n"
+    assert "Traceback" not in err
 
 
 def test_console_script_entry_point(tmp_path):
