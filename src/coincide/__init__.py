@@ -29,7 +29,6 @@ from .errors import (
 from .linalg import (
     NormTag,
     finite_diff_jacobian,
-    min_norm_solve,
     norm,
     operator_norm,
     smallest_singular_value,

@@ -160,11 +160,11 @@ def _build_explicit_quadratic(section: dict, norms) -> QuadraticProblem:
         tensor = np.asarray(section["tensor"], dtype=float)
         matrix = np.asarray(section["matrix"], dtype=float)
         offset = np.asarray(section["offset"], dtype=float)
+        a = float(section.get("a", spectral_overestimate(tensor)))
+        b = float(section.get("b", smallest_singular_value(matrix)))
+        c = float(section.get("c", norm(offset, NormTag.L2)))
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad quadratic section: {err}") from err
-    a = float(section.get("a", spectral_overestimate(tensor)))
-    b = float(section.get("b", smallest_singular_value(matrix)))
-    c = float(section.get("c", norm(offset, NormTag.L2)))
     try:
         return QuadraticProblem(
             bilinear=BilinearMap(coeffs=tensor, bound=a),

@@ -65,6 +65,9 @@ def min_norm_solve(B, y) -> np.ndarray:
 
     Raises RankDeficient when the numerical rank drops below the row count
     (cutoff RANK_TOL relative to the largest singular value).
+
+    The solver does not call it (LinearSurjectiveCovering caches the same
+    pseudo-inverse); it stays while bench/tracing.py wraps it by name.
     """
     B = as_matrix(B)
     y = as_vector(y)

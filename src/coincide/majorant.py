@@ -10,6 +10,13 @@ bisection. Bisection runs to float adjacency, so results are far tighter than
 the guaranteed ROOT_TOL; tangential crossings (the degenerate case where
 psi - phi touches zero without a sign change) are resolved by refining grid
 maxima with a golden-section pass.
+
+The scan grid and the validation grid are each evaluated in one call,
+`ScalarFn.on_grid`. For the linear, polynomial and shifted functions the
+library builds, that call repeats the scalar arithmetic step for step on a
+numpy array, so every grid value has the bits the scalar call gives. The sign
+change and the candidate maxima come from array comparisons; the scalar
+golden-section and bisection passes run only on the cells they select.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import BracketFailure, NoCrossing
 
@@ -35,14 +44,28 @@ def root_tolerance(tau: float) -> float:
 
 @dataclass
 class ScalarFn:
-    """A scalar function of tau with an optional derivative evaluator."""
+    """A scalar function of tau with an optional derivative evaluator.
+
+    `grid`, when given, is `fn` for a float64 array: the same operations in
+    the same order, elementwise, so each entry has the bits `fn` gives at that
+    point. Without it `on_grid` calls `fn` point by point.
+    """
 
     fn: Callable[[float], float]
     deriv: Optional[Callable[[float], float]] = None
     label: str = ""
+    grid: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, tau: float) -> float:
         return float(self.fn(tau))
+
+    def on_grid(self, ts: np.ndarray) -> np.ndarray:
+        """Values at every point of the float64 array ts."""
+        if self.grid is None:
+            return np.array([self(t) for t in ts.tolist()], dtype=float)
+        # Overflow gives inf as in scalar float arithmetic, without a warning.
+        with np.errstate(all="ignore"):
+            return self.grid(ts)
 
     def derivative(self, tau: float) -> float:
         if self.deriv is None:
@@ -51,10 +74,16 @@ class ScalarFn:
 
     @staticmethod
     def linear(slope: float, intercept: float = 0.0, label: str = "") -> "ScalarFn":
+        def grid(ts):
+            out = ts * slope
+            out += intercept
+            return out
+
         return ScalarFn(
             fn=lambda t: slope * t + intercept,
             deriv=lambda t: slope,
             label=label or f"{slope}*tau + {intercept}",
+            grid=grid,
         )
 
     @staticmethod
@@ -69,10 +98,19 @@ class ScalarFn:
                 acc = acc * t + c
             return acc
 
+        # In place, so a grid evaluation holds one array at a time.
+        def grid(ts):
+            acc = np.zeros_like(ts)
+            for c in reversed(cs):
+                acc *= ts
+                acc += c
+            return acc
+
         return ScalarFn(
             fn=lambda t: horner(cs, t),
             deriv=lambda t: horner(ds, t),
             label=label or f"poly{cs}",
+            grid=grid,
         )
 
 
@@ -117,16 +155,25 @@ class MajorantPair:
             raise ValueError(
                 f"phi(tau0)={prev_phi} < psi(tau0)={prev_psi}: initial gap is negative"
             )
-        for k in range(1, VALIDATION_POINTS + 1):
-            t = lo + k * step
-            ps, ph = self.psi(t), self.phi(t)
-            if not (math.isfinite(ps) and math.isfinite(ph)):
-                raise ValueError(f"majorant functions must be finite at tau={t}")
-            if ps <= prev_psi:
-                raise ValueError(f"psi is not strictly increasing near tau={t}")
-            if ph <= prev_phi:
-                raise ValueError(f"phi is not strictly increasing near tau={t}")
-            prev_psi, prev_phi = ps, ph
+        ts = lo + np.arange(1.0, VALIDATION_POINTS + 1) * step
+        ps = np.concatenate(([prev_psi], self.psi.on_grid(ts)))
+        ph = np.concatenate(([prev_phi], self.phi.on_grid(ts)))
+        # Entry k - 1 compares grid point k with point k - 1. The first failing
+        # point raises with the first check it fails, as a left-to-right loop
+        # would; every point before it is finite.
+        finite = np.isfinite(ps[1:]) & np.isfinite(ph[1:])
+        psi_flat = ps[1:] <= ps[:-1]
+        phi_flat = ph[1:] <= ph[:-1]
+        bad = np.flatnonzero(~finite | psi_flat | phi_flat)
+        if not bad.size:
+            return
+        i = int(bad[0])
+        t = float(ts[i])
+        if not finite[i]:
+            raise ValueError(f"majorant functions must be finite at tau={t}")
+        if psi_flat[i]:
+            raise ValueError(f"psi is not strictly increasing near tau={t}")
+        raise ValueError(f"phi is not strictly increasing near tau={t}")
 
 
 @dataclass
@@ -201,40 +248,46 @@ def smallest_crossing(pair: MajorantPair) -> float:
         return pair.psi(t) - pair.phi(t)
 
     step = (hi - lo) / SCAN_POINTS
-    taus = [lo + k * step for k in range(SCAN_POINTS)] + [hi]
-    gs = [g(t) for t in taus]
+    # lo + k * step for k < SCAN_POINTS, then hi. Built in place: float(k)
+    # is exact, and k * step + lo rounds as lo + k * step does.
+    taus = np.arange(SCAN_POINTS + 1, dtype=float)
+    taus *= step
+    taus += lo
+    taus[-1] = hi
+    with np.errstate(all="ignore"):
+        gs = pair.psi.on_grid(taus) - pair.phi.on_grid(taus)
+    n = len(taus)
 
-    if abs(gs[0]) <= root_tolerance(taus[0]) or gs[0] > 0.0:
-        return taus[0]
+    t0, g0 = float(taus[0]), float(gs[0])
+    if abs(g0) <= root_tolerance(t0) or g0 > 0.0:
+        return t0
 
-    first_cross = None
-    for k in range(1, len(taus)):
-        if gs[k] >= 0.0:
-            first_cross = k
-            break
+    crossed = np.flatnonzero(gs[1:] >= 0.0)
+    first_cross = int(crossed[0]) + 1 if crossed.size else None
 
     # Candidate tangencies: local maxima of g strictly left of the bracket.
-    stop = first_cross if first_cross is not None else len(taus)
-    for k in range(1, stop):
-        left_ok = gs[k] >= gs[k - 1]
-        right_ok = k + 1 >= len(taus) or gs[k] >= gs[k + 1]
-        if not (left_ok and right_ok):
-            continue
-        a = taus[k - 1]
-        b = taus[k + 1] if k + 1 < len(taus) else taus[k]
+    # The last grid point has no right neighbour, so only its left check counts.
+    stop = first_cross if first_cross is not None else n
+    peaks = gs[1:stop] >= gs[:stop - 1]
+    m = min(stop, n - 1)
+    peaks[:m - 1] &= gs[1:m] >= gs[2:m + 1]
+    for k in (np.flatnonzero(peaks) + 1).tolist():
+        a = float(taus[k - 1])
+        b = float(taus[k + 1]) if k + 1 < n else float(taus[k])
         t_peak, g_peak = _golden_max(g, a, b)
         if g_peak > 0.0:
             # Narrow bump skipped by the grid: its left flank brackets a root.
-            return _bisect(g, a, t_peak, gs[k - 1], g_peak)
+            return _bisect(g, a, t_peak, float(gs[k - 1]), g_peak)
         if g_peak >= -root_tolerance(t_peak):
             return t_peak
 
     if first_cross is not None:
-        return _bisect(g, taus[first_cross - 1], taus[first_cross],
-                       gs[first_cross - 1], gs[first_cross])
+        return _bisect(g, float(taus[first_cross - 1]), float(taus[first_cross]),
+                       float(gs[first_cross - 1]), float(gs[first_cross]))
+    # Python's max keeps the message of a scan with NaN values; np.max would not.
     raise NoCrossing(
         f"psi - phi < 0 on all of [{lo}, {hi}] "
-        f"(max {max(gs):.6e}); majorant hypotheses fail"
+        f"(max {max(gs.tolist()):.6e}); majorant hypotheses fail"
     )
 
 

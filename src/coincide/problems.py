@@ -236,6 +236,7 @@ def build_kantorovich_instance(f: SmoothMap, lip_majorant: ScalarFn, x0,
         fn=lambda t: lip_majorant(t) + offset,
         deriv=lip_majorant.deriv,
         label=f"{lip_majorant.label} + {offset}",
+        grid=lambda ts: lip_majorant.on_grid(ts) + offset,
     )
     horizon = f.domain_radius if np.isfinite(f.domain_radius) else DEFAULT_HORIZON
     pair = MajorantPair(

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import coincide
 from coincide import cli, errors
 from coincide.cli import main
 from coincide.config import (
@@ -233,6 +236,24 @@ class TestBatch:
         assert first in err[0] and second in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value", [("a", "big"), ("b", [1.0]), ("c", None)])
+    def test_non_numeric_quadratic_constant_is_a_config_error(self, tmp_path, capfd,
+                                                              field, value):
+        payload = scalar_config(0.75)
+        payload["quadratic"][field] = value
+        bad = write_json(tmp_path / "bad.json", payload)
+        ok = write_json(tmp_path / "ok.json", scalar_config(0.75))
+        out = tmp_path / "out"
+        for batch in ([bad], [bad, ok]):
+            assert main(["solve", "--config", *batch, "--out", str(out),
+                         "--jobs", "2"]) == 1
+            # Workers write to the inherited stderr descriptor.
+            err = capfd.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert (out / "ok" / "trace.csv").exists()
+        assert (out / "ok" / "summary.txt").exists()
+        assert (out / "ok" / "summary.txt").exists()
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
@@ -299,7 +320,12 @@ def test_exit_table_names_every_error(tmp_path, capsys, monkeypatch, command, er
 
 
 def test_console_script_entry_point(tmp_path):
+    # The child imports coincide from where this process found it, which may
+    # be on a path pytest added rather than on PYTHONPATH.
+    src = str(Path(coincide.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "coincide.cli", "gallery", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "scalar-d-pos" in proc.stdout
