@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +176,8 @@ def cmd_solve(args) -> int:
         owners[sub] = path
         jobs.append((path, str(sub), args.tol, args.max_steps, args.strict_h2))
     if args.jobs > 1:
+        # Imported here: the pool module costs every other run resident memory.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             codes = list(pool.map(_run_solve_star, jobs))
     else:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .covering import LinearSurjectiveCovering
 from .errors import CoincidenceError
-from .linalg import NormTag, norm, smallest_singular_value
+from .linalg import NormTag
 from .majorant import DEFAULT_HORIZON, MajorantPair, ScalarFn
 from .problems import (
     BilinearMap,
@@ -25,7 +25,6 @@ from .problems import (
     build_kantorovich_instance,
     build_quadratic_instance,
     random_quadratic,
-    spectral_overestimate,
 )
 from .solver import (
     DEFAULT_MAX_STEPS,
@@ -160,9 +159,8 @@ def _build_explicit_quadratic(section: dict, norms) -> QuadraticProblem:
         tensor = np.asarray(section["tensor"], dtype=float)
         matrix = np.asarray(section["matrix"], dtype=float)
         offset = np.asarray(section["offset"], dtype=float)
-        a = float(section.get("a", spectral_overestimate(tensor)))
-        b = float(section.get("b", smallest_singular_value(matrix)))
-        c = float(section.get("c", norm(offset, NormTag.L2)))
+        # An absent constant is left to the problem, which certifies it.
+        a, b, c = (float(section[k]) if k in section else None for k in "abc")
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad quadratic section: {err}") from err
     try:
@@ -249,7 +247,11 @@ def build_problem(cfg: ProblemConfig) -> BuiltProblem:
     if cfg.kind == "quadratic":
         q = (_build_explicit_quadratic(cfg.quadratic, cfg.norms)
              if cfg.quadratic is not None else _build_generated_quadratic(cfg.generate))
-        return BuiltProblem(instance=build_quadratic_instance(q), quadratic=q, config=cfg)
+        try:
+            inst = build_quadratic_instance(q)
+        except ValueError as err:  # e.g. a scan window b/a that overflows
+            raise ConfigError(f"invalid quadratic problem: {err}") from err
+        return BuiltProblem(instance=inst, quadratic=q, config=cfg)
     if cfg.kind == "kantorovich":
         return BuiltProblem(instance=_build_kantorovich(cfg.kantorovich, cfg.norms),
                             config=cfg)

@@ -138,25 +138,36 @@ def finite_diff_jacobian(f: Callable[[np.ndarray], np.ndarray], x,
 
 # Vertex enumeration in operator_norm is exact but 2^(n-1) work; cap n.
 _ENUM_DIM_CAP = 16
+# Largest vertex-image block (in entries) one linf -> l2 matmul may allocate.
+_ENUM_BLOCK = 1 << 20
 
 
-def operator_norm(M, from_tag: NormTag, to_tag: NormTag) -> float:
-    """Operator norm of the matrix M subordinate to (from_tag, to_tag).
+def operator_norm(M, from_tag: NormTag, to_tag: NormTag):
+    """Operator norm subordinate to (from_tag, to_tag) of a matrix or a stack.
+
+    M is one (m, n) matrix, giving a float, or a (..., m, n) stack, giving
+    an array of shape (...). Each matrix of a stack gets the bits the
+    single-matrix call gives it.
 
     l2 -> l2 is the largest singular value; linf -> linf the largest absolute
     row sum; l2 -> linf the largest row euclidean norm. linf -> l2 maximizes
     over the cube's vertices (exact; the objective is convex), so the input
     dimension is capped at 16.
     """
-    M = as_matrix(M)
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 2 or M.size == 0:
+        raise DimensionMismatch(
+            f"expected a nonempty (..., m, n) matrix stack, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix entries must be finite")
     if from_tag == NormTag.L2 and to_tag == NormTag.L2:
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    if from_tag == NormTag.LINF and to_tag == NormTag.LINF:
-        return float(np.max(np.sum(np.abs(M), axis=1)))
-    if from_tag == NormTag.L2 and to_tag == NormTag.LINF:
-        return float(np.max(np.linalg.norm(M, axis=1)))
-    if from_tag == NormTag.LINF and to_tag == NormTag.L2:
-        n = M.shape[1]
+        out = np.linalg.svd(M, compute_uv=False)[..., 0]
+    elif from_tag == NormTag.LINF and to_tag == NormTag.LINF:
+        out = np.max(np.sum(np.abs(M), axis=-1), axis=-1)
+    elif from_tag == NormTag.L2 and to_tag == NormTag.LINF:
+        out = np.max(np.linalg.norm(M, axis=-1), axis=-1)
+    elif from_tag == NormTag.LINF and to_tag == NormTag.L2:
+        m, n = M.shape[-2:]
         if n > _ENUM_DIM_CAP:
             raise DimensionMismatch(
                 f"linf->l2 operator norm needs n <= {_ENUM_DIM_CAP}, got {n}"
@@ -165,5 +176,13 @@ def operator_norm(M, from_tag: NormTag, to_tag: NormTag) -> float:
         k = np.arange(2 ** max(n - 1, 0))
         signs = ((k[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
         signs[:, -1] = 1.0
-        return float(np.max(np.linalg.norm(signs @ M.T, axis=1)))
-    raise ValueError(f"unsupported norm pair ({from_tag}, {to_tag})")
+        # Blocks of the stack keep the vertex images to _ENUM_BLOCK entries.
+        flat = M.reshape(-1, m, n)
+        block = max(1, _ENUM_BLOCK // (len(signs) * m))
+        out = np.concatenate([
+            np.max(np.linalg.norm(signs @ flat[i:i + block].swapaxes(-1, -2), axis=-1),
+                   axis=-1)
+            for i in range(0, len(flat), block)]).reshape(M.shape[:-2])
+    else:
+        raise ValueError(f"unsupported norm pair ({from_tag}, {to_tag})")
+    return float(out) if M.ndim == 2 else out

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -29,12 +31,12 @@ class BilinearMap:
 
     coeffs[k, i, j] weights x1[i] * x2[j] in output component k. The bound
     constant satisfies ||A(x1, x2)|| <= bound * ||x1|| * ||x2|| (certify with
-    audit_bound; generated tensors are rescaled against a spectral
-    overestimate so the bound is guaranteed).
+    audit_bound). Without a bound the l2 spectral overestimate is used, which
+    guarantees it; generated tensors are rescaled against it.
     """
 
     coeffs: np.ndarray
-    bound: float
+    bound: Optional[float] = None
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -45,8 +47,15 @@ class BilinearMap:
             raise ValueError("bilinear coefficients must be exactly symmetric in (i, j)")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("bilinear coefficients must be finite")
+        if self.bound is None:
+            self.bound = self.overestimate
         if not (self.bound > 0.0):
             raise ValueError("bound constant must be positive")
+
+    @cached_property
+    def overestimate(self) -> float:
+        """spectral_overestimate(coeffs), computed once per map."""
+        return spectral_overestimate(self.coeffs)
 
     @property
     def dim_x(self) -> int:
@@ -122,13 +131,17 @@ class QuadraticMap(SmoothMap):
 
 @dataclass
 class QuadraticProblem:
-    """A(x,x) + Bx + C = 0 with its certified constants a, b, c."""
+    """A(x,x) + Bx + C = 0 with its certified constants a, b, c.
+
+    a is the bilinear map's bound. b defaults to sigma_min(B), the largest
+    valid covering constant, and c to ||C||.
+    """
 
     bilinear: BilinearMap
     linear: np.ndarray
     offset: np.ndarray
-    b: float
-    c: float
+    b: Optional[float] = None
+    c: Optional[float] = None
 
     def __post_init__(self):
         self.linear = as_matrix(self.linear)
@@ -141,11 +154,15 @@ class QuadraticProblem:
         if self.offset.size != dy:
             raise DimensionMismatch(f"offset has size {self.offset.size}, expected {dy}")
         sigma = smallest_singular_value(self.linear)
+        if self.b is None:
+            self.b = sigma
         if self.b > sigma + 1e-9:
             raise ValueError(f"b={self.b} exceeds the covering constant {sigma} of B")
         if not (self.b > 0.0):
             raise ValueError("b must be positive")
         c_true = norm(self.offset, NormTag.L2)
+        if self.c is None:
+            self.c = c_true
         if abs(self.c - c_true) > 1e-9 * (1.0 + c_true):
             raise ValueError(f"c={self.c} disagrees with ||C||={c_true}")
 
@@ -197,13 +214,20 @@ def build_quadratic_instance(q: QuadraticProblem) -> ProblemInstance:
     """Assemble the coincidence problem for a quadratic operator equation.
 
     Refuses D < 0 (no solution is certified). The scan window is b/a, which
-    always contains the crossing tau_* <= b / (2a).
+    always contains the crossing tau_* <= b / (2a); a window that is not
+    finite and positive raises ValueError.
+
+    H2 is proven, not sampled, when a >= spectral_overestimate(A): with
+    x0 = 0 and tau0 = 0, ||Phi'(x)|| = ||2 A(x, .)|| <= 2 S ||x|| <= 2 a tau
+    = phi'(tau) on ||x|| <= tau. The comparison has no slack.
     """
     d = q.discriminant
     if d < -_DISCRIMINANT_TOL * max(1.0, q.b * q.b):
         raise NegativeDiscriminant(
             f"D = b^2 - 4ac = {d} < 0: the quadratic equation has no certified solution")
     horizon = q.b / q.a
+    if not (0.0 < horizon < math.inf):
+        raise ValueError(f"the scan window b/a = {horizon} must be finite and positive")
     pair = MajorantPair(
         psi=ScalarFn.linear(q.b, label=f"{q.b}*tau"),
         phi=ScalarFn.polynomial([q.c, 0.0, q.a], label=f"{q.a}*tau^2 + {q.c}"),
@@ -211,13 +235,15 @@ def build_quadratic_instance(q: QuadraticProblem) -> ProblemInstance:
         r=math.inf,
         horizon=horizon,
     )
-    return ProblemInstance(
+    inst = ProblemInstance(
         phi=QuadraticMap(q.bilinear, q.offset, domain_radius=horizon),
         cover=LinearSurjectiveCovering(q.linear, sign=-1, b=q.b),
         majorants=pair,
         x0=np.zeros(q.bilinear.dim_x),
         norms=(NormTag.L2, NormTag.L2),
     )
+    inst.h2_proven = q.a >= q.bilinear.overestimate
+    return inst
 
 
 def build_kantorovich_instance(f: SmoothMap, lip_majorant: ScalarFn, x0,
@@ -273,7 +299,8 @@ def random_quadratic(dim_x: int, dim_y: int, target_margin: float,
     raw = rng.standard_normal((dim_y, dim_x, dim_x))
     raw = 0.5 * (raw + raw.transpose(0, 2, 1))
     raw /= spectral_overestimate(raw)
-    a = spectral_overestimate(raw)  # ~1, recomputed so the certificate is exact
+    bilinear = BilinearMap(coeffs=raw)  # bound ~1, recomputed so the certificate is exact
+    a = bilinear.bound
 
     qu, _ = np.linalg.qr(rng.standard_normal((dim_y, dim_y)))
     qv, _ = np.linalg.qr(rng.standard_normal((dim_x, dim_x)))
@@ -290,7 +317,7 @@ def random_quadratic(dim_x: int, dim_y: int, target_margin: float,
         C = np.zeros(dim_y)
         c = 0.0
     return QuadraticProblem(
-        bilinear=BilinearMap(coeffs=raw, bound=a),
+        bilinear=bilinear,
         linear=B,
         offset=C,
         b=b,

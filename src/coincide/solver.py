@@ -106,6 +106,11 @@ class ProblemInstance:
     majorants: MajorantPair
     x0: np.ndarray
     norms: tuple = (NormTag.L2, NormTag.L2)
+    # Set only by a builder that proves the derivative bound H2 from the
+    # structure it builds (build_quadratic_instance); coincidence_solve then
+    # skips the sampled check. Not a constructor argument. The proof is for
+    # the phi, majorants and x0 the builder set: to change them, build anew.
+    h2_proven: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         self.x0 = as_vector(self.x0)
@@ -168,8 +173,9 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
 
     Draws random (tau, x) with ||x - x0|| <= tau - tau0 and compares the
     subordinate operator norm of the Jacobian against
-    phi'(tau) * (1 + H2_REL_SLACK). The report carries the violation count
-    and the worst excess.
+    phi'(tau) * (1 + H2_REL_SLACK). The Jacobians are stacked and normed in
+    one operator_norm call. The report carries the violation count and the
+    worst excess.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -177,17 +183,17 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
     if tau_hi is None:
         tau_hi = smallest_crossing(pair)
     rng = np.random.default_rng(seed)
-    violations = 0
-    max_excess = 0.0
-    for _ in range(samples):
+    jacobians = []
+    slopes = np.empty(samples)
+    for i in range(samples):
         tau, x = _sample_in_tau_ball(rng, inst, pair.tau0, tau_hi)
-        J = np.atleast_2d(inst.phi.jacobian(x))
-        op = operator_norm(J, inst.norms[0], inst.norms[1])
-        bound = pair.phi.derivative(tau) * (1.0 + H2_REL_SLACK)
-        if op > bound:
-            violations += 1
-            max_excess = max(max_excess, op - bound)
-    return H2Report(samples=samples, violations=violations, max_excess=max_excess)
+        jacobians.append(np.atleast_2d(inst.phi.jacobian(x)))
+        slopes[i] = pair.phi.derivative(tau)
+    ops = operator_norm(np.stack(jacobians), inst.norms[0], inst.norms[1])
+    bounds = slopes * (1.0 + H2_REL_SLACK)
+    violated = ops > bounds
+    return H2Report(samples=samples, violations=int(np.count_nonzero(violated)),
+                    max_excess=float(np.max(ops[violated] - bounds[violated], initial=0.0)))
 
 
 def coincidence_solve(inst: ProblemInstance,
@@ -204,7 +210,11 @@ def coincidence_solve(inst: ProblemInstance,
     h2_check: "warn" (default) samples the derivative bound at H2_SAMPLES
     points and warns on violations, "strict" aborts the solve with a
     hypothesis_violation status, "off" skips the check. The initial-gap
-    condition is always enforced.
+    condition is always enforced. The bound is not sampled when
+    inst.h2_proven is set: build_quadratic_instance sets it when the certified
+    constant a is at least the tensor's spectral overestimate, so that
+    ||Phi'(x)|| <= 2 a ||x|| <= phi'(tau) holds on the whole ball. Any other
+    instance, hand-built ones included, is sampled.
 
     Raises NoCrossing when the majorants never meet, and propagates
     BudgetExceeded when the covering breaks its contract.
@@ -230,7 +240,7 @@ def coincidence_solve(inst: ProblemInstance,
                         f"phi(tau0)-psi(tau0) = {pair.gap_at_start():.6e}")
         return x, trace
 
-    if h2_check != "off":
+    if h2_check != "off" and not inst.h2_proven:
         report = validate_h2_derivative(inst, H2_SAMPLES, tau_hi=tau_star)
         if not report.clean:
             msg = (f"H2: sampled derivative bound violated {report.violations}/"

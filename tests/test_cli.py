@@ -97,7 +97,7 @@ class TestSolveCommand:
         assert (out / "two" / "trace.csv").exists()
 
     def test_strict_h2_rejects_undersized_majorant(self, tmp_path, capsys):
-        payload = {
+        custom = {
             "kind": "custom-scalar",
             "custom_scalar": {
                 "phi_poly": [0.75, 0.0, 1.0],
@@ -107,11 +107,18 @@ class TestSolveCommand:
                 "horizon": 2.0,
             },
         }
-        cfg = write_json(tmp_path / "under.json", payload)
-        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "out"),
-                     "--strict-h2"])
-        assert code == 1
-        assert "H2" in capsys.readouterr().err
+        # A quadratic whose a is below the spectral overestimate 1 of its
+        # tensor is sampled, not proven.
+        below = scalar_config(0.75)
+        below["quadratic"]["a"] = 0.5
+        for name, payload, counts in (("under", custom, "13/100 times (max excess 4.406e-02)"),
+                                      ("below", below, "50/100 times (max excess 3.155e-01)")):
+            cfg = write_json(tmp_path / f"{name}.json", payload)
+            code = main(["solve", "--config", cfg, "--out", str(tmp_path / name),
+                         "--strict-h2"])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"hypothesis violation (H2): H2: sampled derivative bound violated {counts}\n")
 
 
 class TestGalleryCommand:
@@ -254,6 +261,21 @@ class TestBatch:
         assert (out / "ok" / "summary.txt").exists()
         assert (out / "ok" / "summary.txt").exists()
 
+    def test_tiny_a_is_a_config_error(self, tmp_path, capfd):
+        # b / a overflows the scan window to inf.
+        payload = scalar_config(0.75)
+        payload["quadratic"]["a"] = 1e-320
+        bad = write_json(tmp_path / "bad.json", payload)
+        ok = write_json(tmp_path / "ok.json", scalar_config(0.75))
+        out = tmp_path / "out"
+        for args in (["solve", "--config", bad], ["compare", "--config", bad],
+                     ["solve", "--config", bad, ok, "--jobs", "2"]):
+            assert main([*args, "--out", str(out)]) == 1
+            err = capfd.readouterr().err.strip().splitlines()
+            assert err == ["config error: invalid quadratic problem: "
+                           "the scan window b/a = inf must be finite and positive"], err
+        assert (out / "ok" / "summary.txt").exists()
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
@@ -319,13 +341,25 @@ def test_exit_table_names_every_error(tmp_path, capsys, monkeypatch, command, er
     assert "Traceback" not in err
 
 
-def test_console_script_entry_point(tmp_path):
+def _child_env() -> dict:
     # The child imports coincide from where this process found it, which may
     # be on a path pytest added rather than on PYTHONPATH.
     src = str(Path(coincide.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_script_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "coincide.cli", "gallery", "list"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "scalar-d-pos" in proc.stdout
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only `solve --jobs N` with N > 1 needs it; loading it costs resident memory.
+    code = "import sys, coincide.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
