@@ -9,7 +9,8 @@ Exit codes: 0 converged, 2 certified partial result (max_steps), 1 for
 hypothesis violations (named H1/H2/crossing) and parse/validation failures,
 each reported as one stderr line named by ERROR_PREFIXES. residual_tol (config
 or --tol) must be finite and positive, max_steps (config or --max-steps) at
-least 1, and JSON Infinity/NaN literals are refused. A batch (several
+least 1, and JSON Infinity/NaN literals and number literals that overflow a
+double (1e400) are refused. A batch (several
 --config paths) writes each config to OUT/<file stem>, is refused when two
 stems collide, and exits 1 if any config failed, else 2 if any hit its step
 cap, else 0.
@@ -80,11 +81,15 @@ def _fmt_vec(v) -> str:
     return " ".join(_fmt(float(t)) for t in np.atleast_1d(v))
 
 
+# One row of trace.csv: printf-style %.17g prints the bytes _fmt does
+# (-0, inf and nan included) in one formatting call per row.
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g"
+
+
 def write_trace_csv(trace: IterateTrace, path: Path) -> None:
     lines = [TRACE_HEADER]
-    for r in trace.records:
-        lines.append(",".join([
-            str(r.j), _fmt(r.tau), _fmt(r.deviation), _fmt(r.step_norm), _fmt(r.residual)]))
+    lines += [_TRACE_ROW % (r.j, r.tau, r.deviation, r.step_norm, r.residual)
+              for r in trace.records]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -3,7 +3,8 @@
 Configs are JSON: nested key/value objects plus arrays, numbers as decimal
 literals. json round-trips binary64 exactly (repr emits shortest round-trip
 literals), which keeps solve inputs reproducible bit for bit. The non-standard
-literals Infinity and NaN are refused.
+literals Infinity and NaN are refused, and so is a number literal that
+overflows binary64, such as 1e400.
 """
 
 from __future__ import annotations
@@ -126,10 +127,25 @@ def _reject_constant(literal: str):
     raise ValueError(f"non-finite number {literal}")
 
 
+def _finite_float(literal: str) -> float:
+    """json parse_float: a literal that overflows binary64 (1e400) is refused."""
+    value = float(literal)
+    if not math.isfinite(value):
+        _reject_constant(literal)
+    return value
+
+
+def _finite_int(literal: str) -> int:
+    """json parse_int: so is an integer literal of more than 308 digits."""
+    _finite_float(literal)
+    return int(literal)
+
+
 def load_config(path) -> ProblemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=_reject_constant)
+            data = json.load(fh, parse_constant=_reject_constant,
+                             parse_float=_finite_float, parse_int=_finite_int)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except ValueError as err:  # malformed JSON, bad encoding, or a non-finite literal

@@ -17,6 +17,13 @@ library builds, that call repeats the scalar arithmetic step for step on a
 numpy array, so every grid value has the bits the scalar call gives. The sign
 change and the candidate maxima come from array comparisons; the scalar
 golden-section and bisection passes run only on the cells they select.
+
+`next_tau` still bisects to float adjacency in every step. Every builder
+makes psi with `ScalarFn.linear`, which records (slope, intercept); for such
+a psi the bisected function is the inline arithmetic
+slope * t + intercept - target, the same float operations psi(t) - target
+performs, so the budgets keep their bits while a step makes one ScalarFn
+call (phi(tau_j)) instead of about 44.
 """
 
 from __future__ import annotations
@@ -55,6 +62,10 @@ class ScalarFn:
     deriv: Optional[Callable[[float], float]] = None
     label: str = ""
     grid: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # (slope, intercept), set only by `linear`; `next_tau` then evaluates
+    # slope * t + intercept inline. Not a constructor argument, so a function
+    # built any other way never claims to be linear.
+    linear_coeffs: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __call__(self, tau: float) -> float:
         return float(self.fn(tau))
@@ -79,12 +90,14 @@ class ScalarFn:
             out += intercept
             return out
 
-        return ScalarFn(
+        out = ScalarFn(
             fn=lambda t: slope * t + intercept,
             deriv=lambda t: slope,
             label=label or f"{slope}*tau + {intercept}",
             grid=grid,
         )
+        out.linear_coeffs = (slope, intercept)
+        return out
 
     @staticmethod
     def polynomial(coeffs, label: str = "") -> "ScalarFn":
@@ -296,13 +309,21 @@ def next_tau(pair: MajorantPair, tau_j: float, tau_star: float) -> float:
 
     The bracket is psi(tau_j) <= phi(tau_j) <= psi(tau_star); bisection runs
     to float adjacency so consecutive budgets track the exact scalar
-    recurrence to machine precision.
+    recurrence to machine precision. For a linear psi the bisected function
+    is the arithmetic slope * t + intercept - target itself, with the bits
+    psi(t) - target has, so the only ScalarFn call is phi(tau_j).
     """
     target = pair.phi(tau_j)
     slack = 10.0 * root_tolerance(max(abs(target), abs(tau_star)))
 
-    def h(t):
-        return pair.psi(t) - target
+    if pair.psi.linear_coeffs is not None:
+        slope, intercept = pair.psi.linear_coeffs
+
+        def h(t):
+            return slope * t + intercept - target
+    else:
+        def h(t):
+            return pair.psi(t) - target
 
     h_lo = h(tau_j)
     if h_lo > slack:

@@ -251,6 +251,7 @@ def coincidence_solve(inst: ProblemInstance,
                 return x, trace
             warnings.warn(msg, RuntimeWarning)
 
+    psi_tau = pair.psi(tau)  # each step's psi(tau_next) is the next step's psi(tau)
     for j in range(max_steps):
         if residual <= residual_tol:
             trace.status = STATUS_CONVERGED
@@ -265,7 +266,8 @@ def coincidence_solve(inst: ProblemInstance,
             trace.status = STATUS_MAX_STEPS
             trace.detail = "tau sequence stalled at float resolution"
             return x, trace
-        increment = pair.psi(tau_next) - pair.psi(tau)
+        psi_next = pair.psi(tau_next)
+        increment = psi_next - psi_tau
         if residual > increment + STEP_TOL:
             trace.status = STATUS_HYPOTHESIS
             trace.detail = (f"H2: defect {residual:.6e} exceeds admissible increment "
@@ -283,7 +285,7 @@ def coincidence_solve(inst: ProblemInstance,
             deviation=norm(x_next - inst.x0, norm_x),
             residual=residual,
         ))
-        x, tau = x_next, tau_next
+        x, tau, psi_tau = x_next, tau_next, psi_next
 
     trace.status = STATUS_MAX_STEPS
     return x, trace

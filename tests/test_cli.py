@@ -41,6 +41,27 @@ def scalar_config(c, **overrides):
     return cfg
 
 
+# A config of each kind and the field that gets an overflowing literal.
+OVERFLOW_FIELDS = {
+    "custom-scalar": ({"kind": "custom-scalar", "custom_scalar": {
+        "phi_poly": [0.75, 0.0, 1.0], "psi_slope": 2.0, "majorant_poly": [0.75, 0.0, 1.0],
+        "x0": 0.0, "horizon": 2.0}}, "custom_scalar", "x0"),
+    "quadratic": (scalar_config(0.75), "quadratic", "a"),
+    "kantorovich": ({"kind": "kantorovich", "kantorovich": {
+        "linear": [[0.5]], "shift": [0.5], "x0": [0.0], "lipschitz": 0.5,
+        "domain_radius": 8.0}}, "kantorovich", "domain_radius"),
+}
+
+
+def overflowing_config(path, kind, literal):
+    """Write the kind's config with `literal` (which json cannot emit) in its field."""
+    payload, section, key = OVERFLOW_FIELDS[kind]
+    payload = json.loads(json.dumps(payload))
+    payload[section][key] = "@overflow@"
+    path.write_text(json.dumps(payload).replace('"@overflow@"', literal), encoding="utf-8")
+    return str(path)
+
+
 class TestSolveCommand:
     def test_transversal_scalar_exits_zero(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "pos.json", scalar_config(0.75))
@@ -288,6 +309,35 @@ class TestNonFiniteInputs:
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "out" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400],
+                             ids=["1e400", "-1e400", "401-digit-int"])
+    @pytest.mark.parametrize("kind", OVERFLOW_FIELDS)
+    def test_overflowing_literal_is_a_config_error(self, tmp_path, capsys, kind, literal):
+        # Each of these once got through: a traceback for x0, a reported
+        # D = -inf for a, and an unbounded domain for domain_radius.
+        bad = overflowing_config(tmp_path / "bad.json", kind, literal)
+        with pytest.raises(ConfigError, match="non-finite number"):
+            load_config(bad)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", bad, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: config {bad} is not valid JSON: non-finite number {literal}\n")
+        assert not (out / "trace.csv").exists()
+
+    def test_overflowing_literals_in_a_batch_spare_the_sibling(self, tmp_path, capfd):
+        bad = [overflowing_config(tmp_path / f"{kind}.json", kind, "1e400")
+               for kind in OVERFLOW_FIELDS]
+        ok = write_json(tmp_path / "ok.json", scalar_config(0.75))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", *bad, ok, "--out", str(out), "--jobs", "2"]) == 1
+        # Workers write to the inherited stderr descriptor.
+        err = capfd.readouterr().err.strip().splitlines()
+        assert sorted(err) == sorted(
+            f"config error: config {path} is not valid JSON: non-finite number 1e400"
+            for path in bad)
+        assert (out / "ok" / "trace.csv").exists()
+        assert (out / "ok" / "summary.txt").exists()
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
     @pytest.mark.parametrize("override", [["--tol", "nan"], ["--tol", "inf"],

@@ -340,3 +340,14 @@ def test_pair_checks_and_crossing_make_few_scalar_calls(scalar_calls, build):
     # cells calls psi and phi point by point (the pointwise path makes about 22,000).
     smallest_crossing(build().majorants)
     assert 0 < scalar_calls[0] <= 200
+
+
+def test_linear_psi_next_tau_calls_only_phi(scalar_calls):
+    # psi is linear, so the bisection evaluates it inline: the one ScalarFn
+    # call is phi(tau_j). Bisecting psi(t) - target made 55 calls here.
+    pair = quad_pair(1.0, 2.0, 0.75)
+    tau_star = smallest_crossing(pair)
+    scalar_calls[0] = 0
+    tau = next_tau(pair, 0.1, tau_star)
+    assert 0.1 < tau < tau_star
+    assert scalar_calls[0] == 1

@@ -87,6 +87,24 @@ class TestApplyBilinear:
         assert A.audit_bound(pairs=1000, seed=5) <= A.bound * (1.0 + 1e-9)
 
 
+def test_quadratic_evaluate_makes_one_einsum(monkeypatch):
+    # Phi(x) = A(x, x) + C contracts u = x + x once; the d = x - x half of
+    # the polarization identity is +0 and is not computed.
+    calls = [0]
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return einsum(*args, **kwargs)
+
+    T = np.random.default_rng(6).standard_normal((2, 3, 3))
+    phi = QuadraticMap(BilinearMap(coeffs=0.5 * (T + T.transpose(0, 2, 1)), bound=10.0),
+                       [0.5, -0.25])
+    monkeypatch.setattr(np, "einsum", counted)
+    phi.evaluate([0.1, -0.2, 0.3])
+    assert calls[0] == 1
+
+
 class TestBuildQuadraticInstance:
     def test_transversal_crossing_and_solution(self):
         q = scalar_quadratic(1.0, 2.0, 0.75)

@@ -7,7 +7,8 @@ from conftest import assert_trace_invariants
 from coincide.covering import LinearSurjectiveCovering
 from coincide.errors import InsufficientData, NoCrossing
 from coincide.linalg import NormTag
-from coincide.majorant import MajorantPair, ScalarFn
+from coincide import solver
+from coincide.majorant import MajorantPair, ScalarFn, smallest_crossing
 from coincide.problems import (
     build_kantorovich_instance,
     build_quadratic_instance,
@@ -58,6 +59,27 @@ class TestCoincidenceSolve:
         for j in (100, 500, 1000):
             assert trace.records[j].x[0] == pytest.approx(oracle[j], abs=1e-11)
             assert abs(trace.records[j].x[0] + 1.0) == pytest.approx(2.0 / j, rel=0.25)
+
+    def test_degenerate_step_loop_evaluates_psi_once_per_step(self, monkeypatch):
+        # D = 4 - 4 * 2^10 * 2^-10 = 0. The crossing is precomputed, so every
+        # psi call counted is in the solve proper: psi(tau0) for the initial
+        # gap, psi(tau0) before the loop, then psi(tau_{j+1}) once per step.
+        inst = build_quadratic_instance(scalar_quadratic(2.0 ** 10, 2.0, 2.0 ** -10))
+        psi = inst.majorants.psi
+        tau_star = smallest_crossing(inst.majorants)
+        monkeypatch.setattr(solver, "smallest_crossing", lambda pair: tau_star)
+        calls = [0]
+        call = ScalarFn.__call__
+
+        def counted(self, tau):
+            calls[0] += self is psi
+            return call(self, tau)
+
+        monkeypatch.setattr(ScalarFn, "__call__", counted)
+        _, trace = coincidence_solve(inst, residual_tol=1e-8)
+        assert trace.status == STATUS_CONVERGED
+        assert trace.steps > 500
+        assert calls[0] <= trace.steps + 2
 
     def test_zero_offset_converges_immediately(self):
         inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.0))
