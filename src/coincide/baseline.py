@@ -23,9 +23,10 @@ from .solver import (
     STATUS_MAX_STEPS,
     IterateTrace,
     SmoothMap,
-    TraceRecord,
     coincidence_solve,
+    covering_step,
     rate_estimate,
+    start_trace,
 )
 from .problems import QuadraticMap, QuadraticProblem, build_quadratic_instance
 
@@ -94,31 +95,16 @@ def alpha_iterate(p: AlphaCoveringProblem, x0, tol: float,
     if not p.applicable:
         raise NotContractive(
             f"beta = {p.beta} >= alpha = {p.alpha}: the linear-rate scheme does not apply")
-    x = as_vector(x0).copy()
-    x_start = x.copy()
-    v_x = p.v.evaluate(x)
-    residual = norm(v_x - p.u.evaluate(x), p.u.norm_y)
+    x0 = as_vector(x0)
+    x, v_x, residual, trace = start_trace(p.u, p.v, x0, 0.0, float("nan"))
     tau = 0.0
-    trace = IterateTrace(records=[TraceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
-                         tau0=0.0, tau_star=float("nan"))
-    for i in range(max_steps):
+    for _ in range(max_steps):
         if residual <= tol:
             trace.status = STATUS_CONVERGED
             return x, trace
         budget = residual / p.alpha
-        x_next = p.u.solve_within(x, v_x, budget)
-        v_x = p.v.evaluate(x_next)
-        residual = norm(v_x - p.u.evaluate(x_next), p.u.norm_y)
         tau += budget
-        trace.records.append(TraceRecord(
-            j=i + 1,
-            tau=tau,
-            x=np.array(x_next, dtype=float),
-            step_norm=norm(x_next - x, p.u.norm_x),
-            deviation=norm(x_next - x_start, p.u.norm_x),
-            residual=residual,
-        ))
-        x = x_next
+        x, v_x, residual = covering_step(trace, p.u, p.v, x0, x, v_x, budget, tau)
     trace.status = STATUS_MAX_STEPS
     return x, trace
 

@@ -180,10 +180,11 @@ def cmd_solve(args) -> int:
                               f"output directory {sub}")
         owners[sub] = path
         jobs.append((path, str(sub), args.tol, args.max_steps, args.strict_h2))
-    if args.jobs > 1:
+    workers = min(args.jobs, len(jobs))  # the pool forks all its workers at once
+    if workers > 1:
         # Imported here: the pool module costs every other run resident memory.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_run_solve_star, jobs))
     else:
         codes = [_run_solve_star(job) for job in jobs]
@@ -250,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--strict-h2", action="store_true",
                        help="abort when the sampled derivative bound fails")
     solve.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers when several configs are given")
+                       help="parallel workers when several configs are given "
+                            "(at most one per config)")
     solve.set_defaults(func=cmd_solve)
 
     gallery = sub.add_parser("gallery", help="list or emit built-in instances")

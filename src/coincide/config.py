@@ -37,6 +37,9 @@ from .solver import (
 
 KINDS = ("quadratic", "kantorovich", "custom-scalar")
 METHODS = ("majorant", "baseline", "compare")
+# Largest generated tensor, dim_y * dim_x^2 entries (256 MiB of float64):
+# admits dim_x = dim_y = 300.
+MAX_TENSOR_ENTRIES = 2 ** 25
 
 
 class ConfigError(CoincidenceError):
@@ -188,14 +191,26 @@ def _build_explicit_quadratic(section: dict, norms) -> QuadraticProblem:
 
 
 def _build_generated_quadratic(section: dict) -> QuadraticProblem:
+    """A seeded random quadratic, its sizes checked before anything is allocated."""
     try:
-        return random_quadratic(
-            dim_x=int(section["dim_x"]),
-            dim_y=int(section["dim_y"]),
-            target_margin=float(section["margin"]),
-            seed=int(section["seed"]),
-        )
+        dims = {key: section[key] for key in ("dim_x", "dim_y", "seed")}
+        margin = float(section["margin"])
     except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad generate section: {err}") from err
+    for key, value in dims.items():
+        if type(value) is not int:  # not a float, and not a bool
+            raise ConfigError(f"bad generate section: {key} must be an integer, got {value!r}")
+    dim_x, dim_y = dims["dim_x"], dims["dim_y"]
+    if not 1 <= dim_y <= dim_x:
+        raise ConfigError(f"bad generate section: need 1 <= dim_y <= dim_x, "
+                          f"got dim_y = {dim_y}, dim_x = {dim_x}")
+    if dim_y * dim_x ** 2 > MAX_TENSOR_ENTRIES:
+        raise ConfigError(f"bad generate section: dim_y * dim_x^2 = {dim_y * dim_x ** 2} "
+                          f"tensor entries exceed the limit {MAX_TENSOR_ENTRIES}")
+    try:
+        return random_quadratic(dim_x=dim_x, dim_y=dim_y, target_margin=margin,
+                                seed=dims["seed"])
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"bad generate section: {err}") from err
 
 

@@ -196,6 +196,33 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
                     max_excess=float(np.max(ops[violated] - bounds[violated], initial=0.0)))
 
 
+def start_trace(cover: CoveringMap, phi: SmoothMap, x0, tau0: float, tau_star: float):
+    """Open a trace at a copy of x0; returns (x, Phi(x), residual, trace)."""
+    x = x0.copy()
+    phi_x = phi.evaluate(x)
+    residual = norm(phi_x - cover.evaluate(x), cover.norm_y)
+    trace = IterateTrace(records=[TraceRecord(0, tau0, x.copy(), 0.0, 0.0, residual)],
+                         tau0=tau0, tau_star=tau_star)
+    return x, phi_x, residual, trace
+
+
+def covering_step(trace: IterateTrace, cover: CoveringMap, phi: SmoothMap, x0, x, phi_x,
+                  budget: float, tau_next: float):
+    """Solve Psi(x_next) = Phi(x) within budget and record the row at tau_next.
+
+    budget is passed apart from tau_next: the baseline sums its budgets into
+    tau, and in floats (tau + budget) - tau need not be budget. Propagates
+    BudgetExceeded. Returns (x_next, Phi(x_next), residual).
+    """
+    x_next = cover.solve_within(x, phi_x, budget)
+    phi_next = phi.evaluate(x_next)
+    residual = norm(phi_next - cover.evaluate(x_next), cover.norm_y)
+    trace.records.append(TraceRecord(
+        len(trace.records), tau_next, np.array(x_next, dtype=float),
+        norm(x_next - x, cover.norm_x), norm(x_next - x0, cover.norm_x), residual))
+    return x_next, phi_next, residual
+
+
 def coincidence_solve(inst: ProblemInstance,
                       residual_tol: float = DEFAULT_RESIDUAL_TOL,
                       max_steps: int = DEFAULT_MAX_STEPS,
@@ -209,7 +236,7 @@ def coincidence_solve(inst: ProblemInstance,
 
     h2_check: "warn" (default) samples the derivative bound at H2_SAMPLES
     points and warns on violations, "strict" aborts the solve with a
-    hypothesis_violation status, "off" skips the check. The initial-gap
+    hypothesis_violation status. The initial-gap
     condition is always enforced. The bound is not sampled when
     inst.h2_proven is set: build_quadratic_instance sets it when the certified
     constant a is at least the tensor's spectral overestimate, so that
@@ -221,18 +248,12 @@ def coincidence_solve(inst: ProblemInstance,
 
     Returns (x_star, trace).
     """
-    if h2_check not in ("warn", "strict", "off"):
-        raise ValueError("h2_check must be 'warn', 'strict' or 'off'")
+    if h2_check not in ("warn", "strict"):
+        raise ValueError("h2_check must be 'warn' or 'strict'")
     pair = inst.majorants
-    norm_x, norm_y = inst.norms
     tau_star = smallest_crossing(pair)
-
-    x = inst.x0.copy()
     tau = pair.tau0
-    phi_x = inst.phi.evaluate(x)
-    residual = norm(phi_x - inst.cover.evaluate(x), norm_y)
-    trace = IterateTrace(records=[TraceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
-                         tau0=pair.tau0, tau_star=tau_star)
+    x, phi_x, residual, trace = start_trace(inst.cover, inst.phi, inst.x0, tau, tau_star)
 
     if not validate_h2_start(pair, residual):
         trace.status = STATUS_HYPOTHESIS
@@ -240,7 +261,7 @@ def coincidence_solve(inst: ProblemInstance,
                         f"phi(tau0)-psi(tau0) = {pair.gap_at_start():.6e}")
         return x, trace
 
-    if h2_check != "off" and not inst.h2_proven:
+    if not inst.h2_proven:
         report = validate_h2_derivative(inst, H2_SAMPLES, tau_hi=tau_star)
         if not report.clean:
             msg = (f"H2: sampled derivative bound violated {report.violations}/"
@@ -274,18 +295,9 @@ def coincidence_solve(inst: ProblemInstance,
                             f"{increment:.6e} at step {j}")
             return x, trace
 
-        x_next = inst.cover.solve_within(x, phi_x, tau_next - tau)  # may raise BudgetExceeded
-        phi_x = inst.phi.evaluate(x_next)
-        residual = norm(phi_x - inst.cover.evaluate(x_next), norm_y)
-        trace.records.append(TraceRecord(
-            j=j + 1,
-            tau=tau_next,
-            x=np.array(x_next, dtype=float),
-            step_norm=norm(x_next - x, norm_x),
-            deviation=norm(x_next - inst.x0, norm_x),
-            residual=residual,
-        ))
-        x, tau, psi_tau = x_next, tau_next, psi_next
+        x, phi_x, residual = covering_step(trace, inst.cover, inst.phi, inst.x0, x, phi_x,
+                                           tau_next - tau, tau_next)
+        tau, psi_tau = tau_next, psi_next
 
     trace.status = STATUS_MAX_STEPS
     return x, trace

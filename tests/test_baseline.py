@@ -1,15 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import coincide
+from coincide import baseline
 from coincide.baseline import (
     AlphaCoveringProblem,
     alpha_iterate,
     compare_methods,
     estimate_lipschitz,
 )
-from coincide.covering import IdentityCovering
+from coincide.covering import IdentityCovering, LinearSurjectiveCovering
 from coincide.errors import NotContractive
-from coincide.problems import scalar_quadratic
+from coincide.problems import QuadraticMap, scalar_quadratic
 from coincide.solver import STATUS_CONVERGED, AffineMap
 
 
@@ -111,3 +115,49 @@ def test_estimate_lipschitz_underestimates_quadratic():
     p = AlphaCoveringProblem.from_quadratic(q)
     sampled = estimate_lipschitz(p.v, [0.0], radius=q.tau_star(), pairs=500, seed=5)
     assert sampled <= p.beta + 1e-9  # analytic bound dominates sampling
+
+
+def test_each_loop_step_makes_the_same_calls(monkeypatch):
+    # Per step, both loops make one covering solve, three evaluations
+    # (Phi, Psi, and Psi inside the solve) and four norms (the solve's
+    # correction, the residual, the step and the deviation); opening the
+    # trace makes two evaluations and one norm. The counts are exact.
+    counts = {"majorant": Counter(), "baseline": Counter()}
+    active = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if active:
+                counts[active[-1]][name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def scoped(label, fn):
+        def wrapper(*args, **kwargs):
+            active.append(label)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+        return wrapper
+
+    monkeypatch.setattr(baseline, "coincidence_solve",
+                        scoped("majorant", baseline.coincidence_solve))
+    monkeypatch.setattr(baseline, "alpha_iterate", scoped("baseline", baseline.alpha_iterate))
+    for cls, meth, name in ((LinearSurjectiveCovering, "solve_within", "solve_within"),
+                            (LinearSurjectiveCovering, "evaluate", "evaluate"),
+                            (QuadraticMap, "evaluate", "evaluate")):
+        monkeypatch.setattr(cls, meth, counted(name, getattr(cls, meth)))
+    norm = coincide.linalg.norm
+    for module in (coincide.linalg, coincide.majorant, coincide.covering, coincide.solver,
+                   coincide.problems, coincide.baseline):
+        for key, value in list(vars(module).items()):
+            if value is norm:
+                monkeypatch.setattr(module, key, counted("norm", norm))
+
+    report = compare_methods(scalar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8), tol=1e-10)
+    for label, trace in (("majorant", report.majorant_trace),
+                         ("baseline", report.baseline_trace)):
+        assert trace.status == STATUS_CONVERGED and trace.steps > 300
+        n = trace.steps
+        assert counts[label] == Counter(solve_within=n, evaluate=3 * n + 2, norm=4 * n + 1)

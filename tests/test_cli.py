@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import coincide
-from coincide import cli, errors
+from coincide import cli, config as config_module, errors
 from coincide.cli import main
 from coincide.config import (
     ConfigError,
@@ -296,6 +297,75 @@ class TestBatch:
             assert err == ["config error: invalid quadratic problem: "
                            "the scan window b/a = inf must be finite and positive"], err
         assert (out / "ok" / "summary.txt").exists()
+
+
+    @pytest.mark.parametrize("count,jobs,pools", [(2, "10000", [2]), (3, "2", [2]),
+                                                  (2, "1", [])])
+    def test_pool_has_at_most_one_worker_per_config(self, tmp_path, monkeypatch,
+                                                     count, jobs, pools):
+        # The pool forks all its workers at the first submit, so its size is
+        # what a large --jobs costs. The fake runs the jobs in this process.
+        made = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        paths = [write_json(tmp_path / f"c{i}.json", scalar_config(0.5 + 0.1 * i))
+                 for i in range(count)]
+        out = tmp_path / "out"
+        assert main(["solve", "--config", *paths, "--out", str(out), "--jobs", jobs]) == 0
+        assert made == pools
+        assert all((out / f"c{i}" / "trace.csv").exists() for i in range(count))
+
+
+GENERATE = {"dim_x": 3, "dim_y": 2, "margin": 0.5, "seed": 1}
+
+
+class _Generated(Exception):
+    """Raised by the stand-in for random_quadratic: the section got through."""
+
+
+class TestGenerateSection:
+    @pytest.fixture(autouse=True)
+    def no_generation(self, monkeypatch):
+        def generate(**kwargs):
+            raise _Generated(kwargs)
+
+        monkeypatch.setattr(config_module, "random_quadratic", generate)
+
+    @pytest.mark.parametrize("fields", [
+        {"dim_x": 2.9}, {"dim_x": True}, {"dim_x": "3"}, {"dim_y": 1.0}, {"dim_y": False},
+        {"seed": 1.5}, {"seed": True}, {"seed": None},
+        {"dim_y": 0}, {"dim_x": 0, "dim_y": 0}, {"dim_y": -1}, {"dim_y": 4},
+        {"dim_x": 5000, "dim_y": 5}, {"dim_x": 4096, "dim_y": 3}, {"dim_x": 2 ** 40},
+    ], ids=str)
+    def test_bad_section_is_refused_before_generation(self, tmp_path, capsys, fields):
+        cfg = write_json(tmp_path / "gen.json",
+                         {"kind": "quadratic", "generate": {**GENERATE, **fields}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad generate section: "), err
+
+    @pytest.mark.parametrize("dim_x,dim_y", [(4096, 2), (300, 300), (1, 1)])
+    def test_section_within_limits_is_generated(self, tmp_path, dim_x, dim_y):
+        # 4096^2 * 2 = 2^25 tensor entries, the limit.
+        section = {**GENERATE, "dim_x": dim_x, "dim_y": dim_y}
+        cfg = write_json(tmp_path / "gen.json", {"kind": "quadratic", "generate": section})
+        with pytest.raises(_Generated) as info:
+            main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert info.value.args[0] == {"dim_x": dim_x, "dim_y": dim_y, "target_margin": 0.5,
+                                      "seed": 1}
 
 
 class TestNonFiniteInputs:

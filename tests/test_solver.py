@@ -95,9 +95,15 @@ class TestCoincidenceSolve:
                                 tau0=0.0, horizon=2.0)
         bad = ProblemInstance(phi=inst.phi, cover=inst.cover,
                               majorants=bad_pair, x0=inst.x0, norms=inst.norms)
-        x, trace = coincidence_solve(bad, h2_check="off")
+        x, trace = coincidence_solve(bad)
         assert trace.status == STATUS_HYPOTHESIS
         assert "H2" in trace.detail
+
+    @pytest.mark.parametrize("mode", ["off", "loud"])
+    def test_unknown_h2_check_is_refused(self, mode):
+        inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
+        with pytest.raises(ValueError, match="h2_check must be 'warn' or 'strict'"):
+            coincidence_solve(inst, h2_check=mode)
 
     def test_no_crossing_propagates(self):
         inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))

@@ -1,11 +1,13 @@
 """The per-step hot paths against the oracle in step_reference.py, bit for bit.
 
 `next_tau` evaluates a linear psi inline, `QuadraticMap.evaluate` makes one
-contraction instead of two, and `write_trace_csv` formats a row in one call;
-none of them may move a bit of a result, a byte of a trace or a word of a
-BracketFailure message.
+contraction instead of two, `write_trace_csv` formats a row in one call, and
+both iterations run one shared covering step; none of them may move a bit of
+a result, a byte of a trace or a word of a BracketFailure or BudgetExceeded
+message.
 """
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -16,13 +18,35 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coincide.baseline import AlphaCoveringProblem, alpha_iterate
 from coincide.cli import write_trace_csv
-from coincide.errors import BracketFailure
-from coincide.majorant import ScalarFn, next_tau
-from coincide.problems import BilinearMap, QuadraticMap
-from coincide.solver import IterateTrace, TraceRecord
+from coincide.config import build_problem, gallery_config
+from coincide.covering import LinearSurjectiveCovering
+from coincide.errors import BracketFailure, CoincidenceError
+from coincide.linalg import NormTag
+from coincide.majorant import MajorantPair, ScalarFn, next_tau
+from coincide.problems import (
+    BilinearMap,
+    QuadraticMap,
+    build_quadratic_instance,
+    random_quadratic,
+    scalar_quadratic,
+)
+from coincide.solver import (
+    CallableMap,
+    IterateTrace,
+    ProblemInstance,
+    TraceRecord,
+    coincidence_solve,
+)
 
-from step_reference import reference_evaluate, reference_next_tau, reference_write_trace_csv
+from step_reference import (
+    reference_alpha_iterate,
+    reference_coincidence_solve,
+    reference_evaluate,
+    reference_next_tau,
+    reference_write_trace_csv,
+)
 
 
 def _outcome(step, pair, tau_j, tau_star):
@@ -175,3 +199,107 @@ def test_trace_rows_print_special_values():
         "0,0,-0,inf,nan",
         "7,4.9406564584124654e-324,-inf,0.10000000000000001,2",
     ]
+
+
+def _loop_outcome(solve, *args, **kwargs):
+    """Everything an iteration hands back, in bits, or ("raise", class, message)."""
+    try:
+        x, trace = solve(*args, **kwargs)
+    except CoincidenceError as err:
+        return "raise", type(err).__name__, str(err)
+    rows = [(r.j, float.hex(r.tau), r.x.dtype.str, r.x.tobytes(), float.hex(r.step_norm),
+             float.hex(r.deviation), float.hex(r.residual)) for r in trace.records]
+    return (x.dtype.str, x.tobytes(), trace.status, trace.detail,
+            float.hex(trace.tau0), float.hex(trace.tau_star), rows)
+
+
+def _loops_outcomes(inst, p, tol, max_steps):
+    """(ours, reference) outcomes of the majorant loop, then of the baseline loop."""
+    x0 = np.zeros(inst.x0.size)
+    return [
+        (_loop_outcome(coincidence_solve, inst, residual_tol=tol, max_steps=max_steps),
+         _loop_outcome(reference_coincidence_solve, inst, residual_tol=tol,
+                       max_steps=max_steps)),
+        (_loop_outcome(alpha_iterate, p, x0, tol, max_steps),
+         _loop_outcome(reference_alpha_iterate, p, x0, tol, max_steps)),
+    ]
+
+
+def d_zero_quadratic(e, m):
+    """a = 2^(e+2m-2), b = 2^m, c = 2^-e: D = b^2 - 4ac is exactly 0."""
+    return scalar_quadratic(2.0 ** (e + 2 * m - 2), 2.0 ** m, 2.0 ** -e)
+
+
+def near_d_quadratic(a, b, log_margin):
+    """D = margin * b^2 up to rounding, with margin = 10^log_margin."""
+    return scalar_quadratic(a, b, b * b * (1.0 - 10.0 ** log_margin) / (4.0 * a))
+
+
+scalar_quadratics = st.one_of(
+    st.builds(d_zero_quadratic, st.integers(0, 12), st.integers(-2, 3)),
+    st.builds(near_d_quadratic, st.floats(0.25, 4.0), st.floats(0.5, 4.0),
+              st.floats(-4.0, -1.0)))
+
+
+@st.composite
+def generated_quadratics(draw):
+    dim_x = draw(st.integers(1, 6))
+    return random_quadratic(dim_x, draw(st.integers(1, dim_x)), draw(st.floats(0.0, 1.0)),
+                            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(q=st.one_of(scalar_quadratics, generated_quadratics()),
+       tol=st.sampled_from([1e-6, 1e-8, 1e-10]), max_steps=st.integers(1, 250))
+@example(q=d_zero_quadratic(10, 1), tol=1e-8, max_steps=100_000)  # 617 steps
+@example(q=scalar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8), tol=1e-10, max_steps=100_000)
+def test_quadratic_loops_match_reference(q, tol, max_steps):
+    p = AlphaCoveringProblem.from_quadratic(q)
+    for ours, ref in _loops_outcomes(build_quadratic_instance(q), p, tol, max_steps):
+        assert ours == ref
+
+
+def _linf_instance():
+    # The scalar problem of test_linf_instance_solves.
+    cover = LinearSurjectiveCovering([[2.0]], sign=-1, b=2.0,
+                                     norm_x=NormTag.LINF, norm_y=NormTag.LINF)
+    pair = MajorantPair(psi=ScalarFn.linear(2.0),
+                        phi=ScalarFn.polynomial([0.75, 0.0, 1.0]),
+                        tau0=0.0, horizon=2.0)
+    phi = CallableMap(f=lambda x: np.array([x[0] ** 2 + 0.75]),
+                      jac=lambda x: np.array([[2.0 * x[0]]]),
+                      domain_center=[0.0], domain_radius=2.0)
+    return ProblemInstance(phi=phi, cover=cover, majorants=pair,
+                           x0=np.array([0.0]), norms=(NormTag.LINF, NormTag.LINF))
+
+
+@pytest.mark.parametrize("max_steps", [1, 4, 100_000])
+@pytest.mark.parametrize("name", ["kantorovich-affine", "linf"])
+def test_hand_built_loops_match_reference(name, max_steps):
+    # The baseline runs on the same covering, with alpha its modulus and beta
+    # the Lipschitz constant of Phi on the certified ball.
+    if name == "linf":
+        inst, alpha, beta = _linf_instance(), 2.0, 1.0
+    else:
+        inst, alpha, beta = build_problem(gallery_config(name)).instance, 1.0, 0.5
+    p = AlphaCoveringProblem(u=inst.cover, v=inst.phi, alpha=alpha, beta=beta)
+    for ours, ref in _loops_outcomes(inst, p, 1e-10, max_steps):
+        assert ours == ref
+        if max_steps == 100_000:
+            assert ours[2] == "converged"
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=scalar_quadratics, factor=st.floats(1.5, 4.0))
+def test_inflated_covering_constant_fails_alike(q, factor):
+    # b above sigma_min: the budgets are too small for the first step.
+    b = factor * q.b
+    cover = LinearSurjectiveCovering(q.linear, sign=-1, b=b, check_constant=False)
+    certified = build_quadratic_instance(q)
+    pair = MajorantPair(psi=ScalarFn.linear(b), phi=certified.majorants.phi,
+                        tau0=0.0, r=math.inf, horizon=b / q.a)
+    inst = ProblemInstance(phi=certified.phi, cover=cover, majorants=pair, x0=certified.x0)
+    p = dataclasses.replace(AlphaCoveringProblem.from_quadratic(q), u=cover, alpha=b)
+    for ours, ref in _loops_outcomes(inst, p, 1e-10, 100):
+        assert ours == ref
+        assert ours[:2] == ("raise", "BudgetExceeded")
