@@ -32,10 +32,9 @@ from .problems import QuadraticMap, QuadraticProblem, build_quadratic_instance
 
 
 def estimate_lipschitz(v: SmoothMap, center, radius: float, pairs: int = 500,
-                       seed: int = 0, norm_x: NormTag = NormTag.L2,
-                       norm_y: NormTag = NormTag.L2) -> float:
-    """Sampled sup of ||v(x1) - v(x2)|| / ||x1 - x2|| on the norm_x ball of
-    the given radius around center.
+                       seed: int = 0) -> float:
+    """Sampled sup of ||v(x1) - v(x2)|| / ||x1 - x2|| on the l2 ball of the
+    given radius around center, all norms l2.
 
     Sampling under-estimates the true constant; prefer an analytic bound when
     one is available (e.g. 2 a tau_* for quadratic maps).
@@ -44,14 +43,14 @@ def estimate_lipschitz(v: SmoothMap, center, radius: float, pairs: int = 500,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):
-        d1 = random_direction(rng, center.size, norm_x)
-        d2 = random_direction(rng, center.size, norm_x)
+        d1 = random_direction(rng, center.size, NormTag.L2)
+        d2 = random_direction(rng, center.size, NormTag.L2)
         x1 = center + rng.uniform(0, radius) * d1
         x2 = center + rng.uniform(0, radius) * d2
-        dist = norm(x1 - x2, norm_x)
+        dist = norm(x1 - x2)
         if dist < 1e-9:
             continue
-        worst = max(worst, norm(v.evaluate(x1) - v.evaluate(x2), norm_y) / dist)
+        worst = max(worst, norm(v.evaluate(x1) - v.evaluate(x2)) / dist)
     return worst
 
 
@@ -77,7 +76,7 @@ class AlphaCoveringProblem:
         """
         tau_star = q.tau_star()
         return cls(
-            u=LinearSurjectiveCovering(q.linear, sign=-1, b=q.b),
+            u=LinearSurjectiveCovering(q.linear, b=q.b),
             v=QuadraticMap(q.bilinear, q.offset, domain_radius=tau_star),
             alpha=q.b,
             beta=2.0 * q.a * tau_star,

@@ -6,14 +6,14 @@ Subcommands:
   compare  run majorant and baseline schemes side by side
 
 Exit codes: 0 converged, 2 certified partial result (max_steps), 1 for
-hypothesis violations (named H1/H2/crossing) and parse/validation failures,
-each reported as one stderr line named by ERROR_PREFIXES. residual_tol (config
-or --tol) must be finite and positive, max_steps (config or --max-steps) at
-least 1, and JSON Infinity/NaN literals and number literals that overflow a
-double (1e400) are refused. A batch (several
---config paths) writes each config to OUT/<file stem>, is refused when two
-stems collide, and exits 1 if any config failed, else 2 if any hit its step
-cap, else 0.
+hypothesis violations (named H1/H2/crossing), parse/validation failures and
+an --out that cannot be a directory, each reported as one stderr line named
+by ERROR_PREFIXES. residual_tol (config or --tol) must be finite and
+positive, max_steps (config or --max-steps) at least 1, and JSON
+Infinity/NaN literals and number literals that overflow a double (1e400) are
+refused. A batch (several --config paths) writes each config to
+OUT/<file stem>, is refused when two stems collide, and exits 1 if any
+config failed, else 2 if any hit its step cap, else 0.
 All floats are printed with 17 significant digits so reruns are bit-identical.
 """
 
@@ -70,6 +70,7 @@ ERROR_PREFIXES = (
     (BudgetExceeded, "hypothesis violation (H1)"),
     ((NoCrossing, BracketFailure), "hypothesis violation (crossing)"),
     (CoincidenceError, "config error"),
+    (OSError, "output error"),
 )
 
 
@@ -120,10 +121,11 @@ def write_summary(trace: IterateTrace, x_star, path: Path,
 
 
 def _guarded(run, *args) -> int:
-    """run(*args), with a CoincidenceError turned into one named stderr line."""
+    """run(*args), with a CoincidenceError or an OSError (an --out that is not
+    a usable directory) turned into one named stderr line."""
     try:
         return run(*args)
-    except CoincidenceError as err:
+    except (CoincidenceError, OSError) as err:
         prefix = next(name for cls, name in ERROR_PREFIXES if isinstance(err, cls))
         print(f"{prefix}: {err}", file=sys.stderr)
         return EXIT_FAIL
@@ -180,6 +182,8 @@ def cmd_solve(args) -> int:
                               f"output directory {sub}")
         owners[sub] = path
         jobs.append((path, str(sub), args.tol, args.max_steps, args.strict_h2))
+    # An unusable OUT fails here once, not once per config.
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     workers = min(args.jobs, len(jobs))  # the pool forks all its workers at once
     if workers > 1:
         # Imported here: the pool module costs every other run resident memory.

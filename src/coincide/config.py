@@ -228,7 +228,7 @@ def _build_kantorovich(section: dict, norms) -> ProblemInstance:
     f = AffineMap(W, d, domain_center=x0, domain_radius=radius)
     try:
         return build_kantorovich_instance(
-            f, ScalarFn.linear(lip, label=f"{lip}*tau"), x0, norm_tag=norms[0])
+            f, ScalarFn.linear(lip), x0, norm_tag=norms[0])
     except ValueError as err:
         raise ConfigError(f"invalid kantorovich problem: {err}") from err
 
@@ -257,18 +257,16 @@ def _build_custom_scalar(section: dict, norms) -> ProblemInstance:
             psi=ScalarFn.linear(psi_slope),
             phi=ScalarFn.polynomial(majorant_poly),
             tau0=tau0,
-            r=math.inf,
             horizon=horizon,
         )
     except ValueError as err:
         raise ConfigError(f"invalid majorant pair: {err}") from err
     return ProblemInstance(
         phi=phi_map,
-        cover=LinearSurjectiveCovering(np.array([[psi_slope]]), sign=-1, b=psi_slope,
+        cover=LinearSurjectiveCovering(np.array([[psi_slope]]), b=psi_slope,
                                        norm_x=norms[0], norm_y=norms[1]),
         majorants=pair,
         x0=np.array([x0]),
-        norms=norms,
     )
 
 

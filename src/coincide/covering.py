@@ -21,6 +21,8 @@ from .majorant import ScalarFn
 # Budget slack and relative inversion residual for the covering contract.
 BUDGET_TOL = 1e-9
 RESIDUAL_TOL = 1e-9
+# Relative inversion residual and budget overshoot a sampled audit forgives.
+AUDIT_TOL = 1e-8
 
 
 class CoveringMap:
@@ -46,7 +48,7 @@ class IdentityCovering(CoveringMap):
         self.dimension = int(dimension)
         self.norm_x = norm_tag
         self.norm_y = norm_tag
-        self.psi = ScalarFn.linear(1.0, label="identity modulus")
+        self.psi = ScalarFn.linear(1.0)
 
     def evaluate(self, x):
         return np.asarray(x, dtype=float)
@@ -63,7 +65,7 @@ class IdentityCovering(CoveringMap):
 
 
 class LinearSurjectiveCovering(CoveringMap):
-    """Psi(x) = sign * (B x) for a surjective B, with modulus psi(tau) = b * tau.
+    """Psi(x) = -B x for a surjective B, with modulus psi(tau) = b * tau.
 
     For l2 norms on both sides the exact largest valid covering constant is
     sigma_min(B), the default. A user-supplied b is accepted (required for
@@ -72,13 +74,10 @@ class LinearSurjectiveCovering(CoveringMap):
     audit such overrides with verify_covering_sampled.
     """
 
-    def __init__(self, B, sign: int = -1, b: float | None = None,
+    def __init__(self, B, b: float | None = None,
                  norm_x: NormTag = NormTag.L2, norm_y: NormTag = NormTag.L2,
                  check_constant: bool = True):
-        if sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
         self.B = as_matrix(B)
-        self.sign = int(sign)
         self.norm_x = norm_x
         self.norm_y = norm_y
         m, n = self.B.shape
@@ -101,15 +100,15 @@ class LinearSurjectiveCovering(CoveringMap):
                 "constant (pass check_constant=False to audit it anyway)"
             )
         self.b = float(b)
-        self.psi = ScalarFn.linear(self.b, label=f"{self.b}*tau")
+        self.psi = ScalarFn.linear(self.b)
 
     def evaluate(self, x):
-        return self.sign * (self.B @ np.asarray(x, dtype=float))
+        return -(self.B @ np.asarray(x, dtype=float))
 
     def solve_within(self, x_prime, y, budget):
         x_prime = as_vector(x_prime)
         y = as_vector(y)
-        v = self.sign * (y - self.evaluate(x_prime))
+        v = -(y - self.evaluate(x_prime))
         delta = self._pinv @ v
         step = norm(delta, self.norm_x)
         if step > budget + BUDGET_TOL:
@@ -136,15 +135,13 @@ class CoveringAudit:
 
 
 def verify_covering_sampled(cover: CoveringMap, region_center, region_radius: float,
-                            trials: int = 1000, seed: int = 0,
-                            resid_tol: float = 1e-8,
-                            overshoot_tol: float = 1e-8) -> CoveringAudit:
+                            trials: int = 1000, seed: int = 0) -> CoveringAudit:
     """Randomized audit of the covering contract.
 
     Samples x' in the region, a budget tau'' - tau', and a target y inside the
     allowed image ball (half the trials on its boundary, where violations of a
     wrong covering constant are largest), then checks that solve_within meets
-    the inversion residual and the budget.
+    the relative inversion residual and the budget, each to AUDIT_TOL.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -173,7 +170,7 @@ def verify_covering_sampled(cover: CoveringMap, region_center, region_radius: fl
         over = max(0.0, norm(x - x_prime, cover.norm_x) - budget)
         max_resid = max(max_resid, resid)
         max_over = max(max_over, over)
-        if resid > resid_tol or over > overshoot_tol:
+        if resid > AUDIT_TOL or over > AUDIT_TOL:
             violations += 1
     return CoveringAudit(trials=trials, violations=violations,
                          max_residual=max_resid, max_overshoot=max_over)

@@ -1,6 +1,6 @@
 """Scalar majorant machinery.
 
-A majorant pair (psi, phi) lives on the window [tau0, tau0 + min(r, horizon)].
+A majorant pair (psi, phi) lives on the window [tau0, tau0 + horizon].
 The smallest crossing tau_* of psi(tau) = phi(tau) bounds how far the vector
 iteration can drift, and the scalar recurrence psi(tau_{j+1}) = phi(tau_j)
 hands out the per-step radius budgets.
@@ -60,7 +60,6 @@ class ScalarFn:
 
     fn: Callable[[float], float]
     deriv: Optional[Callable[[float], float]] = None
-    label: str = ""
     grid: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # (slope, intercept), set only by `linear`; `next_tau` then evaluates
     # slope * t + intercept inline. Not a constructor argument, so a function
@@ -80,11 +79,11 @@ class ScalarFn:
 
     def derivative(self, tau: float) -> float:
         if self.deriv is None:
-            raise ValueError(f"scalar function {self.label!r} has no derivative")
+            raise ValueError("scalar function has no derivative")
         return float(self.deriv(tau))
 
     @staticmethod
-    def linear(slope: float, intercept: float = 0.0, label: str = "") -> "ScalarFn":
+    def linear(slope: float, intercept: float = 0.0) -> "ScalarFn":
         def grid(ts):
             out = ts * slope
             out += intercept
@@ -93,14 +92,13 @@ class ScalarFn:
         out = ScalarFn(
             fn=lambda t: slope * t + intercept,
             deriv=lambda t: slope,
-            label=label or f"{slope}*tau + {intercept}",
             grid=grid,
         )
         out.linear_coeffs = (slope, intercept)
         return out
 
     @staticmethod
-    def polynomial(coeffs, label: str = "") -> "ScalarFn":
+    def polynomial(coeffs) -> "ScalarFn":
         """Polynomial with ascending coefficients [c0, c1, c2, ...]."""
         cs = [float(c) for c in coeffs]
         ds = [i * c for i, c in enumerate(cs)][1:] or [0.0]
@@ -122,7 +120,6 @@ class ScalarFn:
         return ScalarFn(
             fn=lambda t: horner(cs, t),
             deriv=lambda t: horner(ds, t),
-            label=label or f"poly{cs}",
             grid=grid,
         )
 
@@ -133,26 +130,23 @@ class MajorantPair:
 
     psi must be strictly increasing on the window (plateaus would make the
     budget recurrence ill-posed), phi strictly increasing with a derivative,
-    and phi(tau0) >= psi(tau0). `r` may be math.inf; scans then use `horizon`.
+    and phi(tau0) >= psi(tau0).
     """
 
     psi: ScalarFn
     phi: ScalarFn
     tau0: float = 0.0
-    r: float = math.inf
     horizon: float = DEFAULT_HORIZON
 
     def __post_init__(self):
         self.tau0 = float(self.tau0)
-        if not (self.r > 0.0):
-            raise ValueError("r must be positive")
         if not (0.0 < self.horizon < math.inf):
             raise ValueError("horizon must be finite and positive")
         self.validate()
 
     @property
     def tau_end(self) -> float:
-        return self.tau0 + min(self.r, self.horizon)
+        return self.tau0 + self.horizon
 
     def gap_at_start(self) -> float:
         return self.phi(self.tau0) - self.psi(self.tau0)

@@ -68,18 +68,17 @@ class BilinearMap:
     def __call__(self, x1, x2):
         return apply_bilinear(self, x1, x2)
 
-    def audit_bound(self, norm_x: NormTag = NormTag.L2, norm_y: NormTag = NormTag.L2,
-                    pairs: int = 1000, seed: int = 0) -> float:
-        """Max sampled ratio ||A(x1,x2)|| / (||x1|| ||x2||); must stay <= bound."""
+    def audit_bound(self, pairs: int = 1000, seed: int = 0) -> float:
+        """Max sampled l2 ratio ||A(x1,x2)|| / (||x1|| ||x2||); must stay <= bound."""
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(pairs):
             x1 = rng.standard_normal(self.dim_x)
             x2 = rng.standard_normal(self.dim_x)
-            denom = norm(x1, norm_x) * norm(x2, norm_x)
+            denom = norm(x1) * norm(x2)
             if denom < 1e-12:
                 continue
-            worst = max(worst, norm(apply_bilinear(self, x1, x2), norm_y) / denom)
+            worst = max(worst, norm(apply_bilinear(self, x1, x2)) / denom)
         return worst
 
 
@@ -241,55 +240,51 @@ def build_quadratic_instance(q: QuadraticProblem) -> ProblemInstance:
     if not (0.0 < horizon < math.inf):
         raise ValueError(f"the scan window b/a = {horizon} must be finite and positive")
     pair = MajorantPair(
-        psi=ScalarFn.linear(q.b, label=f"{q.b}*tau"),
-        phi=ScalarFn.polynomial([q.c, 0.0, q.a], label=f"{q.a}*tau^2 + {q.c}"),
+        psi=ScalarFn.linear(q.b),
+        phi=ScalarFn.polynomial([q.c, 0.0, q.a]),
         tau0=0.0,
-        r=math.inf,
         horizon=horizon,
     )
     inst = ProblemInstance(
         phi=QuadraticMap(q.bilinear, q.offset, domain_radius=horizon),
-        cover=LinearSurjectiveCovering(q.linear, sign=-1, b=q.b),
+        cover=LinearSurjectiveCovering(q.linear, b=q.b),
         majorants=pair,
         x0=np.zeros(q.bilinear.dim_x),
-        norms=(NormTag.L2, NormTag.L2),
     )
     inst.h2_proven = q.a >= q.bilinear.overestimate
     return inst
 
 
 def build_kantorovich_instance(f: SmoothMap, lip_majorant: ScalarFn, x0,
-                               tau0: float = 0.0,
                                norm_tag: NormTag = NormTag.L2) -> ProblemInstance:
-    """Fixed-point reduction: Psi = identity, psi(tau) = tau.
+    """Fixed-point reduction: Psi = identity, psi(tau) = tau, tau0 = 0.
 
+    f must map X to X: f(x0) has the shape of x0, else DimensionMismatch.
     lip_majorant is the growth profile whose derivative dominates ||f'(x)||
     on balls around x0; it is shifted so the majorant starts exactly at the
-    measured initial defect ||f(x0) - x0||.
+    measured initial defect ||f(x0) - x0||. The window is f's domain radius,
+    or DEFAULT_HORIZON when that is infinite.
     """
     x0 = as_vector(x0)
-    gap = norm(f.evaluate(x0) - x0, norm_tag)
-    offset = gap + tau0 - lip_majorant(tau0)
+    fx0 = f.evaluate(x0)
+    if fx0.shape != x0.shape:
+        raise DimensionMismatch(
+            f"the fixed-point reduction needs f: X -> X, but f maps x0 of shape "
+            f"{x0.shape} to shape {fx0.shape}")
+    gap = norm(fx0 - x0, norm_tag)
+    offset = gap - lip_majorant(0.0)
     phi = ScalarFn(
         fn=lambda t: lip_majorant(t) + offset,
         deriv=lip_majorant.deriv,
-        label=f"{lip_majorant.label} + {offset}",
         grid=lambda ts: lip_majorant.on_grid(ts) + offset,
     )
-    horizon = f.domain_radius if np.isfinite(f.domain_radius) else DEFAULT_HORIZON
-    pair = MajorantPair(
-        psi=ScalarFn.linear(1.0, label="tau"),
-        phi=phi,
-        tau0=tau0,
-        r=f.domain_radius,
-        horizon=horizon,
-    )
+    horizon = DEFAULT_HORIZON if f.domain_radius == math.inf else f.domain_radius
+    pair = MajorantPair(psi=ScalarFn.linear(1.0), phi=phi, tau0=0.0, horizon=horizon)
     return ProblemInstance(
         phi=f,
         cover=IdentityCovering(x0.size, norm_tag),
         majorants=pair,
         x0=x0,
-        norms=(norm_tag, norm_tag),
     )
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import DimensionMismatch, InsufficientData
 from .covering import CoveringMap
 from .linalg import (
     NormTag,
@@ -81,7 +81,7 @@ class CallableMap(SmoothMap):
 
 
 class AffineMap(SmoothMap):
-    """x -> W x + d."""
+    """x -> W x + d; d and domain_center must fit W's rows and columns."""
 
     def __init__(self, W, d, domain_center=None, domain_radius: float = np.inf):
         self.W = np.atleast_2d(np.asarray(W, dtype=float))
@@ -89,6 +89,11 @@ class AffineMap(SmoothMap):
         self.domain_center = as_vector(
             domain_center if domain_center is not None else np.zeros(self.W.shape[1]))
         self.domain_radius = float(domain_radius)
+        if (self.d.size, self.domain_center.size) != self.W.shape:
+            raise DimensionMismatch(
+                f"affine map with W of shape {self.W.shape} needs a shift of size "
+                f"{self.W.shape[0]} and a domain center of size {self.W.shape[1]}, "
+                f"got {self.d.size} and {self.domain_center.size}")
 
     def evaluate(self, x):
         return self.W @ np.asarray(x, dtype=float) + self.d
@@ -105,7 +110,6 @@ class ProblemInstance:
     cover: CoveringMap
     majorants: MajorantPair
     x0: np.ndarray
-    norms: tuple = (NormTag.L2, NormTag.L2)
     # Set only by a builder that proves the derivative bound H2 from the
     # structure it builds (build_quadratic_instance); coincidence_solve then
     # skips the sampled check. Not a constructor argument. The proof is for
@@ -114,12 +118,11 @@ class ProblemInstance:
 
     def __post_init__(self):
         self.x0 = as_vector(self.x0)
-        nx, ny = self.norms
-        if (nx, ny) != (self.cover.norm_x, self.cover.norm_y):
-            raise ValueError(
-                f"instance norms {(nx, ny)} disagree with covering norms "
-                f"{(self.cover.norm_x, self.cover.norm_y)}"
-            )
+
+    @property
+    def norms(self) -> tuple:
+        """(X norm, Y norm), those of the covering."""
+        return (self.cover.norm_x, self.cover.norm_y)
 
 
 @dataclass

@@ -176,14 +176,14 @@ def test_criterion_5_covering_audits():
             B = rng.standard_normal((m, n))
             if smallest_singular_value(B) < 1e-3:
                 B += np.eye(m, n)
-            cover = LinearSurjectiveCovering(B, sign=-1)
+            cover = LinearSurjectiveCovering(B)
             audit = verify_covering_sampled(cover, np.zeros(n), 2.0,
                                             trials=1000, seed=100 + k)
             assert audit.violations == 0, (k, audit)
 
         B = rng.standard_normal((3, 5))
         inflated = LinearSurjectiveCovering(
-            B, sign=-1, b=2.0 * smallest_singular_value(B), check_constant=False)
+            B, b=2.0 * smallest_singular_value(B), check_constant=False)
         audit = verify_covering_sampled(inflated, np.zeros(5), 2.0,
                                         trials=1000, seed=52)
         assert audit.violations >= 1

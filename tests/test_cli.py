@@ -329,6 +329,43 @@ class TestBatch:
         assert all((out / f"c{i}" / "trace.csv").exists() for i in range(count))
 
 
+class TestKantorovichShapes:
+    # Each used to fail late or not at all: a matmul traceback mid-solve, or a
+    # shift broadcast over W's rows that solved a different problem.
+    @pytest.mark.parametrize("linear,shift", [
+        ([[0.5, 0.1]], [0.5]),              # f: R^2 -> R^1
+        ([[0.5, 0.1], [0.0, 0.5]], [0.5]),  # shift shorter than W's rows
+        ([0.5, 0.1], [0.5, 0.5]),           # a 1-d W is one row
+    ])
+    def test_mismatched_shapes_are_a_config_error(self, tmp_path, capsys, linear, shift):
+        cfg = write_json(tmp_path / "k.json", {"kind": "kantorovich", "kantorovich": {
+            "linear": linear, "shift": shift, "x0": [0.0, 0.0], "lipschitz": 0.6}})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert not (out / "trace.csv").exists()
+
+
+class TestUnusableOut:
+    @pytest.mark.parametrize("command", [
+        ["solve", "--config", "{ok}"],
+        ["compare", "--config", "{ok}"],
+        ["gallery", "emit", "scalar-d-pos"],
+        ["solve", "--config", "{ok}", "{other}", "--jobs", "2"],
+    ], ids=["solve", "compare", "gallery-emit", "batch"])
+    def test_regular_file_as_out_is_one_output_error(self, tmp_path, capfd, command):
+        ok = write_json(tmp_path / "ok.json", scalar_config(0.75))
+        other = write_json(tmp_path / "other.json", scalar_config(0.5))
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        argv = [arg.format(ok=ok, other=other) for arg in command]
+        assert main([*argv, "--out", str(taken)]) == 1
+        err = capfd.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("output error: "), err
+        assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
 GENERATE = {"dim_x": 3, "dim_y": 2, "margin": 0.5, "seed": 1}
 
 

@@ -127,9 +127,9 @@ def sampled_instances(draw):
         psi=ScalarFn.linear(1.0),
         phi=ScalarFn.polynomial([tau0 + 1.0, factor * slope + 1e-3, factor * curvature]),
         tau0=tau0, horizon=4.0)
-    cover = LinearSurjectiveCovering(np.eye(m, n), sign=-1, b=1.0,
+    cover = LinearSurjectiveCovering(np.eye(m, n), b=1.0,
                                      norm_x=norms[0], norm_y=norms[1])
-    inst = ProblemInstance(phi=phi, cover=cover, majorants=pair, x0=x0, norms=norms)
+    inst = ProblemInstance(phi=phi, cover=cover, majorants=pair, x0=x0)
     tau_hi = tau0 + draw(st.floats(0.1, 2.0))
     return inst, tau_hi, draw(st.integers(1, 60)), draw(st.integers(0, 2**16))
 
@@ -148,10 +148,10 @@ def test_undersized_majorant_violations_match_the_reference(norms):
     W = np.array([[1.0, -2.0, 0.5], [0.3, 0.7, -1.1]])
     pair = MajorantPair(psi=ScalarFn.linear(1.0), phi=ScalarFn.polynomial([1.0, 0.3]),
                         horizon=4.0)
-    cover = LinearSurjectiveCovering(np.eye(2, 3), sign=-1, b=1.0,
+    cover = LinearSurjectiveCovering(np.eye(2, 3), b=1.0,
                                      norm_x=norms[0], norm_y=norms[1])
     inst = ProblemInstance(phi=AffineMap(W, [0.0, 0.0]), cover=cover, majorants=pair,
-                           x0=np.zeros(3), norms=norms)
+                           x0=np.zeros(3))
     got = validate_h2_derivative(inst, H2_SAMPLES, tau_hi=1.0)
     assert got.violations == H2_SAMPLES
     assert same_report(got, reference_validate_h2(inst, H2_SAMPLES, tau_hi=1.0))
@@ -244,13 +244,13 @@ def test_one_ulp_below_the_overestimate_is_sampled(counted):
 def test_hand_built_instance_is_sampled(counted):
     inst = build_quadratic_instance(random_quadratic(3, 2, 0.5, seed=4))
     copy = ProblemInstance(phi=inst.phi, cover=inst.cover, majorants=inst.majorants,
-                           x0=inst.x0, norms=inst.norms)
+                           x0=inst.x0)
     assert not copy.h2_proven
     coincidence_solve(copy, h2_check="strict")
     assert counted["jacobian"] == H2_SAMPLES
     with pytest.raises(TypeError):
         ProblemInstance(phi=inst.phi, cover=inst.cover, majorants=inst.majorants,
-                        x0=inst.x0, norms=inst.norms, h2_proven=True)
+                        x0=inst.x0, h2_proven=True)
 
 
 @settings(max_examples=30, deadline=None)

@@ -30,7 +30,6 @@ def quad_pair(a: float, b: float, c: float, horizon: float = 2.0) -> MajorantPai
         psi=ScalarFn.linear(b),
         phi=ScalarFn.polynomial([c, 0.0, a]),
         tau0=0.0,
-        r=math.inf,
         horizon=horizon,
     )
 
@@ -209,7 +208,7 @@ def test_crossing_matches_quadratic_formula(a, b, margin):
 
 def as_plain_callable(f: ScalarFn) -> ScalarFn:
     """The same function without a grid form, so on_grid calls it point by point."""
-    return ScalarFn(fn=f.fn, deriv=f.deriv, label=f.label)
+    return ScalarFn(fn=f.fn, deriv=f.deriv)
 
 
 def crossing_outcome(psi, phi, tau0, horizon):

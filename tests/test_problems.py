@@ -5,7 +5,7 @@ import pytest
 
 from coincide.errors import DimensionMismatch, NegativeDiscriminant
 from coincide.linalg import finite_diff_jacobian
-from coincide.majorant import ScalarFn
+from coincide.majorant import DEFAULT_HORIZON, ScalarFn
 from coincide.problems import (
     BilinearMap,
     QuadraticMap,
@@ -187,6 +187,34 @@ class TestKantorovichReduction:
         inst = build_kantorovich_instance(f, ScalarFn.linear(0.25), x0)
         gap = float(np.abs(f.evaluate(x0) - x0)[0])
         assert inst.majorants.gap_at_start() == pytest.approx(gap, abs=1e-15)
+
+    def test_map_into_another_space_is_refused(self):
+        # f: R^2 -> R^1 has no fixed points to reduce to.
+        f = CallableMap(f=lambda x: np.array([0.5 * x[0] + 0.1 * x[1]]),
+                        domain_center=[0.0, 0.0])
+        with pytest.raises(DimensionMismatch, match=r"f: X -> X.*\(2,\).*\(1,\)"):
+            build_kantorovich_instance(f, ScalarFn.linear(0.6), [0.0, 0.0])
+
+    @pytest.mark.parametrize("W,d,center", [
+        ([[0.5, 0.1], [0.0, 0.5]], [0.5], [0.0, 0.0]),   # shift too short
+        ([0.5, 0.1], [0.5, 0.5], [0.0, 0.0]),            # 1-d W is one row
+        ([[0.5, 0.1]], [0.5], [0.0]),                    # center too short
+    ])
+    def test_affine_map_refuses_mismatched_parts(self, W, d, center):
+        with pytest.raises(DimensionMismatch, match="affine map with W of shape"):
+            AffineMap(W, d, domain_center=center)
+
+    def test_window_is_the_domain_radius_or_the_default_horizon(self):
+        f = AffineMap([[0.5]], [0.5], domain_center=[0.0], domain_radius=8.0)
+        pair = build_kantorovich_instance(f, ScalarFn.linear(0.5), [0.0]).majorants
+        assert (pair.tau0, pair.tau_end) == (0.0, 8.0)
+        f.domain_radius = math.inf
+        pair = build_kantorovich_instance(f, ScalarFn.linear(0.5), [0.0]).majorants
+        assert (pair.tau0, pair.tau_end) == (0.0, DEFAULT_HORIZON)
+        for radius in (0.0, -1.0, -math.inf, math.nan):
+            f.domain_radius = radius
+            with pytest.raises(ValueError, match="horizon must be finite and positive"):
+                build_kantorovich_instance(f, ScalarFn.linear(0.5), [0.0])
 
 
 class TestRandomQuadratic:

@@ -94,7 +94,7 @@ class TestCoincidenceSolve:
                                 phi=ScalarFn.polynomial([0.5, 0.0, 1.0]),
                                 tau0=0.0, horizon=2.0)
         bad = ProblemInstance(phi=inst.phi, cover=inst.cover,
-                              majorants=bad_pair, x0=inst.x0, norms=inst.norms)
+                              majorants=bad_pair, x0=inst.x0)
         x, trace = coincidence_solve(bad)
         assert trace.status == STATUS_HYPOTHESIS
         assert "H2" in trace.detail
@@ -111,7 +111,7 @@ class TestCoincidenceSolve:
                             phi=ScalarFn.polynomial([2.5, 0.0, 1.0]),
                             tau0=0.0, horizon=2.0)
         bad = ProblemInstance(phi=inst.phi, cover=inst.cover,
-                              majorants=pair, x0=inst.x0, norms=inst.norms)
+                              majorants=pair, x0=inst.x0)
         with pytest.raises(NoCrossing):
             coincidence_solve(bad)
 
@@ -130,7 +130,7 @@ def undersized_slope_instance() -> ProblemInstance:
                         phi=ScalarFn.polynomial([0.75, 0.0, 0.9]),
                         tau0=0.0, horizon=2.0)
     return ProblemInstance(phi=inst.phi, cover=inst.cover,
-                           majorants=pair, x0=inst.x0, norms=inst.norms)
+                           majorants=pair, x0=inst.x0)
 
 
 class TestValidateH2Derivative:
@@ -235,7 +235,7 @@ class TestJacobianChecks:
 
 def test_linf_instance_solves():
     # Scalar problem under linf norms with a user-supplied covering constant.
-    cover = LinearSurjectiveCovering([[2.0]], sign=-1, b=2.0,
+    cover = LinearSurjectiveCovering([[2.0]], b=2.0,
                                      norm_x=NormTag.LINF, norm_y=NormTag.LINF)
     pair = MajorantPair(psi=ScalarFn.linear(2.0),
                         phi=ScalarFn.polynomial([0.75, 0.0, 1.0]),
@@ -244,7 +244,7 @@ def test_linf_instance_solves():
                       jac=lambda x: np.array([[2.0 * x[0]]]),
                       domain_center=[0.0], domain_radius=2.0)
     inst = ProblemInstance(phi=phi, cover=cover, majorants=pair,
-                           x0=np.array([0.0]), norms=(NormTag.LINF, NormTag.LINF))
+                           x0=np.array([0.0]))
     x, trace = coincidence_solve(inst)
     assert trace.status == STATUS_CONVERGED
     assert x[0] == pytest.approx(-0.5, abs=1e-9)

@@ -261,7 +261,7 @@ def test_quadratic_loops_match_reference(q, tol, max_steps):
 
 def _linf_instance():
     # The scalar problem of test_linf_instance_solves.
-    cover = LinearSurjectiveCovering([[2.0]], sign=-1, b=2.0,
+    cover = LinearSurjectiveCovering([[2.0]], b=2.0,
                                      norm_x=NormTag.LINF, norm_y=NormTag.LINF)
     pair = MajorantPair(psi=ScalarFn.linear(2.0),
                         phi=ScalarFn.polynomial([0.75, 0.0, 1.0]),
@@ -270,7 +270,7 @@ def _linf_instance():
                       jac=lambda x: np.array([[2.0 * x[0]]]),
                       domain_center=[0.0], domain_radius=2.0)
     return ProblemInstance(phi=phi, cover=cover, majorants=pair,
-                           x0=np.array([0.0]), norms=(NormTag.LINF, NormTag.LINF))
+                           x0=np.array([0.0]))
 
 
 @pytest.mark.parametrize("max_steps", [1, 4, 100_000])
@@ -294,10 +294,10 @@ def test_hand_built_loops_match_reference(name, max_steps):
 def test_inflated_covering_constant_fails_alike(q, factor):
     # b above sigma_min: the budgets are too small for the first step.
     b = factor * q.b
-    cover = LinearSurjectiveCovering(q.linear, sign=-1, b=b, check_constant=False)
+    cover = LinearSurjectiveCovering(q.linear, b=b, check_constant=False)
     certified = build_quadratic_instance(q)
     pair = MajorantPair(psi=ScalarFn.linear(b), phi=certified.majorants.phi,
-                        tau0=0.0, r=math.inf, horizon=b / q.a)
+                        tau0=0.0, horizon=b / q.a)
     inst = ProblemInstance(phi=certified.phi, cover=cover, majorants=pair, x0=certified.x0)
     p = dataclasses.replace(AlphaCoveringProblem.from_quadratic(q), u=cover, alpha=b)
     for ours, ref in _loops_outcomes(inst, p, 1e-10, 100):
