@@ -23,6 +23,7 @@ from .errors import (
     InsufficientData,
     NegativeDiscriminant,
     NoCrossing,
+    NonFiniteValue,
     NotContractive,
     RankDeficient,
 )

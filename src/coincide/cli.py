@@ -6,9 +6,10 @@ Subcommands:
   compare  run majorant and baseline schemes side by side
 
 Exit codes: 0 converged, 2 certified partial result (max_steps), 1 for
-hypothesis violations (named H1/H2/crossing), parse/validation failures and
-an --out that cannot be a directory, each reported as one stderr line named
-by ERROR_PREFIXES. residual_tol (config or --tol) must be finite and
+hypothesis violations (named H1/H2/crossing), a non-finite value in the
+iteration (Phi overflowing, say), parse/validation failures and an --out that
+cannot be a directory, each reported as one stderr line named by
+ERROR_PREFIXES. residual_tol (config or --tol) must be finite and
 positive, max_steps (config or --max-steps) at least 1, and JSON
 Infinity/NaN literals and number literals that overflow a double (1e400) are
 refused. A batch (several --config paths) writes each config to
@@ -42,6 +43,7 @@ from .errors import (
     CoincidenceError,
     NegativeDiscriminant,
     NoCrossing,
+    NonFiniteValue,
     NotContractive,
 )
 from .problems import QuadraticProblem
@@ -69,6 +71,7 @@ ERROR_PREFIXES = (
     (NotContractive, "NotContractive"),
     (BudgetExceeded, "hypothesis violation (H1)"),
     ((NoCrossing, BracketFailure), "hypothesis violation (crossing)"),
+    (NonFiniteValue, "non-finite value"),
     (CoincidenceError, "config error"),
     (OSError, "output error"),
 )

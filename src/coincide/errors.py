@@ -50,3 +50,13 @@ class NotContractive(CoincidenceError):
 
 class InsufficientData(CoincidenceError):
     """Trace too short for a rate fit."""
+
+
+class NonFiniteValue(CoincidenceError, ValueError):
+    """A value that must be finite is inf or NaN.
+
+    Raised for a non-finite input vector or matrix, a non-finite output of a
+    user map, and a covering correction whose norm is not finite (the target
+    Phi(x_j) it inverts, or x_j itself, is not). It is also a ValueError, so
+    callers that refuse bad input by catching ValueError still do.
+    """

@@ -4,16 +4,29 @@ Vectors carry no norm of their own; callers pick an l2 or l-infinity norm
 per space via :class:`NormTag`. Minimal-norm solves and singular values go
 through numpy's SVD, which is an orthogonal factorization with fully
 controlled tolerances at these sizes (n <= ~10^3).
+
+Entries are checked for finiteness at the boundary only: `as_vector` and
+`as_matrix` take inputs (x0, config data, the outputs of a user map) and raise
+NonFiniteValue. Vectors the iteration computes from checked inputs go through
+`shaped_vector`, which checks the shape alone; a non-finite entry there makes
+the step's correction norm non-finite, and the covering inversion checks that
+one scalar.
+
+The l2 `norm` of a 1-d array is `math.sqrt(x.dot(x))` with
+`x = v.ravel(order="K")`, the arithmetic `np.linalg.norm` performs for a real
+1-d array (numpy 2.4), without its dispatch; other shapes go through
+`np.linalg.norm`.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, NonFiniteValue, RankDeficient
 
 # Relative rank cutoff: singular values <= RANK_TOL * sigma_max count as zero.
 RANK_TOL = 1e-12
@@ -28,12 +41,19 @@ class NormTag(str, Enum):
     LINF = "linf"
 
 
-def as_vector(x) -> np.ndarray:
+def shaped_vector(x) -> np.ndarray:
+    """x as a nonempty 1-d float array; the entries are not checked."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatch(f"expected a nonempty 1-d vector, got shape {v.shape}")
+    return v
+
+
+def as_vector(x) -> np.ndarray:
+    """x as a nonempty 1-d float array with finite entries."""
+    v = shaped_vector(x)
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
+        raise NonFiniteValue("vector entries must be finite")
     return v
 
 
@@ -42,7 +62,7 @@ def as_matrix(m) -> np.ndarray:
     if a.ndim != 2 or a.size == 0:
         raise DimensionMismatch(f"expected a nonempty 2-d matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteValue("matrix entries must be finite")
     return a
 
 
@@ -50,6 +70,9 @@ def norm(v, tag: NormTag = NormTag.L2) -> float:
     """Vector norm under the given tag; zero iff v is the zero vector."""
     v = np.asarray(v, dtype=float)
     if tag == NormTag.L2:
+        if v.ndim == 1:
+            x = v.ravel(order="K")
+            return math.sqrt(x.dot(x))
         return float(np.linalg.norm(v))
     if tag == NormTag.LINF:
         return float(np.max(np.abs(v))) if v.size else 0.0
@@ -159,7 +182,7 @@ def operator_norm(M, from_tag: NormTag, to_tag: NormTag):
         raise DimensionMismatch(
             f"expected a nonempty (..., m, n) matrix stack, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteValue("matrix entries must be finite")
     if from_tag == NormTag.L2 and to_tag == NormTag.L2:
         out = np.linalg.svd(M, compute_uv=False)[..., 0]
     elif from_tag == NormTag.LINF and to_tag == NormTag.LINF:

@@ -18,12 +18,21 @@ numpy array, so every grid value has the bits the scalar call gives. The sign
 change and the candidate maxima come from array comparisons; the scalar
 golden-section and bisection passes run only on the cells they select.
 
-`next_tau` still bisects to float adjacency in every step. Every builder
-makes psi with `ScalarFn.linear`, which records (slope, intercept); for such
-a psi the bisected function is the inline arithmetic
-slope * t + intercept - target, the same float operations psi(t) - target
-performs, so the budgets keep their bits while a step makes one ScalarFn
-call (phi(tau_j)) instead of about 44.
+`next_tau` returns the float that bisection to float adjacency returns, but
+finds it in O(1) for a linear psi. Every builder makes psi with
+`ScalarFn.linear`, which records (slope, intercept); for such a psi the
+root's function is the inline arithmetic h(t) = slope * t + intercept - target,
+the same float operations psi(t) - target performs, and a step makes one
+ScalarFn call (phi(tau_j)). For slope > 0 every rounding in h is monotone, so
+h is non-decreasing on the floats. Bisection therefore ends at the one
+adjacent pair with h(lo) < 0 < h(hi) (returning the end with the smaller
+|h|, hi on a tie), or at the float where h is 0 if exactly one float is.
+`_walk_to_root` starts at (target - intercept) / slope and walks a few ulps
+to that pair or zero. It hands back to `_bisect` when the answer depends on
+the bisection's path (h is 0 on two or more adjacent floats, or the root is
+a signed zero), when the walk does not settle within a few ulps (an
+absorption plateau, where slope * t is small next to intercept, makes h flat
+over many floats), or when the bisection's midpoint sums could overflow.
 """
 
 from __future__ import annotations
@@ -211,6 +220,43 @@ def _bisect(g, lo: float, hi: float, g_lo: float, g_hi: float) -> float:
     return hi if abs(g_hi) <= abs(g_lo) else lo
 
 
+# Ulps a linear-psi next_tau walks before it bisects.
+_WALK_ULPS = 8
+# Below this magnitude the midpoint sum lo + hi of `_bisect` cannot overflow.
+_MIDPOINT_SAFE = 2.0 ** 1022
+
+
+def _walk_to_root(h, t: float):
+    """The float `_bisect(h, lo, hi, h(lo), h(hi))` returns, or None.
+
+    h must be non-decreasing with h(lo) < 0 < h(hi), and t in [lo, hi] with
+    lo < t < hi unless lo and hi are adjacent; the walk then stays in
+    [lo, hi]. Walks from t towards the sign change for at most _WALK_ULPS
+    ulps. None when h is 0 on two adjacent floats, when the root is a zero
+    (its sign depends on the bisection's path), or when the walk does not
+    settle.
+    """
+    ht = h(t)
+    if ht == 0.0:
+        unique = (h(math.nextafter(t, -math.inf)) != 0.0
+                  and h(math.nextafter(t, math.inf)) != 0.0)
+        return t if unique and t != 0.0 else None
+    up = ht < 0.0
+    toward = math.inf if up else -math.inf
+    for _ in range(_WALK_ULPS):
+        u = math.nextafter(t, toward)
+        hu = h(u)
+        if hu == 0.0:
+            unique = h(math.nextafter(u, toward)) != 0.0
+            return u if unique and u != 0.0 else None
+        if (hu > 0.0) == up:
+            a, h_a, b, h_b = (t, ht, u, hu) if up else (u, hu, t, ht)
+            root = b if abs(h_b) <= abs(h_a) else a
+            return root if root != 0.0 else None
+        t, ht = u, hu
+    return None
+
+
 def _golden_max(g, lo: float, hi: float, iters: int = 120):
     """Approximate maximizer of g on [lo, hi]; returns (tau, value)."""
     best_t, best_v = lo, g(lo)
@@ -301,17 +347,21 @@ def smallest_crossing(pair: MajorantPair) -> float:
 def next_tau(pair: MajorantPair, tau_j: float, tau_star: float) -> float:
     """Smallest tau in (tau_j, tau_star] with psi(tau) = phi(tau_j).
 
-    The bracket is psi(tau_j) <= phi(tau_j) <= psi(tau_star); bisection runs
-    to float adjacency so consecutive budgets track the exact scalar
-    recurrence to machine precision. For a linear psi the bisected function
-    is the arithmetic slope * t + intercept - target itself, with the bits
-    psi(t) - target has, so the only ScalarFn call is phi(tau_j).
+    The bracket is psi(tau_j) <= phi(tau_j) <= psi(tau_star); the result is
+    the float bisection to float adjacency gives, so consecutive budgets
+    track the exact scalar recurrence to machine precision. For a linear psi
+    the root's function is the arithmetic slope * t + intercept - target
+    itself, with the bits psi(t) - target has, so the only ScalarFn call is
+    phi(tau_j); with slope > 0, `_walk_to_root` finds that float in a few
+    evaluations from (target - intercept) / slope, and the bisection runs
+    only when the walk hands back.
     """
     target = pair.phi(tau_j)
     slack = 10.0 * root_tolerance(max(abs(target), abs(tau_star)))
 
-    if pair.psi.linear_coeffs is not None:
-        slope, intercept = pair.psi.linear_coeffs
+    linear = pair.psi.linear_coeffs
+    if linear is not None:
+        slope, intercept = linear
 
         def h(t):
             return slope * t + intercept - target
@@ -334,6 +384,16 @@ def next_tau(pair: MajorantPair, tau_j: float, tau_star: float) -> float:
         )
     if h_hi <= 0.0:
         return tau_star
+    if (linear is not None and 0.0 < slope < math.inf and h_lo < 0.0 < h_hi
+            and max(abs(tau_j), abs(tau_star)) < _MIDPOINT_SAFE):
+        t = (target - intercept) / slope
+        if not t > tau_j:
+            t = math.nextafter(tau_j, math.inf)
+        elif not t < tau_star:
+            t = math.nextafter(tau_star, -math.inf)
+        root = _walk_to_root(h, t)
+        if root is not None:
+            return root
     return _bisect(h, tau_j, tau_star, h_lo, h_hi)
 
 

@@ -20,7 +20,14 @@ import numpy as np
 
 from .covering import IdentityCovering, LinearSurjectiveCovering
 from .errors import DimensionMismatch, NegativeDiscriminant
-from .linalg import NormTag, as_matrix, as_vector, norm, smallest_singular_value
+from .linalg import (
+    NormTag,
+    as_matrix,
+    as_vector,
+    norm,
+    shaped_vector,
+    smallest_singular_value,
+)
 from .majorant import DEFAULT_HORIZON, MajorantPair, ScalarFn
 from .solver import ProblemInstance, SmoothMap
 
@@ -125,10 +132,11 @@ class QuadraticMap(SmoothMap):
 
         The polarization half with d = x - x contracts zero vectors; for a
         finite x that einsum is +0, and q - (+0) is q, so dropping it leaves
-        every bit of the result as it was.
+        every bit of the result as it was. Only the shape of x is checked: it
+        is an iterate, and the covering step checks finiteness.
         """
         A = self.bilinear
-        x = as_vector(x)
+        x = shaped_vector(x)
         if x.size != A.dim_x:
             raise DimensionMismatch(
                 f"bilinear map expects vectors of size {A.dim_x}, got {x.size} and {x.size}")

@@ -14,6 +14,7 @@ termination.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -176,9 +177,10 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
 
     Draws random (tau, x) with ||x - x0|| <= tau - tau0 and compares the
     subordinate operator norm of the Jacobian against
-    phi'(tau) * (1 + H2_REL_SLACK). The Jacobians are stacked and normed in
-    one operator_norm call. The report carries the violation count and the
-    worst excess.
+    phi'(tau) * (1 + H2_REL_SLACK). The finite Jacobians are stacked and
+    normed in one operator_norm call; a Jacobian with an inf or NaN entry is
+    a violation with excess inf. The report carries the violation count and
+    the worst excess.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -192,11 +194,17 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
         tau, x = _sample_in_tau_ball(rng, inst, pair.tau0, tau_hi)
         jacobians.append(np.atleast_2d(inst.phi.jacobian(x)))
         slopes[i] = pair.phi.derivative(tau)
-    ops = operator_norm(np.stack(jacobians), inst.norms[0], inst.norms[1])
-    bounds = slopes * (1.0 + H2_REL_SLACK)
-    violated = ops > bounds
-    return H2Report(samples=samples, violations=int(np.count_nonzero(violated)),
-                    max_excess=float(np.max(ops[violated] - bounds[violated], initial=0.0)))
+    stack = np.stack(jacobians)
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    bad = samples - int(np.count_nonzero(finite))
+    excess = np.empty(0)
+    if bad < samples:
+        ops = operator_norm(stack[finite], inst.norms[0], inst.norms[1])
+        bounds = slopes[finite] * (1.0 + H2_REL_SLACK)
+        violated = ops > bounds
+        excess = ops[violated] - bounds[violated]
+    return H2Report(samples=samples, violations=excess.size + bad,
+                    max_excess=math.inf if bad else float(np.max(excess, initial=0.0)))
 
 
 def start_trace(cover: CoveringMap, phi: SmoothMap, x0, tau0: float, tau_star: float):
@@ -317,7 +325,7 @@ def rate_estimate(trace: IterateTrace) -> tuple[str, float]:
     if len(steps) < 20:
         raise InsufficientData(f"need >= 20 recorded steps, have {len(steps)}")
     tail = steps[len(steps) // 2:]
-    tail = [(j, s) for j, s in tail if s > 0.0 and np.isfinite(s)]
+    tail = [(j, s) for j, s in tail if s > 0.0 and math.isfinite(s)]
     if len(tail) < 5:
         raise InsufficientData("tail of trace has too few nonzero steps")
     js = np.array([j for j, _ in tail], dtype=float)

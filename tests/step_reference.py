@@ -3,6 +3,7 @@ they were streamlined.
 
 - `reference_next_tau` bisects psi(t) - phi(tau_j) through `ScalarFn` calls
   whatever psi is;
+- `reference_norm` takes the l2 norm through `np.linalg.norm`;
 - `reference_evaluate` is A(x, x) + C through both halves of the
   polarization identity, with the d = x - x contraction;
 - `reference_write_trace_csv` formats each field of a trace row on its own;
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from coincide.errors import BracketFailure, DimensionMismatch, NotContractive
-from coincide.linalg import as_vector, norm
+from coincide.linalg import NormTag, as_vector
 from coincide.majorant import next_tau, root_tolerance, smallest_crossing, validate_h2_start
 from coincide.solver import (
     DEFAULT_MAX_STEPS,
@@ -37,6 +38,15 @@ from coincide.solver import (
     TraceRecord,
     validate_h2_derivative,
 )
+
+
+def reference_norm(v, tag: NormTag = NormTag.L2) -> float:
+    v = np.asarray(v, dtype=float)
+    if tag == NormTag.L2:
+        return float(np.linalg.norm(v))
+    if tag == NormTag.LINF:
+        return float(np.max(np.abs(v))) if v.size else 0.0
+    raise ValueError(f"unknown norm tag {tag!r}")
 
 
 def reference_bisect(g, lo: float, hi: float, g_lo: float, g_hi: float) -> float:
@@ -143,7 +153,7 @@ def reference_coincidence_solve(inst: ProblemInstance,
     x = inst.x0.copy()
     tau = pair.tau0
     phi_x = inst.phi.evaluate(x)
-    residual = norm(phi_x - inst.cover.evaluate(x), norm_y)
+    residual = reference_norm(phi_x - inst.cover.evaluate(x), norm_y)
     trace = IterateTrace(records=[TraceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
                          tau0=pair.tau0, tau_star=tau_star)
 
@@ -189,13 +199,13 @@ def reference_coincidence_solve(inst: ProblemInstance,
 
         x_next = inst.cover.solve_within(x, phi_x, tau_next - tau)  # may raise BudgetExceeded
         phi_x = inst.phi.evaluate(x_next)
-        residual = norm(phi_x - inst.cover.evaluate(x_next), norm_y)
+        residual = reference_norm(phi_x - inst.cover.evaluate(x_next), norm_y)
         trace.records.append(TraceRecord(
             j=j + 1,
             tau=tau_next,
             x=np.array(x_next, dtype=float),
-            step_norm=norm(x_next - x, norm_x),
-            deviation=norm(x_next - inst.x0, norm_x),
+            step_norm=reference_norm(x_next - x, norm_x),
+            deviation=reference_norm(x_next - inst.x0, norm_x),
             residual=residual,
         ))
         x, tau, psi_tau = x_next, tau_next, psi_next
@@ -218,7 +228,7 @@ def reference_alpha_iterate(p, x0, tol: float,
     x = as_vector(x0).copy()
     x_start = x.copy()
     v_x = p.v.evaluate(x)
-    residual = norm(v_x - p.u.evaluate(x), p.u.norm_y)
+    residual = reference_norm(v_x - p.u.evaluate(x), p.u.norm_y)
     tau = 0.0
     trace = IterateTrace(records=[TraceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
                          tau0=0.0, tau_star=float("nan"))
@@ -229,14 +239,14 @@ def reference_alpha_iterate(p, x0, tol: float,
         budget = residual / p.alpha
         x_next = p.u.solve_within(x, v_x, budget)
         v_x = p.v.evaluate(x_next)
-        residual = norm(v_x - p.u.evaluate(x_next), p.u.norm_y)
+        residual = reference_norm(v_x - p.u.evaluate(x_next), p.u.norm_y)
         tau += budget
         trace.records.append(TraceRecord(
             j=i + 1,
             tau=tau,
             x=np.array(x_next, dtype=float),
-            step_norm=norm(x_next - x, p.u.norm_x),
-            deviation=norm(x_next - x_start, p.u.norm_x),
+            step_norm=reference_norm(x_next - x, p.u.norm_x),
+            deviation=reference_norm(x_next - x_start, p.u.norm_x),
             residual=residual,
         ))
         x = x_next

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +142,28 @@ class TestSolveCommand:
             assert code == 1
             assert capsys.readouterr().err == (
                 f"hypothesis violation (H2): H2: sampled derivative bound violated {counts}\n")
+
+    def test_overflowing_map_ends_in_one_named_line(self, tmp_path, capsys):
+        # Phi(x) = 0.5 + 1e306 x^3 and its Jacobian overflow away from x0 = 0.
+        # H2 sampling counts each inf Jacobian as a violation with excess inf;
+        # in warn mode the loop goes on until Phi(x_1) = -inf is refused.
+        cfg = write_json(tmp_path / "overflow.json", {
+            "kind": "custom-scalar", "method": "majorant",
+            "custom_scalar": {"phi_poly": [0.5, 0, 0, 1e306], "psi_slope": 1e-3,
+                              "majorant_poly": [0.5, 0, 5e-7], "horizon": 2000}})
+        violated = "H2: sampled derivative bound violated 100/100 times (max excess inf)"
+        with pytest.warns(RuntimeWarning, match=re.escape(violated)):
+            code = main(["solve", "--config", cfg, "--out", str(tmp_path / "warn")])
+        assert code == 1
+        assert capsys.readouterr().err == "non-finite value: vector entries must be finite\n"
+        assert not (tmp_path / "warn" / "trace.csv").exists()
+
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "strict"),
+                     "--strict-h2"])
+        assert code == 1
+        assert capsys.readouterr().err == f"hypothesis violation (H2): {violated}\n"
+        assert "status: hypothesis_violation" in (
+            tmp_path / "strict" / "summary.txt").read_text()
 
 
 class TestGalleryCommand:
@@ -476,6 +499,7 @@ EXPECTED_PREFIX = {
     errors.BudgetExceeded: "hypothesis violation (H1)",
     errors.NoCrossing: "hypothesis violation (crossing)",
     errors.BracketFailure: "hypothesis violation (crossing)",
+    errors.NonFiniteValue: "non-finite value",
 }
 
 

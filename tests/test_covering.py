@@ -6,7 +6,7 @@ from coincide.covering import (
     LinearSurjectiveCovering,
     verify_covering_sampled,
 )
-from coincide.errors import BudgetExceeded, RankDeficient
+from coincide.errors import BudgetExceeded, NonFiniteValue, RankDeficient
 from coincide.linalg import NormTag, smallest_singular_value
 
 
@@ -22,6 +22,27 @@ def test_identity_budget_enforced():
     cover = IdentityCovering(2)
     with pytest.raises(BudgetExceeded):
         cover.solve_within(np.zeros(2), np.array([0.3, 0.4]), budget=0.49)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["target", "start"])
+def test_non_finite_entry_is_refused_by_the_correction_norm(bad, where):
+    # Entries are not scanned; the correction's norm is inf or NaN instead.
+    # An unbounded budget lets an inf correction through the budget check.
+    y, x_prime = np.array([-1.0, 0.5]), np.zeros(2)
+    (y if where == "target" else x_prime)[1] = bad
+    for cover in (LinearSurjectiveCovering([[2.0, 0.0], [0.0, 1.0]]), IdentityCovering(2)):
+        with pytest.raises(NonFiniteValue, match="correction norm (nan|inf) is not finite"), \
+                np.errstate(all="ignore"):
+            cover.solve_within(x_prime, y, budget=np.inf)
+
+
+def test_inf_correction_within_a_finite_budget_is_still_budget_exceeded():
+    # The budget is checked first, as when the entries were scanned.
+    cover = LinearSurjectiveCovering([[1e-300]], b=1e-300)
+    with pytest.raises(BudgetExceeded, match="correction inf exceeds budget"), \
+            np.errstate(over="ignore"):
+        cover.solve_within(np.zeros(1), np.array([1e300]), budget=1.0)
 
 
 def test_scalar_linear_covering_inverts_exactly():

@@ -5,10 +5,11 @@ import pytest
 
 from conftest import assert_trace_invariants
 from coincide.covering import LinearSurjectiveCovering
-from coincide.errors import InsufficientData, NoCrossing
+from coincide.errors import InsufficientData, NoCrossing, NonFiniteValue
 from coincide.linalg import NormTag
 from coincide import solver
 from coincide.majorant import MajorantPair, ScalarFn, smallest_crossing
+from coincide.baseline import AlphaCoveringProblem, alpha_iterate
 from coincide.problems import (
     build_kantorovich_instance,
     build_quadratic_instance,
@@ -159,6 +160,75 @@ class TestValidateH2Derivative:
         with pytest.warns(RuntimeWarning, match="H2"):
             x, trace = coincidence_solve(undersized_slope_instance(), h2_check="warn")
         assert trace.status in (STATUS_CONVERGED, STATUS_MAX_STEPS, STATUS_HYPOTHESIS)
+
+    def test_non_finite_jacobian_is_a_violation_with_excess_inf(self):
+        # Phi' = 2x, made NaN for x > 0.25 and -inf for x < -0.25; the finite
+        # ones are within the bound phi'(tau) = 2 tau.
+        made = []
+
+        def jac(x):
+            v = x[0]
+            made.append(abs(v) > 0.25)
+            return np.array([[math.nan if v > 0.25 else -math.inf if v < -0.25 else 2.0 * v]])
+
+        phi = CallableMap(f=lambda x: x ** 2 + 0.75, jac=jac, domain_center=[0.0],
+                          domain_radius=2.0)
+        pair = MajorantPair(psi=ScalarFn.linear(2.0), phi=ScalarFn.polynomial([0.75, 0.0, 1.0]),
+                            tau0=0.0, horizon=2.0)
+        inst = ProblemInstance(phi=phi, cover=LinearSurjectiveCovering([[2.0]]),
+                               majorants=pair, x0=np.array([0.0]))
+        report = validate_h2_derivative(inst, samples=200, seed=3)
+        assert 0 < sum(made) < 200
+        assert report.violations == sum(made) and report.max_excess == math.inf
+
+        always = CallableMap(f=phi._f, jac=lambda x: np.array([[math.nan]]),
+                             domain_center=[0.0], domain_radius=2.0)
+        report = validate_h2_derivative(
+            ProblemInstance(phi=always, cover=inst.cover, majorants=pair, x0=inst.x0),
+            samples=50, seed=3)
+        assert (report.violations, report.max_excess) == (50, math.inf)
+
+
+def _nan_at_evaluation(smooth, k):
+    """Make smooth.evaluate return NaN from its k-th call (1-based) on."""
+    evaluate, calls = smooth.evaluate, []
+
+    def patched(x):
+        calls.append(1)
+        out = evaluate(x)
+        return np.full_like(out, math.nan) if len(calls) >= k else out
+
+    smooth.evaluate = patched
+
+
+class TestNonFiniteValueMidLoop:
+    # A Phi value turning NaN at step 4 gives that row a NaN residual; the
+    # next step's correction norm is NaN, and the loop raises NonFiniteValue.
+    def test_majorant_loop(self):
+        inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
+        _nan_at_evaluation(inst.phi, 5)  # call 1 opens the trace
+        with pytest.raises(NonFiniteValue, match="correction norm nan is not finite"):
+            coincidence_solve(inst)
+
+    def test_baseline_loop(self):
+        p = AlphaCoveringProblem.from_quadratic(scalar_quadratic(1.0, 2.0, 0.75))
+        _nan_at_evaluation(p.v, 5)
+        with pytest.raises(NonFiniteValue, match="correction norm nan is not finite"):
+            alpha_iterate(p, np.zeros(1), 1e-10, 100)
+
+    def test_user_map_output_is_checked_where_it_is_made(self):
+        # A CallableMap's output is validated at once, with the same error.
+        inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
+        quadratic, calls = inst.phi, []
+
+        def f(x):
+            calls.append(1)
+            return quadratic.evaluate(x) if len(calls) < 5 else np.array([math.nan])
+
+        inst.phi = CallableMap(f=f, domain_center=[0.0], domain_radius=2.0)
+        with pytest.raises(NonFiniteValue, match="vector entries must be finite"):
+            coincidence_solve(inst)
+        assert len(calls) == 5
 
 
 class TestRateEstimate:

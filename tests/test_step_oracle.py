@@ -1,15 +1,19 @@
 """The per-step hot paths against the oracle in step_reference.py, bit for bit.
 
-`next_tau` evaluates a linear psi inline, `QuadraticMap.evaluate` makes one
-contraction instead of two, `write_trace_csv` formats a row in one call, and
-both iterations run one shared covering step; none of them may move a bit of
-a result, a byte of a trace or a word of a BracketFailure or BudgetExceeded
-message.
+`next_tau` evaluates a linear psi inline and walks to its root in O(1),
+`linalg.norm` takes a 1-d l2 norm as sqrt(x.dot(x)), `QuadraticMap.evaluate`
+makes one contraction instead of two, `write_trace_csv` formats a row in one
+call, and both iterations run one shared covering step; none of them may move
+a bit of a result, a byte of a trace or a word of a BracketFailure or
+BudgetExceeded message.
 """
 
+import contextlib
 import dataclasses
 import math
+import struct
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,13 +22,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coincide.majorant
+import coincide.solver
+from coincide import baseline
 from coincide.baseline import AlphaCoveringProblem, alpha_iterate
 from coincide.cli import write_trace_csv
 from coincide.config import build_problem, gallery_config
 from coincide.covering import LinearSurjectiveCovering
 from coincide.errors import BracketFailure, CoincidenceError
-from coincide.linalg import NormTag
-from coincide.majorant import MajorantPair, ScalarFn, next_tau
+from coincide.linalg import NormTag, norm
+from coincide.majorant import MajorantPair, ScalarFn, _walk_to_root, next_tau
 from coincide.problems import (
     BilinearMap,
     QuadraticMap,
@@ -42,9 +49,11 @@ from coincide.solver import (
 
 from step_reference import (
     reference_alpha_iterate,
+    reference_bisect,
     reference_coincidence_solve,
     reference_evaluate,
     reference_next_tau,
+    reference_norm,
     reference_write_trace_csv,
 )
 
@@ -115,6 +124,201 @@ def test_every_next_tau_branch_matches_oracle(branch, linear):
         assert got[1].startswith("psi(tau_j)=")
     if branch == "tau-star-short":
         assert got[1].endswith("tau_star does not bound the recurrence")
+
+
+@contextlib.contextmanager
+def _bisect_calls():
+    """The list of (lo, hi) brackets `_bisect` is called with inside the block."""
+    calls = []
+    bisect = coincide.majorant._bisect
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return bisect(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coincide.majorant, "_bisect", counted)
+        yield calls
+
+
+def _matches_oracle(slope, intercept, target, tau_j, tau_star):
+    pair = _pair(slope, intercept, target)
+    got = _outcome(next_tau, pair, tau_j, tau_star)
+    assert got == _outcome(reference_next_tau, pair, tau_j, tau_star)
+    return got
+
+
+def _not_a_power_of_two(x):
+    return math.frexp(x)[0] != 0.5
+
+
+# h(t) = slope * t - target is 0 on two or more adjacent floats: which zero
+# bisection returns depends on its path, so next_tau must bisect as it did.
+@settings(max_examples=300, deadline=None)
+@given(slope=st.floats(1e-3, 1e3).filter(_not_a_power_of_two),
+       t0=st.floats(1e-3, 1e3), below=st.floats(0.0, 1.0), above=st.floats(1e-12, 1.0))
+@example(slope=0.1, t0=1.5, below=1.0, above=3.0)   # a plateau of two zeros
+@example(slope=3.0, t0=0.7, below=1.0, above=1.0)
+def test_next_tau_on_zero_plateaus_matches_oracle(slope, t0, below, above):
+    target = slope * t0
+    tau_j, tau_star = t0 * (1.0 - below), t0 * (1.0 + above)
+    with _bisect_calls() as calls:
+        _matches_oracle(slope, 0.0, target, tau_j, tau_star)
+    h = [slope * t - target for t in (math.nextafter(t0, -math.inf), t0,
+                                      math.nextafter(t0, math.inf))]
+    if slope * tau_j - target < 0.0 < slope * tau_star - target and h.count(0.0) >= 2:
+        assert calls  # a plateau inside the bracket is left to the bisection
+
+
+# slope * t is small next to the intercept, so h is flat over many floats
+# and the walk does not settle within its few ulps.
+@settings(max_examples=300, deadline=None)
+@given(slope=st.floats(1e-6, 1.0), intercept=st.floats(1e3, 1e20),
+       tau_j=finite, width=st.floats(1e-9, 1e4), frac=st.floats(-0.25, 1.25))
+@example(slope=1e-3, intercept=1e6, tau_j=0.0, width=10.0, frac=0.15)
+def test_next_tau_on_absorption_plateaus_matches_oracle(slope, intercept, tau_j, width,
+                                                        frac):
+    tau_star = tau_j + width
+    psi_j, psi_star = slope * tau_j + intercept, slope * tau_star + intercept
+    _matches_oracle(slope, intercept, psi_j + frac * (psi_star - psi_j), tau_j, tau_star)
+
+
+def test_plateau_examples_bisect():
+    # The zero plateaus of the first two @examples above, and an absorption
+    # plateau, are left to the bisection.
+    with _bisect_calls() as calls:
+        for slope, t0 in ((0.1, 1.5), (3.0, 0.7)):
+            target = slope * t0
+            assert 0.0 in (slope * math.nextafter(t0, -math.inf) - target,
+                           slope * math.nextafter(t0, math.inf) - target)
+            _matches_oracle(slope, 0.0, target, 0.0, 4.0 * t0)
+        got = _matches_oracle(1e-3, 1e6, 1e6 + 1.5e-3, 0.0, 10.0)
+    assert got[0] == "tau" and len(calls) == 3
+
+
+# A negative tau0: the bracket may hold 0, where the sign of a zero root
+# depends on the bisection's path.
+@settings(max_examples=300, deadline=None)
+@given(slope=st.floats(1e-3, 1e3), intercept=st.one_of(st.sampled_from([0.0, -0.0]), finite),
+       tau_j=st.floats(-1e6, -5e-324), width=st.floats(0.0, 2e6),
+       frac=st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 0.5, 1.0])))
+@example(slope=1.0, intercept=0.0, tau_j=-1.0, width=2.0, frac=0.5)
+def test_next_tau_from_negative_tau0_matches_oracle(slope, intercept, tau_j, width, frac):
+    tau_star = tau_j + width
+    psi_j, psi_star = slope * tau_j + intercept, slope * tau_star + intercept
+    _matches_oracle(slope, intercept, psi_j + frac * (psi_star - psi_j), tau_j, tau_star)
+
+
+ULP = 2.0 ** -52  # the spacing of the floats in [1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zeros=st.integers(0, 3), start=st.integers(-12, 12),
+       below=st.sampled_from([1.0, 2.0, 0.5, 3.0]), above=st.sampled_from([1.0, 2.0, 0.5]))
+@example(zeros=2, start=-3, below=1.0, above=1.0)   # walks up onto a plateau
+@example(zeros=2, start=4, below=1.0, above=1.0)    # walks down onto one
+@example(zeros=0, start=-5, below=2.0, above=2.0)   # a tie: bisection takes hi
+def test_walk_ends_where_bisection_does_or_hands_back(zeros, start, below, above):
+    # A non-decreasing step function on the floats 1.5 + i ulp: -below for
+    # i < 0, 0 for 0 <= i < zeros, above from there on.
+    def h(t):
+        i = round((t - 1.5) / ULP)
+        return -below if i < 0 else 0.0 if i < zeros else above
+
+    lo, hi = 1.5 - 20 * ULP, 1.5 + 20 * ULP
+    got = _walk_to_root(h, 1.5 + start * ULP)
+    if zeros >= 2:
+        assert got is None
+    else:
+        # The walk settles when it needs at most 8 ulps to reach the zero or
+        # the far end of the sign change.
+        if (-start if start < 0 else start - zeros + 1) <= 8:
+            assert got is not None
+        if got is not None:
+            assert got == reference_bisect(h, lo, hi, h(lo), h(hi))
+
+
+def test_midpoint_overflow_keeps_the_bisection_result():
+    # lo + hi overflows once both ends pass 2^1023, and bisection stops at a
+    # bracket that is not adjacent; the walk must not be used there.
+    got = _matches_oracle(1.0, 0.0, 1.6e308, 0.0, 1.7e308)
+    assert got == ("tau", (1.7e308).hex())
+
+
+def test_signed_zero_root_keeps_the_bisection_sign():
+    # target - intercept = -0.0 puts the walk's start at -0.0; bisection
+    # returns 0.5 * (-1 + 1) = +0.0.
+    got = _matches_oracle(1.0, 0.0, -0.0, -1.0, 1.0)
+    assert got == ("tau", (0.0).hex())
+    assert math.copysign(1.0, float.fromhex(got[1])) == 1.0
+
+
+subnormal = st.integers(1, 2 ** 52 - 1).map(lambda k: k * 5e-324)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slope=st.floats(1e-3, 1e3), intercept=st.sampled_from([0.0, -0.0]),
+       target=subnormal, tau_j=st.sampled_from([0.0, -0.0, -5e-324, -1e-310]),
+       stretch=st.floats(1.0, 1e6))
+@example(slope=1.0, intercept=0.0, target=5e-324, tau_j=0.0, stretch=2.0)
+@example(slope=3.0, intercept=-0.0, target=15e-324, tau_j=-5e-324, stretch=1.0)
+def test_next_tau_on_subnormal_targets_matches_oracle(slope, intercept, target, tau_j,
+                                                      stretch):
+    tau_star = tau_j + stretch * max(target / slope, 5e-324)
+    _matches_oracle(slope, intercept, target, tau_j, tau_star)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slope=st.floats(1e-3, 1e3), intercept=finite, tau_j=finite,
+       width=st.floats(1e-6, 1e4), side=st.sampled_from(["below", "above"]),
+       excess=st.floats(1e-3, 1e3))
+def test_next_tau_bracket_failures_match_oracle(slope, intercept, tau_j, width, side,
+                                                excess):
+    # A target below psi(tau_j) or above psi(tau_star) by more than the slack.
+    tau_star = tau_j + width
+    psi_j, psi_star = slope * tau_j + intercept, slope * tau_star + intercept
+    scale = 1.0 + abs(psi_j) + abs(psi_star) + abs(tau_star)
+    target = psi_j - excess * scale if side == "below" else psi_star + excess * scale
+    kind, message = _matches_oracle(slope, intercept, target, tau_j, tau_star)
+    assert kind == "raise"
+    if side == "below":
+        assert message.startswith("psi(tau_j)=")
+    else:
+        assert message.endswith("tau_star does not bound the recurrence")
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+norm_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e154, -1e200,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(norm_entries, min_size=1, max_size=300),
+       step=st.sampled_from([1, 2, 3, -1]))
+@example(entries=[1e200, 1e200], step=1)   # the dot overflows to inf
+# A stride-2 view whose dot has other bits than its contiguous copy's.
+@example(entries=[0.345584192064786, 0.8216181435011584, 0.33043707618338714,
+                  -1.303157231604361, 0.9053558666731177, 0.4463745723640113,
+                  -0.5369532353602852, 0.5811181041963531], step=2)
+@example(entries=[-0.0], step=1)
+@example(entries=[5e-324] * 3, step=1)
+@example(entries=[math.nan, 1.0], step=-1)
+def test_l2_norm_matches_numpy_bits(entries, step):
+    # Contiguous arrays and strided views, as np.linalg.norm sees them.
+    v = np.array(entries)[::step]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow in dot
+        got = norm(v, NormTag.L2)
+        want = reference_norm(v, NormTag.L2)
+    assert type(got) is float
+    assert _bits(got) == _bits(want)
 
 
 special_x = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e154,
@@ -303,3 +507,60 @@ def test_inflated_covering_constant_fails_alike(q, factor):
     for ours, ref in _loops_outcomes(inst, p, 1e-10, 100):
         assert ours == ref
         assert ours[:2] == ("raise", "BudgetExceeded")
+
+
+def test_pinned_d_zero_solve_never_bisects_in_next_tau():
+    # a = 2^10, b = 2, c = 2^-10 (D = 0, 617 steps): every budget comes from
+    # the walk. The crossing scan may bisect; next_tau may not.
+    inst = build_quadratic_instance(d_zero_quadratic(10, 1))
+    from_next_tau = []  # bisections per next_tau call
+
+    def scoped(*args):
+        before = len(calls)
+        try:
+            return next_tau(*args)
+        finally:
+            from_next_tau.append(len(calls) - before)
+
+    with _bisect_calls() as calls, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coincide.solver, "next_tau", scoped)
+        _, trace = coincidence_solve(inst, residual_tol=1e-8)
+    assert trace.status == "converged" and trace.steps == 617
+    assert len(from_next_tau) == 617 and sum(from_next_tau) == 0
+
+
+def _isfinite_calls(run):
+    """The number of np.isfinite calls with an array argument while run() runs."""
+    calls = []
+    isfinite = np.isfinite
+
+    def counted(x, *args, **kwargs):
+        if isinstance(x, np.ndarray) and x.ndim:
+            calls.append(x.shape)
+        return isfinite(x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "isfinite", counted)
+        run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("method", ["majorant", "baseline"])
+def test_loop_steps_scan_no_array_for_finiteness(method):
+    # Vectors the loop makes are not scanned: finiteness is checked on the
+    # correction norm. A solve of 300 steps scans as often as one of 3.
+    q = scalar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8)
+    if method == "majorant":
+        inst = build_quadratic_instance(q)
+
+        def solve(steps):
+            _, trace = coincidence_solve(inst, residual_tol=1e-10, max_steps=steps)
+            assert trace.steps == steps
+    else:
+        p = AlphaCoveringProblem.from_quadratic(q)
+
+        def solve(steps):
+            _, trace = alpha_iterate(p, np.zeros(1), 1e-10, steps)
+            assert trace.steps == steps
+
+    assert _isfinite_calls(lambda: solve(3)) == _isfinite_calls(lambda: solve(300))
