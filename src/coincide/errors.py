@@ -56,7 +56,8 @@ class NonFiniteValue(CoincidenceError, ValueError):
     """A value that must be finite is inf or NaN.
 
     Raised for a non-finite input vector or matrix, a non-finite output of a
-    user map, and a covering correction whose norm is not finite (the target
-    Phi(x_j) it inverts, or x_j itself, is not). It is also a ValueError, so
-    callers that refuse bad input by catching ValueError still do.
+    user map, and an iterate whose step norm is not finite (an inf or NaN
+    entry in x_j, in Phi(x_j), or in the covering's answer). It is also a
+    ValueError, so callers that refuse bad input by catching ValueError
+    still do.
     """

@@ -9,13 +9,12 @@ Entries are checked for finiteness at the boundary only: `as_vector` and
 `as_matrix` take inputs (x0, config data, the outputs of a user map) and raise
 NonFiniteValue. Vectors the iteration computes from checked inputs go through
 `shaped_vector`, which checks the shape alone; a non-finite entry there makes
-the step's correction norm non-finite, and the covering inversion checks that
-one scalar.
+the step's norm non-finite, and the solver's covering step checks that one
+scalar.
 
-The l2 `norm` of a 1-d array is `math.sqrt(x.dot(x))` with
-`x = v.ravel(order="K")`, the arithmetic `np.linalg.norm` performs for a real
-1-d array (numpy 2.4), without its dispatch; other shapes go through
-`np.linalg.norm`.
+The l2 `norm` is `math.sqrt(x.dot(x))` with `x = v.ravel(order="K")`, the
+arithmetic `np.linalg.norm` performs for a real array of any shape (numpy
+2.4), without its dispatch.
 """
 
 from __future__ import annotations
@@ -70,10 +69,8 @@ def norm(v, tag: NormTag = NormTag.L2) -> float:
     """Vector norm under the given tag; zero iff v is the zero vector."""
     v = np.asarray(v, dtype=float)
     if tag == NormTag.L2:
-        if v.ndim == 1:
-            x = v.ravel(order="K")
-            return math.sqrt(x.dot(x))
-        return float(np.linalg.norm(v))
+        x = v.ravel(order="K")
+        return math.sqrt(x.dot(x))
     if tag == NormTag.LINF:
         return float(np.max(np.abs(v))) if v.size else 0.0
     raise ValueError(f"unknown norm tag {tag!r}")

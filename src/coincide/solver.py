@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientData
+from .errors import DimensionMismatch, InsufficientData, NonFiniteValue
 from .covering import CoveringMap
 from .linalg import (
     NormTag,
@@ -223,14 +223,19 @@ def covering_step(trace: IterateTrace, cover: CoveringMap, phi: SmoothMap, x0, x
 
     budget is passed apart from tau_next: the baseline sums its budgets into
     tau, and in floats (tau + budget) - tau need not be budget. Propagates
-    BudgetExceeded. Returns (x_next, Phi(x_next), residual).
+    BudgetExceeded, and raises NonFiniteValue when the step norm is inf or
+    NaN: an inf or NaN entry in x or Phi(x), or in the covering's answer,
+    makes it so. Returns (x_next, Phi(x_next), residual).
     """
     x_next = cover.solve_within(x, phi_x, budget)
+    step = norm(x_next - x, cover.norm_x)
+    if not math.isfinite(step):
+        raise NonFiniteValue(f"iterate {len(trace.records)} is not finite (step norm {step})")
     phi_next = phi.evaluate(x_next)
     residual = norm(phi_next - cover.evaluate(x_next), cover.norm_y)
     trace.records.append(TraceRecord(
         len(trace.records), tau_next, np.array(x_next, dtype=float),
-        norm(x_next - x, cover.norm_x), norm(x_next - x0, cover.norm_x), residual))
+        step, norm(x_next - x0, cover.norm_x), residual))
     return x_next, phi_next, residual
 
 
@@ -325,7 +330,7 @@ def rate_estimate(trace: IterateTrace) -> tuple[str, float]:
     if len(steps) < 20:
         raise InsufficientData(f"need >= 20 recorded steps, have {len(steps)}")
     tail = steps[len(steps) // 2:]
-    tail = [(j, s) for j, s in tail if s > 0.0 and math.isfinite(s)]
+    tail = [(j, s) for j, s in tail if s > 0.0 and np.isfinite(s)]
     if len(tail) < 5:
         raise InsufficientData("tail of trace has too few nonzero steps")
     js = np.array([j for j, _ in tail], dtype=float)

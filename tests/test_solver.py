@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_trace_invariants
-from coincide.covering import LinearSurjectiveCovering
+from coincide.covering import IdentityCovering, LinearSurjectiveCovering
 from coincide.errors import InsufficientData, NoCrossing, NonFiniteValue
 from coincide.linalg import NormTag
 from coincide import solver
@@ -203,17 +203,17 @@ def _nan_at_evaluation(smooth, k):
 
 class TestNonFiniteValueMidLoop:
     # A Phi value turning NaN at step 4 gives that row a NaN residual; the
-    # next step's correction norm is NaN, and the loop raises NonFiniteValue.
+    # next step's iterate is NaN, and the loop raises NonFiniteValue.
     def test_majorant_loop(self):
         inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
         _nan_at_evaluation(inst.phi, 5)  # call 1 opens the trace
-        with pytest.raises(NonFiniteValue, match="correction norm nan is not finite"):
+        with pytest.raises(NonFiniteValue, match=r"iterate 5 is not finite \(step norm nan\)"):
             coincidence_solve(inst)
 
     def test_baseline_loop(self):
         p = AlphaCoveringProblem.from_quadratic(scalar_quadratic(1.0, 2.0, 0.75))
         _nan_at_evaluation(p.v, 5)
-        with pytest.raises(NonFiniteValue, match="correction norm nan is not finite"):
+        with pytest.raises(NonFiniteValue, match=r"iterate 5 is not finite \(step norm nan\)"):
             alpha_iterate(p, np.zeros(1), 1e-10, 100)
 
     def test_user_map_output_is_checked_where_it_is_made(self):
@@ -229,6 +229,56 @@ class TestNonFiniteValueMidLoop:
         with pytest.raises(NonFiniteValue, match="vector entries must be finite"):
             coincidence_solve(inst)
         assert len(calls) == 5
+
+
+def _step(cover, x, phi_x, budget):
+    """One covering_step from x with target phi_x; returns the trace it extends."""
+    phi = CallableMap(f=lambda z: np.zeros_like(z), domain_center=np.zeros(x.size),
+                      domain_radius=1.0)
+    trace = solver.IterateTrace(records=[None], tau0=0.0, tau_star=1.0)
+    solver.covering_step(trace, cover, phi, np.zeros(x.size), x, phi_x, budget, 0.5)
+    return trace
+
+
+class TestCoveringStepRefusesANonFiniteIterate:
+    # The loop scans no entries; covering_step checks the step norm once,
+    # whatever covering made the iterate, and appends no row for it.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["target", "start"])
+    @pytest.mark.parametrize("cover", [LinearSurjectiveCovering([[2.0, 0.0], [0.0, 1.0]]),
+                                       IdentityCovering(2)], ids=["linear", "identity"])
+    def test_non_finite_start_or_target(self, cover, where, bad):
+        y, x = np.array([-1.0, 0.5]), np.zeros(2)
+        (y if where == "target" else x)[1] = bad
+        # An unbounded budget lets an inf correction through the budget check.
+        with pytest.raises(NonFiniteValue,
+                           match=r"iterate 1 is not finite \(step norm (nan|inf)\)"), \
+                np.errstate(all="ignore"):
+            _step(cover, x, y, budget=math.inf)
+
+    def test_sum_that_overflows_behind_a_finite_correction(self):
+        # Psi(x) = -x/2 under linf norms (an l2 norm of 1e308 overflows):
+        # the correction 1e308 is finite and within budget, but x' + 1e308
+        # overflows.
+        cover = LinearSurjectiveCovering([[0.5]], b=0.5, norm_x=NormTag.LINF,
+                                         norm_y=NormTag.LINF)
+        x, y = np.array([1.5e308]), np.array([-1.25e308])
+        with np.errstate(over="ignore"):
+            assert cover.solve_within(x, y, budget=1.7e308)[0] == math.inf
+            with pytest.raises(NonFiniteValue, match=r"step norm inf"):
+                _step(cover, x, y, budget=1.7e308)
+
+    def test_user_covering(self):
+        class NaNCovering(IdentityCovering):
+            def solve_within(self, x_prime, y, budget):
+                return np.full_like(y, math.nan)
+
+        with pytest.raises(NonFiniteValue, match=r"step norm nan"):
+            _step(NaNCovering(2), np.zeros(2), np.ones(2), budget=10.0)
+
+    def test_finite_step_appends_its_row(self):
+        trace = _step(IdentityCovering(2), np.zeros(2), np.array([0.3, 0.4]), budget=1.0)
+        assert len(trace.records) == 2 and trace.records[1].step_norm == 0.5
 
 
 class TestRateEstimate:

@@ -321,6 +321,23 @@ def test_l2_norm_matches_numpy_bits(entries, step):
     assert _bits(got) == _bits(want)
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.lists(norm_entries, min_size=4, max_size=120),
+       cols=st.integers(1, 4), transpose=st.booleans())
+@example(entries=[1e200, 1e200, 1.0, 1.0], cols=2, transpose=True)
+def test_l2_norm_of_a_matrix_matches_numpy_bits(entries, cols, transpose):
+    # Any shape ravels in memory order (order="K"), as np.linalg.norm does.
+    rows = len(entries) // cols
+    v = np.array(entries[:rows * cols]).reshape(rows, cols)
+    v = v.T if transpose else v
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow in dot
+        got = norm(v, NormTag.L2)
+        want = float(np.linalg.norm(v))
+    assert type(got) is float
+    assert _bits(got) == _bits(want)
+
 special_x = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e154,
                              -1e200, 1e300, 1.7976931348623157e308])
 entries = st.one_of(special_x, st.floats(min_value=-1e3, max_value=1e3))
@@ -548,7 +565,7 @@ def _isfinite_calls(run):
 @pytest.mark.parametrize("method", ["majorant", "baseline"])
 def test_loop_steps_scan_no_array_for_finiteness(method):
     # Vectors the loop makes are not scanned: finiteness is checked on the
-    # correction norm. A solve of 300 steps scans as often as one of 3.
+    # step norm. A solve of 300 steps scans as often as one of 3.
     q = scalar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8)
     if method == "majorant":
         inst = build_quadratic_instance(q)
