@@ -21,6 +21,7 @@ All floats are printed with 17 significant digits so reruns are bit-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -243,7 +244,15 @@ def cmd_compare(args) -> int:
     return STATUS_EXIT.get(report.run_for("majorant").status, EXIT_FAIL)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    parse_args keeps no state between calls: each makes a new namespace
+    from the declared defaults. The parser holds no handler either: main
+    picks the command's handler at call time, so a wrapper installed on
+    cmd_solve after the first call is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="coincide",
         description="Solve coincidence-point problems with majorant-certified iterations.")
@@ -260,27 +269,25 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--jobs", type=int, default=1,
                        help="parallel workers when several configs are given "
                             "(at most one per config)")
-    solve.set_defaults(func=cmd_solve)
 
     gallery = sub.add_parser("gallery", help="list or emit built-in instances")
     gallery.add_argument("action", choices=["list", "emit"])
     gallery.add_argument("name", nargs="?", default=None)
     gallery.add_argument("--out", default=".", help="directory for emitted configs")
-    gallery.set_defaults(func=cmd_gallery)
 
     compare = sub.add_parser("compare", help="run majorant and baseline side by side")
     compare.add_argument("--config", required=True, nargs=1)
     compare.add_argument("--out", default=".", help="output directory")
     compare.add_argument("--tol", type=float, default=None)
     compare.add_argument("--max-steps", type=int, default=None)
-    compare.set_defaults(func=cmd_compare)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _guarded(args.func, args)
+    handler = {"solve": cmd_solve, "gallery": cmd_gallery, "compare": cmd_compare}
+    return _guarded(handler[args.command], args)
 
 
 if __name__ == "__main__":

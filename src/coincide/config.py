@@ -261,13 +261,40 @@ def _build_custom_scalar(section: dict, norms) -> ProblemInstance:
         )
     except ValueError as err:
         raise ConfigError(f"invalid majorant pair: {err}") from err
-    return ProblemInstance(
+    inst = ProblemInstance(
         phi=phi_map,
         cover=LinearSurjectiveCovering(np.array([[psi_slope]]), b=psi_slope,
                                        norm_x=norms[0], norm_y=norms[1]),
         majorants=pair,
         x0=np.array([x0]),
     )
+    # Elsewhere the ball is not centred at 0 and the proof would need p' and
+    # m' re-expanded about x0 and tau0; those instances are sampled.
+    if x0 == 0.0 and tau0 == 0.0:
+        inst.h2_proven = _polynomial_h2_proven(phi_poly, majorant_poly, pair, norms)
+    return inst
+
+
+def _polynomial_h2_proven(phi_poly, majorant_poly, pair: MajorantPair, norms) -> bool:
+    """H2 for Phi = p against phi = m on |x| <= tau, with x0 = tau0 = 0.
+
+    It holds when every majorant coefficient m_k (k >= 1) is >= 0 and at
+    least |p_k|, m'(tau_end) is finite and X and Y carry one norm tag. Float
+    rounding is monotone and odd, so k * p_k, each Horner product and each
+    Horner sum keep |fl p'(x)| <= fl m'(tau) whenever |x| <= tau, and
+    fl m'(tau) <= fl m'(tau_end) < inf on the window: no sampled Jacobian is
+    inf or NaN. For one tag the 1x1 operator norm is |J| (linf) or at most
+    |J| (l2, by SVD); the mixed tags square J, which overflows above about
+    1e154 and loses bits below 1e-154, so they are sampled. An O(n) float
+    comparison with no slack.
+    """
+    if norms[0] != norms[1]:
+        return False
+    width = max(len(phi_poly), len(majorant_poly))
+    ps = phi_poly[1:] + [0.0] * (width - len(phi_poly))
+    ms = majorant_poly[1:] + [0.0] * (width - len(majorant_poly))
+    return (all(0.0 <= m and abs(p) <= m for p, m in zip(ps, ms))
+            and math.isfinite(pair.phi.derivative(pair.tau_end)))
 
 
 def build_problem(cfg: ProblemConfig) -> BuiltProblem:

@@ -56,8 +56,9 @@ class NonFiniteValue(CoincidenceError, ValueError):
     """A value that must be finite is inf or NaN.
 
     Raised for a non-finite input vector or matrix, a non-finite output of a
-    user map, and an iterate whose step norm is not finite (an inf or NaN
-    entry in x_j, in Phi(x_j), or in the covering's answer). It is also a
+    user map, an iterate whose step norm is not finite (an inf or NaN
+    entry in x_j, in Phi(x_j), or in the covering's answer), and an iterate
+    whose residual ||Phi(x_j) - Psi(x_j)|| is not finite. It is also a
     ValueError, so callers that refuse bad input by catching ValueError
     still do.
     """

@@ -25,11 +25,12 @@ from .linalg import (
     as_matrix,
     as_vector,
     norm,
+    operator_norm,
     shaped_vector,
     smallest_singular_value,
 )
 from .majorant import DEFAULT_HORIZON, MajorantPair, ScalarFn
-from .solver import ProblemInstance, SmoothMap
+from .solver import AffineMap, ProblemInstance, SmoothMap
 
 
 @dataclass
@@ -272,6 +273,12 @@ def build_kantorovich_instance(f: SmoothMap, lip_majorant: ScalarFn, x0,
     on balls around x0; it is shifted so the majorant starts exactly at the
     measured initial defect ||f(x0) - x0||. The window is f's domain radius,
     or DEFAULT_HORIZON when that is infinite.
+
+    H2 is proven, not sampled, when f is an AffineMap with finite W and
+    lip_majorant is linear with slope lip: the Jacobian is W everywhere and
+    phi' is lip, so H2 holds iff operator_norm(W) <= lip. The comparison has
+    no slack; the sampled check norms copies of W, which operator_norm gives
+    the same bits, so a proof implies a clean sample.
     """
     x0 = as_vector(x0)
     fx0 = f.evaluate(x0)
@@ -288,12 +295,16 @@ def build_kantorovich_instance(f: SmoothMap, lip_majorant: ScalarFn, x0,
     )
     horizon = DEFAULT_HORIZON if f.domain_radius == math.inf else f.domain_radius
     pair = MajorantPair(psi=ScalarFn.linear(1.0), phi=phi, tau0=0.0, horizon=horizon)
-    return ProblemInstance(
+    inst = ProblemInstance(
         phi=f,
         cover=IdentityCovering(x0.size, norm_tag),
         majorants=pair,
         x0=x0,
     )
+    if (isinstance(f, AffineMap) and lip_majorant.linear_coeffs is not None
+            and np.all(np.isfinite(f.W))):
+        inst.h2_proven = operator_norm(f.W, norm_tag, norm_tag) <= lip_majorant.linear_coeffs[0]
+    return inst
 
 
 def random_quadratic(dim_x: int, dim_y: int, target_margin: float,

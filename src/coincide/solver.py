@@ -30,6 +30,7 @@ from .linalg import (
     norm,
     operator_norm,
     random_direction,
+    shaped_vector,
 )
 from .majorant import MajorantPair, next_tau, smallest_crossing, validate_h2_start
 
@@ -73,7 +74,10 @@ class CallableMap(SmoothMap):
         self.domain_radius = float(domain_radius)
 
     def evaluate(self, x):
-        return as_vector(self._f(np.asarray(x, dtype=float)))
+        value = shaped_vector(self._f(np.asarray(x, dtype=float)))
+        if not np.all(np.isfinite(value)):
+            raise NonFiniteValue("Phi(x) has a non-finite entry")
+        return value
 
     def jacobian(self, x):
         if self._jac is not None:
@@ -112,9 +116,13 @@ class ProblemInstance:
     majorants: MajorantPair
     x0: np.ndarray
     # Set only by a builder that proves the derivative bound H2 from the
-    # structure it builds (build_quadratic_instance); coincidence_solve then
-    # skips the sampled check. Not a constructor argument. The proof is for
-    # the phi, majorants and x0 the builder set: to change them, build anew.
+    # structure it builds; coincidence_solve then skips the sampled check.
+    # Three rules set it, each with no slack and each implying a clean sample:
+    # a certified quadratic (build_quadratic_instance), an affine fixed-point
+    # map (build_kantorovich_instance) and a 1-d polynomial started at
+    # x0 = tau0 = 0 (the custom-scalar config). Not a constructor argument.
+    # The proof is for the phi, majorants and x0 the builder set: to change
+    # them, build anew.
     h2_proven: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
@@ -225,16 +233,21 @@ def covering_step(trace: IterateTrace, cover: CoveringMap, phi: SmoothMap, x0, x
     tau, and in floats (tau + budget) - tau need not be budget. Propagates
     BudgetExceeded, and raises NonFiniteValue when the step norm is inf or
     NaN: an inf or NaN entry in x or Phi(x), or in the covering's answer,
-    makes it so. Returns (x_next, Phi(x_next), residual).
+    makes it so. It raises NonFiniteValue too when the new residual is inf or
+    NaN (Phi(x_next) or Psi(x_next) overflowed), before recording the row.
+    Returns (x_next, Phi(x_next), residual).
     """
+    k = len(trace.records)
     x_next = cover.solve_within(x, phi_x, budget)
     step = norm(x_next - x, cover.norm_x)
     if not math.isfinite(step):
-        raise NonFiniteValue(f"iterate {len(trace.records)} is not finite (step norm {step})")
+        raise NonFiniteValue(f"iterate {k} is not finite (step norm {step})")
     phi_next = phi.evaluate(x_next)
     residual = norm(phi_next - cover.evaluate(x_next), cover.norm_y)
+    if not math.isfinite(residual):
+        raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
     trace.records.append(TraceRecord(
-        len(trace.records), tau_next, np.array(x_next, dtype=float),
+        k, tau_next, np.array(x_next, dtype=float),
         step, norm(x_next - x0, cover.norm_x), residual))
     return x_next, phi_next, residual
 
@@ -254,10 +267,21 @@ def coincidence_solve(inst: ProblemInstance,
     points and warns on violations, "strict" aborts the solve with a
     hypothesis_violation status. The initial-gap
     condition is always enforced. The bound is not sampled when
-    inst.h2_proven is set: build_quadratic_instance sets it when the certified
-    constant a is at least the tensor's spectral overestimate, so that
-    ||Phi'(x)|| <= 2 a ||x|| <= phi'(tau) holds on the whole ball. Any other
-    instance, hand-built ones included, is sampled.
+    inst.h2_proven is set. Three builders set it, each comparing floats with
+    no slack, and each proof implies that the sample would be clean:
+
+    - build_quadratic_instance, when the certified constant a is at least
+      the tensor's spectral overestimate, so that
+      ||Phi'(x)|| <= 2 a ||x|| <= phi'(tau) on the whole ball;
+    - build_kantorovich_instance, when f is an AffineMap with finite W, the
+      growth profile is linear with slope lip, and operator_norm(W) <= lip
+      (the Jacobian is W everywhere, and phi' is lip);
+    - the custom-scalar config, when x0 = tau0 = 0, the X and Y norms carry
+      one tag, every majorant coefficient m_k (k >= 1) is >= 0 and at least
+      |p_k|, and m'(tau0 + horizon) is finite (Horner's rounding is
+      monotone, so |p'(x)| <= m'(tau) for |x| <= tau, in floats too).
+
+    Any other instance, hand-built ones included, is sampled.
 
     Raises NoCrossing when the majorants never meet, and propagates
     BudgetExceeded when the covering breaks its contract.

@@ -1,11 +1,13 @@
 import concurrent.futures
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coincide
@@ -19,6 +21,7 @@ from coincide.config import (
     load_config,
     save_config,
 )
+from coincide.problems import QuadraticMap
 
 
 def write_json(path, payload):
@@ -155,7 +158,7 @@ class TestSolveCommand:
         with pytest.warns(RuntimeWarning, match=re.escape(violated)):
             code = main(["solve", "--config", cfg, "--out", str(tmp_path / "warn")])
         assert code == 1
-        assert capsys.readouterr().err == "non-finite value: vector entries must be finite\n"
+        assert capsys.readouterr().err == "non-finite value: Phi(x) has a non-finite entry\n"
         assert not (tmp_path / "warn" / "trace.csv").exists()
 
         code = main(["solve", "--config", cfg, "--out", str(tmp_path / "strict"),
@@ -164,6 +167,23 @@ class TestSolveCommand:
         assert capsys.readouterr().err == f"hypothesis violation (H2): {violated}\n"
         assert "status: hypothesis_violation" in (
             tmp_path / "strict" / "summary.txt").read_text()
+
+    def test_phi_overflowing_mid_loop_is_a_non_finite_value(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # Phi turns inf at step 4: a non-finite value, not an H2 defect that
+        # exceeds the admissible increment.
+        evaluate, calls = QuadraticMap.evaluate, []
+
+        def overflowing(self, x):
+            calls.append(1)
+            return evaluate(self, x) if len(calls) < 5 else np.array([math.inf])
+
+        monkeypatch.setattr(QuadraticMap, "evaluate", overflowing)
+        cfg = write_json(tmp_path / "pos.json", scalar_config(0.75))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "non-finite value: Phi(x_4) - Psi(x_4) is not finite (residual inf)\n")
+        assert not (tmp_path / "out" / "trace.csv").exists()
 
 
 class TestGalleryCommand:
@@ -520,6 +540,52 @@ def test_exit_table_names_every_error(tmp_path, capsys, monkeypatch, command, er
     err = capsys.readouterr().err
     assert err == f"{EXPECTED_PREFIX[error]}: injected failure\n"
     assert "Traceback" not in err
+
+
+class TestParser:
+    def test_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_successive_calls_share_no_state(self, tmp_path, capsys):
+        # The undersized majorant stops at the sampled H2 check under
+        # --strict-h2; without it the check only warns and the loop runs (to
+        # a defect at step 1). --tol on one call must not carry into the next.
+        under = write_json(tmp_path / "under.json", {
+            "kind": "custom-scalar", "custom_scalar": {
+                "phi_poly": [0.75, 0.0, 1.0], "psi_slope": 2.0,
+                "majorant_poly": [0.75, 0.0, 0.9], "x0": 0.0, "horizon": 2.0}})
+        pos = write_json(tmp_path / "pos.json", scalar_config(0.75))
+
+        def summary(name):
+            return (tmp_path / name / "summary.txt").read_text()
+
+        assert main(["solve", "--config", pos, "--out", str(tmp_path / "first")]) == 0
+        assert main(["solve", "--config", under, "--out", str(tmp_path / "strict"),
+                     "--strict-h2", "--tol", "1e-3"]) == 1
+        assert "sampled derivative bound violated" in capsys.readouterr().err
+        with pytest.warns(RuntimeWarning, match="sampled derivative bound violated"):
+            assert main(["solve", "--config", under, "--out", str(tmp_path / "warn")]) == 1
+        assert "H2: defect" in capsys.readouterr().err
+        assert main(["solve", "--config", pos, "--out", str(tmp_path / "loose"),
+                     "--tol", "1e-3"]) == 0
+        assert main(["solve", "--config", pos, "--out", str(tmp_path / "again")]) == 0
+        assert summary("loose") != summary("first") == summary("again")
+
+        parser = cli.build_parser()
+        flagged = parser.parse_args(["solve", "--config", pos, "--tol", "1e-3", "--strict-h2"])
+        plain = parser.parse_args(["solve", "--config", pos])
+        assert (flagged.tol, flagged.strict_h2) == (1e-3, True)
+        assert (plain.tol, plain.strict_h2, plain.max_steps) == (None, False, None)
+
+    def test_handler_is_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # The cached parser holds no handler, so one replaced after the first
+        # call (a profiler's wrapper, say) is the one that runs.
+        cfg = write_json(tmp_path / "pos.json", scalar_config(0.75))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        ran = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: ran.append(args.config) or 0)
+        assert main(["solve", "--config", cfg]) == 0
+        assert ran == [[cfg]]
 
 
 def _child_env() -> dict:

@@ -1,18 +1,21 @@
 """H2, the derivative bound ||Phi'(x)|| <= phi'(tau): proven or sampled.
 
-Certified quadratics carry a proof and are never sampled; every other
-instance is sampled in one stacked pass, which must give the report the
-per-sample reference loop gives, bit for bit.
+Certified quadratics, affine fixed-point maps and 1-d polynomials started at
+0 carry a proof and are never sampled; every other instance is sampled in
+one stacked pass, which must give the report the per-sample reference loop
+gives, bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from h2_reference import reference_operator_norm, reference_validate_h2
-from coincide import problems, solver
-from coincide.config import build_problem, config_from_dict, gallery_config
+from coincide import config, problems, solver
+from coincide.config import ConfigError, build_problem, config_from_dict, gallery_config
 from coincide.covering import LinearSurjectiveCovering
 from coincide.linalg import NormTag, operator_norm
 from coincide.majorant import MajorantPair, ScalarFn
@@ -20,6 +23,7 @@ from coincide.problems import (
     BilinearMap,
     QuadraticMap,
     QuadraticProblem,
+    build_kantorovich_instance,
     build_quadratic_instance,
     random_quadratic,
     spectral_overestimate,
@@ -280,3 +284,206 @@ def test_overestimate_and_sigma_are_computed_once_per_config(monkeypatch, consta
     monkeypatch.setattr(problems, "smallest_singular_value", counted_sigma)
     explicit_quadratic(**constants)
     assert counts == {"overestimate": 1, "sigma": 1}
+
+
+# ---------------------------------------------------------------------------
+# The proofs for affine fixed-point maps and 1-d polynomials
+
+
+def cubic_section(k=1.25, frac=0.5, **extra) -> dict:
+    """A small-batch cubic: phi = majorant = c0 + k tau^3 against psi = 2 tau."""
+    t_min = math.sqrt(2.0 / (3.0 * k))
+    poly = [frac * (4.0 / 3.0) * t_min, 0.0, 0.0, k]
+    return {"phi_poly": poly, "psi_slope": 2.0, "majorant_poly": poly,
+            "horizon": 2.0 * t_min, **extra}
+
+
+def with_coefficient(section, key, k, value) -> dict:
+    """section with coefficient k of its polynomial `key` set to value."""
+    poly = section[key] + [0.0] * (k + 1 - len(section[key]))
+    poly[k] = value
+    return {**section, key: poly}
+
+
+def built(kind, section, norms=None) -> ProblemInstance:
+    data = {"kind": kind, kind.replace("-", "_"): section}
+    if norms is not None:
+        data["norms"] = {"x": norms[0].value, "y": norms[1].value}
+    return build_problem(config_from_dict(data)).instance
+
+
+def affine_section(W, lip) -> dict:
+    n = len(W)
+    return {"linear": W, "shift": [0.5] * n, "x0": [0.0] * n, "lipschitz": lip,
+            "domain_radius": 8.0}
+
+
+@pytest.fixture
+def jacobians(monkeypatch):
+    """Counts of Jacobians made by the maps the affine and polynomial configs build."""
+    calls = {"jacobian": 0}
+    for cls in (AffineMap, CallableMap):
+        original = cls.jacobian
+
+        def counted(self, x, original=original):
+            calls["jacobian"] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(cls, "jacobian", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_problem(gallery_config("kantorovich-affine")).instance,
+    lambda: built("kantorovich", affine_section([[0.25, 0.5], [-0.5, 0.125]], 0.75), (LINF, LINF)),
+    lambda: built("custom-scalar", cubic_section()),
+    lambda: built("custom-scalar", cubic_section(k=0.5, frac=0.2)),
+    lambda: built("custom-scalar", cubic_section(k=2.0, frac=0.8), (LINF, LINF)),
+], ids=["gallery-affine", "affine-linf", "cubic", "cubic-low", "cubic-linf"])
+def test_proven_affine_and_cubic_solves_make_no_jacobian(make, jacobians):
+    inst = make()
+    assert inst.h2_proven
+    _, trace = coincidence_solve(inst, h2_check="strict")
+    assert trace.status == "converged"
+    assert jacobians["jacobian"] == 0
+
+
+def test_each_build_proves_once(monkeypatch):
+    norms, proofs = [], []
+    op_norm, polynomial_proof = problems.operator_norm, config._polynomial_h2_proven
+
+    def counted_norm(M, *tags):
+        norms.append(np.shape(M))
+        return op_norm(M, *tags)
+
+    def counted_proof(*args):
+        proofs.append(args)
+        return polynomial_proof(*args)
+
+    monkeypatch.setattr(problems, "operator_norm", counted_norm)
+    monkeypatch.setattr(config, "_polynomial_h2_proven", counted_proof)
+    affine = build_problem(gallery_config("kantorovich-affine")).instance
+    cubic = built("custom-scalar", cubic_section())
+    assert (norms, len(proofs)) == ([(1, 1)], 1)
+    coincidence_solve(affine)
+    coincidence_solve(cubic)
+    assert (norms, len(proofs)) == ([(1, 1)], 1)
+    # Off the origin there is nothing to prove, and nothing is tried.
+    built("custom-scalar", cubic_section(x0=0.25))
+    assert len(proofs) == 1
+
+
+@pytest.mark.parametrize("make", [
+    # ||W|| one ulp above lip; the edge ||W|| == lip is proven (the gallery).
+    lambda: built("kantorovich", affine_section([[0.5]], float(np.nextafter(0.5, 0.0)))),
+    lambda: built("kantorovich", affine_section([[0.25, 0.5], [-0.5, 0.125]], 0.5), (LINF, LINF)),
+    lambda: built("custom-scalar", cubic_section(x0=-0.0625)),
+    lambda: built("custom-scalar", cubic_section(x0=-1e-300)),
+    lambda: built("custom-scalar", cubic_section(tau0=-0.0625)),
+    lambda: built("custom-scalar", cubic_section(), (L2, LINF)),
+    lambda: built("custom-scalar", with_coefficient(cubic_section(), "phi_poly", 4, 1e-9)),
+    lambda: built("custom-scalar", with_coefficient(cubic_section(), "majorant_poly", 1, -1e-9)),
+], ids=["affine-ulp-short", "affine-linf-short", "cubic-x0", "cubic-tiny-x0", "cubic-tau0",
+        "cubic-mixed-tags", "cubic-degree-above-majorant", "cubic-negative-majorant-slope"])
+def test_unproven_instances_are_sampled(make, jacobians):
+    inst = make()
+    assert not inst.h2_proven
+    coincidence_solve(inst, h2_check="strict")
+    assert jacobians["jacobian"] == H2_SAMPLES
+
+
+def test_affine_proof_needs_an_affine_map_and_a_linear_profile():
+    W = [[0.5]]
+    x0 = np.zeros(1)
+    f = AffineMap(W, [0.5], domain_center=x0, domain_radius=8.0)
+    assert build_kantorovich_instance(f, ScalarFn.linear(0.5), x0).h2_proven
+    # The same phi' = 0.5, but not declared linear.
+    assert not build_kantorovich_instance(f, ScalarFn.polynomial([0.0, 0.5]), x0).h2_proven
+    same_map = CallableMap(f=f.evaluate, jac=f.jacobian, domain_center=x0, domain_radius=8.0)
+    assert not build_kantorovich_instance(same_map, ScalarFn.linear(0.5), x0).h2_proven
+
+
+def test_mixed_tags_stay_sampled_where_the_norm_overflows():
+    # In 1-d every norm is |.|, but the l2 -> linf operator norm squares the
+    # entry: |J| = 1e200 norms to inf. The proof would hold for one tag.
+    section = {"phi_poly": [0.5, 1e200], "psi_slope": 2e200,
+               "majorant_poly": [0.5, 1e200], "horizon": 1.0}
+    assert built("custom-scalar", section, (L2, L2)).h2_proven
+    mixed = built("custom-scalar", section, (L2, LINF))
+    assert not mixed.h2_proven
+    with np.errstate(over="ignore"):
+        report = validate_h2_derivative(mixed, H2_SAMPLES, tau_hi=1.0)
+    assert report.violations == H2_SAMPLES and report.max_excess == math.inf
+
+
+def test_polynomial_proof_needs_a_finite_majorant_slope():
+    # m = 0.5 + 1e308 tau^2 is finite on the window, but m' = 2e308 tau
+    # overflows: every sampled Jacobian is inf (or NaN at x = 0).
+    poly = [0.5, 0.0, 1e308]
+    inst = built("custom-scalar", {"phi_poly": poly, "psi_slope": 1.0,
+                                   "majorant_poly": poly, "horizon": 0.5})
+    assert not inst.h2_proven
+    with np.errstate(invalid="ignore"):
+        report = validate_h2_derivative(inst, H2_SAMPLES, tau_hi=0.5)
+    assert report.violations == H2_SAMPLES and report.max_excess == math.inf
+
+
+# Jacobian scales from subnormal to near overflow; the l2 SVD and the linf
+# row sums must keep them within the proof.
+SCALES = [1e-310, 1e-160, 1e-3, 1.0, 1e7, 1e160, 1e300]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.sampled_from([L2, LINF]), st.sampled_from(SCALES),
+       st.sampled_from(["edge", "ulp-above", "ulp-below", "drawn"]),
+       st.floats(0.25, 4.0), st.integers(0, 2**32 - 1))
+def test_proven_affine_maps_pass_the_sampled_check(n, tag, scale, where, factor, seed):
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((n, n)) * scale
+    size = operator_norm(W, tag, tag)
+    lip = {"edge": size, "ulp-above": float(np.nextafter(size, math.inf)),
+           "ulp-below": float(np.nextafter(size, 0.0)), "drawn": size * factor}[where]
+    # The initial gap f(x0) - x0 scales with W, so phi = lip * tau + gap
+    # increases over the window.
+    x0 = rng.standard_normal(n) * min(scale, 1.0)
+    f = AffineMap(W, rng.standard_normal(n) * scale, domain_center=x0, domain_radius=8.0)
+    try:
+        with np.errstate(over="ignore"):
+            inst = build_kantorovich_instance(f, ScalarFn.linear(lip), x0, norm_tag=tag)
+    except ValueError:  # an initial gap that overflows, or a profile too flat to increase
+        reject()
+    assert inst.h2_proven == (size <= lip)
+    if inst.h2_proven:
+        # tau_hi spans the window: psi and phi need not cross for the check.
+        assert validate_h2_derivative(inst, 200, tau_hi=8.0, seed=seed % 2**16).clean
+
+
+@st.composite
+def dominated_polynomials(draw):
+    """(phi_poly, majorant_poly, horizon, norms): |p_k| <= m_k mostly, at equality often."""
+    degree = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from(SCALES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ms = list(np.abs(rng.standard_normal(degree + 1)) * scale)
+    ratios = draw(st.lists(st.sampled_from([-1.0, 1.0, 0.0, 0.5, -0.999, 1.0000001, -1.0000001]),
+                           min_size=degree + 1, max_size=degree + 1))
+    ps = [float(r * m) for r, m in zip(ratios, ms)]
+    horizon = draw(st.sampled_from([1e-3, 0.5, 2.0, 1e3]))
+    tag = draw(st.sampled_from([L2, LINF]))
+    return ps, [float(m) for m in ms], horizon, (tag, tag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dominated_polynomials(), st.integers(0, 2**16))
+def test_proven_polynomials_pass_the_sampled_check(case, seed):
+    ps, ms, horizon, norms = case
+    section = {"phi_poly": ps, "psi_slope": 1.0, "majorant_poly": ms, "horizon": horizon}
+    try:
+        inst = built("custom-scalar", section, norms)
+    except ConfigError:  # a majorant that is not strictly increasing or finite
+        reject()
+    dominated = all(abs(p) <= m for p, m in zip(ps[1:], ms[1:]))
+    assert inst.h2_proven == (dominated and math.isfinite(
+        inst.majorants.phi.derivative(horizon)))
+    if inst.h2_proven:
+        assert validate_h2_derivative(inst, 200, tau_hi=horizon, seed=seed).clean

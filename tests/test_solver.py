@@ -189,35 +189,40 @@ class TestValidateH2Derivative:
         assert (report.violations, report.max_excess) == (50, math.inf)
 
 
-def _nan_at_evaluation(smooth, k):
-    """Make smooth.evaluate return NaN from its k-th call (1-based) on."""
+def _non_finite_at_evaluation(smooth, k, value=math.nan):
+    """Make smooth.evaluate return value (NaN, say) from its k-th call (1-based) on."""
     evaluate, calls = smooth.evaluate, []
 
     def patched(x):
         calls.append(1)
         out = evaluate(x)
-        return np.full_like(out, math.nan) if len(calls) >= k else out
+        return np.full_like(out, value) if len(calls) >= k else out
 
     smooth.evaluate = patched
 
 
 class TestNonFiniteValueMidLoop:
-    # A Phi value turning NaN at step 4 gives that row a NaN residual; the
-    # next step's iterate is NaN, and the loop raises NonFiniteValue.
-    def test_majorant_loop(self):
+    # A Phi value turning inf or NaN at step 4 makes that step's residual
+    # non-finite, and the covering step raises NonFiniteValue before it
+    # records the row. An inf residual is not an H2 defect.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_majorant_loop(self, value):
         inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
-        _nan_at_evaluation(inst.phi, 5)  # call 1 opens the trace
-        with pytest.raises(NonFiniteValue, match=r"iterate 5 is not finite \(step norm nan\)"):
+        _non_finite_at_evaluation(inst.phi, 5, value)  # call 1 opens the trace
+        with pytest.raises(NonFiniteValue, match=r"Phi\(x_4\) - Psi\(x_4\) is not finite "
+                                                 r"\(residual (nan|inf)\)"):
             coincidence_solve(inst)
 
-    def test_baseline_loop(self):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_baseline_loop(self, value):
         p = AlphaCoveringProblem.from_quadratic(scalar_quadratic(1.0, 2.0, 0.75))
-        _nan_at_evaluation(p.v, 5)
-        with pytest.raises(NonFiniteValue, match=r"iterate 5 is not finite \(step norm nan\)"):
+        _non_finite_at_evaluation(p.v, 5, value)
+        with pytest.raises(NonFiniteValue, match=r"Phi\(x_4\) - Psi\(x_4\) is not finite "
+                                                 r"\(residual (nan|inf)\)"):
             alpha_iterate(p, np.zeros(1), 1e-10, 100)
 
     def test_user_map_output_is_checked_where_it_is_made(self):
-        # A CallableMap's output is validated at once, with the same error.
+        # A CallableMap's output is validated at once, and the error names it.
         inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
         quadratic, calls = inst.phi, []
 
@@ -226,7 +231,7 @@ class TestNonFiniteValueMidLoop:
             return quadratic.evaluate(x) if len(calls) < 5 else np.array([math.nan])
 
         inst.phi = CallableMap(f=f, domain_center=[0.0], domain_radius=2.0)
-        with pytest.raises(NonFiniteValue, match="vector entries must be finite"):
+        with pytest.raises(NonFiniteValue, match=r"^Phi\(x\) has a non-finite entry$"):
             coincidence_solve(inst)
         assert len(calls) == 5
 
