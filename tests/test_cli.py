@@ -134,11 +134,19 @@ class TestSolveCommand:
             },
         }
         # A quadratic whose a is below the spectral overestimate 1 of its
-        # tensor is sampled, not proven.
+        # tensor is sampled, not proven; so is a cubic that starts off 0.
         below = scalar_config(0.75)
         below["quadratic"]["a"] = 0.5
+        k = 1.25
+        t_min = math.sqrt(2.0 / (3.0 * k))
+        cubic = [0.5 * (4.0 / 3.0) * t_min, 0.0, 0.0, k]
+        off_origin = {"kind": "custom-scalar", "custom_scalar": {
+            "phi_poly": cubic, "psi_slope": 2.0, "majorant_poly": cubic,
+            "x0": -0.0625, "horizon": 2.0 * t_min}}
         for name, payload, counts in (("under", custom, "13/100 times (max excess 4.406e-02)"),
-                                      ("below", below, "50/100 times (max excess 3.155e-01)")):
+                                      ("below", below, "50/100 times (max excess 3.155e-01)"),
+                                      ("off-origin", off_origin,
+                                       "42/100 times (max excess 8.611e-02)")):
             cfg = write_json(tmp_path / f"{name}.json", payload)
             code = main(["solve", "--config", cfg, "--out", str(tmp_path / name),
                          "--strict-h2"])
