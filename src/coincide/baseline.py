@@ -95,7 +95,7 @@ def alpha_iterate(p: AlphaCoveringProblem, x0, tol: float,
         raise NotContractive(
             f"beta = {p.beta} >= alpha = {p.alpha}: the linear-rate scheme does not apply")
     x0 = as_vector(x0)
-    x, v_x, residual, trace = start_trace(p.u, p.v, x0, 0.0, float("nan"))
+    x, v_x, defect, residual, trace = start_trace(p.u, p.v, x0, 0.0, float("nan"))
     tau = 0.0
     for _ in range(max_steps):
         if residual <= tol:
@@ -103,7 +103,8 @@ def alpha_iterate(p: AlphaCoveringProblem, x0, tol: float,
             return x, trace
         budget = residual / p.alpha
         tau += budget
-        x, v_x, residual = covering_step(trace, p.u, p.v, x0, x, v_x, budget, tau)
+        x, v_x, defect, residual = covering_step(trace, p.u, p.v, x0, x, v_x, budget, tau,
+                                                 defect)
     trace.status = STATUS_MAX_STEPS
     return x, trace
 

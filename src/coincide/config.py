@@ -4,7 +4,11 @@ Configs are JSON: nested key/value objects plus arrays, numbers as decimal
 literals. json round-trips binary64 exactly (repr emits shortest round-trip
 literals), which keeps solve inputs reproducible bit for bit. The non-standard
 literals Infinity and NaN are refused, and so is a number literal that
-overflows binary64, such as 1e400.
+overflows binary64, such as 1e400. A number field holds a JSON number: a
+string ("inf", "1.0"), a boolean or null there is refused, so no spelling
+gets round the literal checks. Arrays are checked by the dtype numpy gives
+them, which lets a boolean mixed in among numbers pass as 0 or 1, and
+refuses an integer beyond 64 bits.
 """
 
 from __future__ import annotations
@@ -117,13 +121,43 @@ def checked_limits(residual_tol, max_steps) -> tuple[float, int]:
     """The stopping fields as (float, int): residual_tol finite and positive,
     max_steps >= 1. Shared by config files and command-line overrides."""
     try:
-        residual_tol = float(residual_tol)
-        max_steps = int(max_steps)
+        residual_tol = _number(residual_tol, "residual_tol")
+        max_steps = int(_number(max_steps, "max_steps"))
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad tolerance fields: {err}") from err
     if not (math.isfinite(residual_tol) and residual_tol > 0) or max_steps < 1:
         raise ConfigError("residual_tol must be finite and positive and max_steps >= 1")
     return residual_tol, max_steps
+
+
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _number(value, key: str):
+    """value itself if it is a number (and not a bool); else TypeError.
+
+    The caller's except turns the error into a ConfigError for its section.
+    Checked by type, so a string such as "nan" never reaches float().
+    """
+    if isinstance(value, bool) or not isinstance(value, _REALS):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _number_array(value, key: str) -> np.ndarray:
+    """value as a float array, if numpy reads it as integers or floats.
+
+    One np.asarray and a dtype test, with no walk over the entries: strings,
+    booleans, null, objects and ragged nesting are refused (TypeError or
+    ValueError), and so is an integer too large for 64 bits.
+    """
+    array = np.asarray(value)
+    kind = array.dtype.kind
+    if kind not in "iuf":
+        found = {"b": "booleans", "U": "strings"}.get(
+            kind, "null, objects or integers beyond 64 bits")
+        raise TypeError(f"{key} must hold numbers only, got {found}")
+    return array.astype(float, copy=False)
 
 
 def _reject_constant(literal: str):
@@ -175,11 +209,10 @@ def _build_explicit_quadratic(section: dict, norms) -> QuadraticProblem:
     if norms != (NormTag.L2, NormTag.L2):
         raise ConfigError("quadratic instances are built for l2/l2 norms")
     try:
-        tensor = np.asarray(section["tensor"], dtype=float)
-        matrix = np.asarray(section["matrix"], dtype=float)
-        offset = np.asarray(section["offset"], dtype=float)
+        tensor, matrix, offset = (_number_array(section[k], k)
+                                  for k in ("tensor", "matrix", "offset"))
         # An absent constant is left to the problem, which certifies it.
-        a, b, c = (float(section[k]) if k in section else None for k in "abc")
+        a, b, c = (float(_number(section[k], k)) if k in section else None for k in "abc")
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad quadratic section: {err}") from err
     try:
@@ -194,7 +227,7 @@ def _build_generated_quadratic(section: dict) -> QuadraticProblem:
     """A seeded random quadratic, its sizes checked before anything is allocated."""
     try:
         dims = {key: section[key] for key in ("dim_x", "dim_y", "seed")}
-        margin = float(section["margin"])
+        margin = float(_number(section["margin"], "margin"))
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad generate section: {err}") from err
     for key, value in dims.items():
@@ -218,11 +251,10 @@ def _build_kantorovich(section: dict, norms) -> ProblemInstance:
     if norms[0] != norms[1]:
         raise ConfigError("the fixed-point reduction needs matching X and Y norms")
     try:
-        W = np.asarray(section["linear"], dtype=float)
-        d = np.asarray(section["shift"], dtype=float)
-        x0 = np.asarray(section["x0"], dtype=float)
-        lip = float(section["lipschitz"])
-        radius = float(section.get("domain_radius", DEFAULT_HORIZON))
+        W, d, x0 = (_number_array(section[k], k) for k in ("linear", "shift", "x0"))
+        lip = float(_number(section["lipschitz"], "lipschitz"))
+        radius = float(_number(section.get("domain_radius", DEFAULT_HORIZON),
+                               "domain_radius"))
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad kantorovich section: {err}") from err
     f = AffineMap(W, d, domain_center=x0, domain_radius=radius)
@@ -235,12 +267,12 @@ def _build_kantorovich(section: dict, norms) -> ProblemInstance:
 
 def _build_custom_scalar(section: dict, norms) -> ProblemInstance:
     try:
-        phi_poly = [float(v) for v in section["phi_poly"]]
-        psi_slope = float(section["psi_slope"])
-        majorant_poly = [float(v) for v in section["majorant_poly"]]
-        x0 = float(section.get("x0", 0.0))
-        tau0 = float(section.get("tau0", 0.0))
-        horizon = float(section["horizon"])
+        phi_poly, majorant_poly = (_coefficients(section[k], k)
+                                   for k in ("phi_poly", "majorant_poly"))
+        psi_slope = float(_number(section["psi_slope"], "psi_slope"))
+        x0 = float(_number(section.get("x0", 0.0), "x0"))
+        tau0 = float(_number(section.get("tau0", 0.0), "tau0"))
+        horizon = float(_number(section["horizon"], "horizon"))
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad custom_scalar section: {err}") from err
     if psi_slope <= 0:
@@ -275,6 +307,14 @@ def _build_custom_scalar(section: dict, norms) -> ProblemInstance:
     return inst
 
 
+def _coefficients(value, key: str) -> list:
+    """A polynomial's coefficients: a 1-d array of numbers, as Python floats."""
+    array = _number_array(value, key)
+    if array.ndim != 1:
+        raise TypeError(f"{key} must be a list of numbers, got shape {array.shape}")
+    return array.tolist()
+
+
 def _polynomial_h2_proven(phi_poly, majorant_poly, pair: MajorantPair, norms) -> bool:
     """H2 for Phi = p against phi = m on |x| <= tau, with x0 = tau0 = 0.
 
@@ -284,8 +324,8 @@ def _polynomial_h2_proven(phi_poly, majorant_poly, pair: MajorantPair, norms) ->
     Horner sum keep |fl p'(x)| <= fl m'(tau) whenever |x| <= tau, and
     fl m'(tau) <= fl m'(tau_end) < inf on the window: no sampled Jacobian is
     inf or NaN. For one tag the 1x1 operator norm is |J| (linf) or at most
-    |J| (l2, by SVD); the mixed tags square J, which overflows above about
-    1e154 and loses bits below 1e-154, so they are sampled. An O(n) float
+    |J| (l2, by SVD); the mixed tags take the rescaled row norm of J, which
+    this argument does not cover, so they are sampled. An O(n) float
     comparison with no slack.
     """
     if norms[0] != norms[1]:

@@ -9,6 +9,8 @@ interface against that contract.
 
 `solve_within` checks the shapes of x' and y but does not scan their entries;
 the covering step of the solver checks that the iterate it returns is finite.
+The step hands over the defect y - Psi(x') it has already formed for its
+residual, so a covering that needs it does not evaluate Psi(x') again.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, RankDeficient
+from .errors import BudgetExceeded, DimensionMismatch, RankDeficient
 from .linalg import NormTag, as_matrix, as_vector, norm, random_direction, shaped_vector
 from .majorant import ScalarFn
 
@@ -37,7 +39,13 @@ class CoveringMap:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def solve_within(self, x_prime: np.ndarray, y: np.ndarray, budget: float) -> np.ndarray:
+    def solve_within(self, x_prime: np.ndarray, y: np.ndarray, budget: float,
+                     defect: np.ndarray | None = None) -> np.ndarray:
+        """x with Psi(x) = y and ||x - x'|| <= budget, else BudgetExceeded.
+
+        defect, when given, is y - Psi(x') as the caller computed it, with the
+        bits the covering's own evaluation would give; None means compute it.
+        """
         raise NotImplementedError
 
 
@@ -55,9 +63,14 @@ class IdentityCovering(CoveringMap):
     def evaluate(self, x):
         return np.asarray(x, dtype=float)
 
-    def solve_within(self, x_prime, y, budget):
-        y = np.asarray(y, dtype=float)
-        step = norm(y - np.asarray(x_prime, dtype=float), self.norm_x)
+    def solve_within(self, x_prime, y, budget, defect=None):
+        x_prime = shaped_vector(x_prime)
+        y = shaped_vector(y)
+        if x_prime.size != self.dimension or y.size != self.dimension:
+            raise DimensionMismatch(
+                f"identity covering of dimension {self.dimension} got a start of size "
+                f"{x_prime.size} and a target of size {y.size}")
+        step = norm(y - x_prime, self.norm_x)
         if step > budget + BUDGET_TOL:
             raise BudgetExceeded(
                 f"identity covering asked to move {step:.6e} > budget {budget:.6e}",
@@ -103,15 +116,24 @@ class LinearSurjectiveCovering(CoveringMap):
             )
         self.b = float(b)
         self.psi = ScalarFn.linear(self.b)
+        # ndarray.dot makes the BLAS gemv call `@` makes, with less dispatch,
+        # when the matrix lies in C or F order and the vector has a positive
+        # stride; `@` on other layouts (a column slice, a reversed view) runs
+        # numpy's own loop, whose sums round otherwise, so those keep `@`.
+        # The pseudo-inverse is C-ordered and -defect is a new C-ordered vector.
+        self._dot_is_matmul = _c_or_f_ordered(self.B)
 
     def evaluate(self, x):
-        return -(self.B @ np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if self._dot_is_matmul and x.ndim == 1 and x.strides[0] > 0:
+            return -(self.B.dot(x))
+        return -(self.B @ x)
 
-    def solve_within(self, x_prime, y, budget):
+    def solve_within(self, x_prime, y, budget, defect=None):
         x_prime = shaped_vector(x_prime)
         y = shaped_vector(y)
-        v = -(y - self.evaluate(x_prime))
-        delta = self._pinv @ v
+        defect = y - self.evaluate(x_prime) if defect is None else shaped_vector(defect)
+        delta = self._pinv.dot(-defect)
         step = norm(delta, self.norm_x)
         if step > budget + BUDGET_TOL:
             raise BudgetExceeded(
@@ -120,6 +142,12 @@ class LinearSurjectiveCovering(CoveringMap):
                 step=step, budget=budget,
             )
         return x_prime + delta
+
+
+def _c_or_f_ordered(M: np.ndarray) -> bool:
+    """M's strides are those of its C-ordered or its F-ordered copy."""
+    (m, n), k = M.shape, M.itemsize
+    return M.strides in ((n * k, k), (k, m * k))
 
 
 @dataclass

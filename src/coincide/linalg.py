@@ -40,6 +40,10 @@ class NormTag(str, Enum):
     LINF = "linf"
 
 
+# The members, bound once: `norm` compares its tag against them on every call.
+_L2, _LINF = NormTag.L2, NormTag.LINF
+
+
 def shaped_vector(x) -> np.ndarray:
     """x as a nonempty 1-d float array; the entries are not checked."""
     v = np.asarray(x, dtype=float)
@@ -68,10 +72,10 @@ def as_matrix(m) -> np.ndarray:
 def norm(v, tag: NormTag = NormTag.L2) -> float:
     """Vector norm under the given tag; zero iff v is the zero vector."""
     v = np.asarray(v, dtype=float)
-    if tag == NormTag.L2:
+    if tag == _L2:
         x = v.ravel(order="K")
         return math.sqrt(x.dot(x))
-    if tag == NormTag.LINF:
+    if tag == _LINF:
         return float(np.max(np.abs(v))) if v.size else 0.0
     raise ValueError(f"unknown norm tag {tag!r}")
 
@@ -162,6 +166,32 @@ _ENUM_DIM_CAP = 16
 _ENUM_BLOCK = 1 << 20
 
 
+# A row norm below this has a subnormal sum of squares (or one that underflowed).
+_SUBNORMAL_NORM = 2.0 ** -511
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis.
+
+    np.linalg.norm squares the entries unscaled: a row with an entry above
+    about 1.3e154 norms to inf, and one whose sum of squares is subnormal
+    loses bits. Only those rows are recomputed, as s * ||row / s|| with
+    s = max |row| (a zero row stays 0, and a row that holds inf stays inf);
+    every other row keeps the bits np.linalg.norm gives it.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.linalg.norm(A, axis=-1)
+    redo = (out == np.inf) | (out < _SUBNORMAL_NORM)
+    if redo.any():
+        rows = A[redo]
+        s = np.max(np.abs(rows), axis=-1)
+        ok = (s > 0.0) & (s < np.inf)
+        with np.errstate(all="ignore"):
+            scaled = s * np.linalg.norm(rows / np.where(ok, s, 1.0)[:, None], axis=-1)
+        out[redo] = np.where(ok, scaled, s)
+    return out
+
+
 def operator_norm(M, from_tag: NormTag, to_tag: NormTag):
     """Operator norm subordinate to (from_tag, to_tag) of a matrix or a stack.
 
@@ -172,7 +202,8 @@ def operator_norm(M, from_tag: NormTag, to_tag: NormTag):
     l2 -> l2 is the largest singular value; linf -> linf the largest absolute
     row sum; l2 -> linf the largest row euclidean norm. linf -> l2 maximizes
     over the cube's vertices (exact; the objective is convex), so the input
-    dimension is capped at 16.
+    dimension is capped at 16. The euclidean norms of the last two are
+    rescaled where squaring would overflow or underflow (`_row_norms`).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.size == 0:
@@ -185,7 +216,7 @@ def operator_norm(M, from_tag: NormTag, to_tag: NormTag):
     elif from_tag == NormTag.LINF and to_tag == NormTag.LINF:
         out = np.max(np.sum(np.abs(M), axis=-1), axis=-1)
     elif from_tag == NormTag.L2 and to_tag == NormTag.LINF:
-        out = np.max(np.linalg.norm(M, axis=-1), axis=-1)
+        out = np.max(_row_norms(M), axis=-1)
     elif from_tag == NormTag.LINF and to_tag == NormTag.L2:
         m, n = M.shape[-2:]
         if n > _ENUM_DIM_CAP:
@@ -200,8 +231,7 @@ def operator_norm(M, from_tag: NormTag, to_tag: NormTag):
         flat = M.reshape(-1, m, n)
         block = max(1, _ENUM_BLOCK // (len(signs) * m))
         out = np.concatenate([
-            np.max(np.linalg.norm(signs @ flat[i:i + block].swapaxes(-1, -2), axis=-1),
-                   axis=-1)
+            np.max(_row_norms(signs @ flat[i:i + block].swapaxes(-1, -2)), axis=-1)
             for i in range(0, len(flat), block)]).reshape(M.shape[:-2])
     else:
         raise ValueError(f"unsupported norm pair ({from_tag}, {to_tag})")

@@ -110,10 +110,13 @@ def apply_bilinear(A: BilinearMap, x1, x2) -> np.ndarray:
 
 
 def spectral_overestimate(coeffs) -> float:
-    """Sum of per-slice spectral norms: a certified l2 bound constant."""
+    """Sum of per-slice spectral norms: a certified l2 bound constant.
+
+    One stacked SVD gives each slice the bits its own SVD gives it; the
+    norms are summed left to right.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
-    return float(sum(np.linalg.svd(coeffs[k], compute_uv=False)[0]
-                     for k in range(coeffs.shape[0])))
+    return float(sum(np.linalg.svd(coeffs, compute_uv=False)[:, 0].tolist()))
 
 
 class QuadraticMap(SmoothMap):
@@ -127,6 +130,7 @@ class QuadraticMap(SmoothMap):
                 f"offset has size {self.offset.size}, expected {bilinear.dim_y}")
         self.domain_center = np.zeros(bilinear.dim_x)
         self.domain_radius = float(domain_radius)
+        self._dim_x = bilinear.dim_x
 
     def evaluate(self, x):
         """apply_bilinear(x, x) + offset in one contraction.
@@ -136,13 +140,13 @@ class QuadraticMap(SmoothMap):
         every bit of the result as it was. Only the shape of x is checked: it
         is an iterate, and the covering step checks finiteness.
         """
-        A = self.bilinear
         x = shaped_vector(x)
-        if x.size != A.dim_x:
+        if x.size != self._dim_x:
             raise DimensionMismatch(
-                f"bilinear map expects vectors of size {A.dim_x}, got {x.size} and {x.size}")
+                f"bilinear map expects vectors of size {self._dim_x}, "
+                f"got {x.size} and {x.size}")
         u = x + x
-        return 0.25 * np.einsum("kij,i,j->k", A.coeffs, u, u) + self.offset
+        return 0.25 * np.einsum("kij,i,j->k", self.bilinear.coeffs, u, u) + self.offset
 
     def jacobian(self, x):
         x = as_vector(x)

@@ -216,40 +216,46 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
 
 
 def start_trace(cover: CoveringMap, phi: SmoothMap, x0, tau0: float, tau_star: float):
-    """Open a trace at a copy of x0; returns (x, Phi(x), residual, trace)."""
+    """Open a trace at a copy of x0; returns (x, Phi(x), defect, residual, trace),
+    where defect is Phi(x) - Psi(x) and residual its norm."""
     x = x0.copy()
     phi_x = phi.evaluate(x)
-    residual = norm(phi_x - cover.evaluate(x), cover.norm_y)
+    defect = phi_x - cover.evaluate(x)
+    residual = norm(defect, cover.norm_y)
     trace = IterateTrace(records=[TraceRecord(0, tau0, x.copy(), 0.0, 0.0, residual)],
                          tau0=tau0, tau_star=tau_star)
-    return x, phi_x, residual, trace
+    return x, phi_x, defect, residual, trace
 
 
 def covering_step(trace: IterateTrace, cover: CoveringMap, phi: SmoothMap, x0, x, phi_x,
-                  budget: float, tau_next: float):
+                  budget: float, tau_next: float, defect=None):
     """Solve Psi(x_next) = Phi(x) within budget and record the row at tau_next.
 
-    budget is passed apart from tau_next: the baseline sums its budgets into
-    tau, and in floats (tau + budget) - tau need not be budget. Propagates
-    BudgetExceeded, and raises NonFiniteValue when the step norm is inf or
-    NaN: an inf or NaN entry in x or Phi(x), or in the covering's answer,
-    makes it so. It raises NonFiniteValue too when the new residual is inf or
-    NaN (Phi(x_next) or Psi(x_next) overflowed), before recording the row.
-    Returns (x_next, Phi(x_next), residual).
+    defect is Phi(x) - Psi(x) as the previous step (or start_trace) returned
+    it, handed to the covering so that it need not evaluate Psi(x) again;
+    None makes the covering compute it. budget is passed apart from
+    tau_next: the baseline sums its budgets into tau, and in floats
+    (tau + budget) - tau need not be budget. Propagates BudgetExceeded, and
+    raises NonFiniteValue when the step norm is inf or NaN: an inf or NaN
+    entry in x or Phi(x), or in the covering's answer, makes it so. It
+    raises NonFiniteValue too when the new residual is inf or NaN
+    (Phi(x_next) or Psi(x_next) overflowed), before recording the row.
+    Returns (x_next, Phi(x_next), defect at x_next, residual).
     """
     k = len(trace.records)
-    x_next = cover.solve_within(x, phi_x, budget)
+    x_next = cover.solve_within(x, phi_x, budget, defect)
     step = norm(x_next - x, cover.norm_x)
     if not math.isfinite(step):
         raise NonFiniteValue(f"iterate {k} is not finite (step norm {step})")
     phi_next = phi.evaluate(x_next)
-    residual = norm(phi_next - cover.evaluate(x_next), cover.norm_y)
+    defect = phi_next - cover.evaluate(x_next)
+    residual = norm(defect, cover.norm_y)
     if not math.isfinite(residual):
         raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
     trace.records.append(TraceRecord(
         k, tau_next, np.array(x_next, dtype=float),
         step, norm(x_next - x0, cover.norm_x), residual))
-    return x_next, phi_next, residual
+    return x_next, phi_next, defect, residual
 
 
 def coincidence_solve(inst: ProblemInstance,
@@ -291,9 +297,10 @@ def coincidence_solve(inst: ProblemInstance,
     if h2_check not in ("warn", "strict"):
         raise ValueError("h2_check must be 'warn' or 'strict'")
     pair = inst.majorants
+    cover, phi, x0 = inst.cover, inst.phi, inst.x0
     tau_star = smallest_crossing(pair)
     tau = pair.tau0
-    x, phi_x, residual, trace = start_trace(inst.cover, inst.phi, inst.x0, tau, tau_star)
+    x, phi_x, defect, residual, trace = start_trace(cover, phi, x0, tau, tau_star)
 
     if not validate_h2_start(pair, residual):
         trace.status = STATUS_HYPOTHESIS
@@ -312,7 +319,13 @@ def coincidence_solve(inst: ProblemInstance,
                 return x, trace
             warnings.warn(msg, RuntimeWarning)
 
-    psi_tau = pair.psi(tau)  # each step's psi(tau_next) is the next step's psi(tau)
+    psi = pair.psi
+    # A linear psi with float coefficients is evaluated inline, as next_tau
+    # does: slope * t + intercept has the bits psi(t) has.
+    coeffs = psi.linear_coeffs
+    inline = coeffs is not None and all(type(c) is float for c in coeffs)
+    slope, intercept = coeffs if inline else (0.0, 0.0)
+    psi_tau = psi(tau)  # each step's psi(tau_next) is the next step's psi(tau)
     for j in range(max_steps):
         if residual <= residual_tol:
             trace.status = STATUS_CONVERGED
@@ -327,7 +340,7 @@ def coincidence_solve(inst: ProblemInstance,
             trace.status = STATUS_MAX_STEPS
             trace.detail = "tau sequence stalled at float resolution"
             return x, trace
-        psi_next = pair.psi(tau_next)
+        psi_next = slope * tau_next + intercept if inline else psi(tau_next)
         increment = psi_next - psi_tau
         if residual > increment + STEP_TOL:
             trace.status = STATUS_HYPOTHESIS
@@ -335,8 +348,8 @@ def coincidence_solve(inst: ProblemInstance,
                             f"{increment:.6e} at step {j}")
             return x, trace
 
-        x, phi_x, residual = covering_step(trace, inst.cover, inst.phi, inst.x0, x, phi_x,
-                                           tau_next - tau, tau_next)
+        x, phi_x, defect, residual = covering_step(trace, cover, phi, x0, x, phi_x,
+                                                   tau_next - tau, tau_next, defect)
         tau, psi_tau = tau_next, psi_next
 
     trace.status = STATUS_MAX_STEPS

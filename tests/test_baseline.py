@@ -118,10 +118,11 @@ def test_estimate_lipschitz_underestimates_quadratic():
 
 
 def test_each_loop_step_makes_the_same_calls(monkeypatch):
-    # Per step, both loops make one covering solve, three evaluations
-    # (Phi, Psi, and Psi inside the solve) and four norms (the solve's
-    # correction, the residual, the step and the deviation); opening the
-    # trace makes two evaluations and one norm. The counts are exact.
+    # Per step, both loops make one covering solve, two evaluations (Phi and
+    # Psi; the solve is handed the defect and evaluates nothing) and four
+    # norms (the solve's correction, the residual, the step and the
+    # deviation); opening the trace makes two evaluations and one norm. The
+    # counts are exact.
     counts = {"majorant": Counter(), "baseline": Counter()}
     active = []
 
@@ -160,4 +161,4 @@ def test_each_loop_step_makes_the_same_calls(monkeypatch):
                          ("baseline", report.baseline_trace)):
         assert trace.status == STATUS_CONVERGED and trace.steps > 300
         n = trace.steps
-        assert counts[label] == Counter(solve_within=n, evaluate=3 * n + 2, norm=4 * n + 1)
+        assert counts[label] == Counter(solve_within=n, evaluate=2 * n + 2, norm=4 * n + 1)

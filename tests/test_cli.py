@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +510,67 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not any(out.iterdir())
+
+
+def _with_fields(kind, **fields):
+    """The kind's config from OVERFLOW_FIELDS with some section fields replaced."""
+    payload, section, _ = OVERFLOW_FIELDS[kind]
+    payload = json.loads(json.dumps(payload))
+    payload[section].update(fields)
+    return payload
+
+
+# Number fields given something else. Each was once let through: "inf" as two
+# numpy warnings and a late config error, "nan" as a non-finite Phi mid-run,
+# the strings and booleans as numbers that solved.
+NON_NUMBERS = {
+    "kantorovich-inf-string": _with_fields("kantorovich", linear=[["inf"]]),
+    "custom-scalar-nan-string": _with_fields("custom-scalar", phi_poly=["nan", 0, 0, 1]),
+    "quadratic-string-tensor-and-a": _with_fields("quadratic", tensor=[[["1"]]], a="1.0"),
+    "quadratic-true-a": _with_fields("quadratic", a=True),
+    "quadratic-true-matrix": _with_fields("quadratic", matrix=[[True]]),
+    "kantorovich-true-lipschitz": _with_fields("kantorovich", lipschitz=True),
+    "custom-scalar-string-slope": _with_fields("custom-scalar", psi_slope="2"),
+    "custom-scalar-null-coefficient": _with_fields("custom-scalar", majorant_poly=[0.75, None]),
+    "true-max-steps": scalar_config(0.75, max_steps=True),
+    "string-residual-tol": scalar_config(0.75, residual_tol="1e-8"),
+}
+
+
+class TestNonNumbers:
+    @pytest.mark.parametrize("name", NON_NUMBERS)
+    def test_non_number_is_one_config_error(self, tmp_path, capsys, name):
+        cfg = write_json(tmp_path / "cfg.json", NON_NUMBERS[name])
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert not (out / "trace.csv").exists()
+
+    def test_integer_entries_are_numbers(self, tmp_path):
+        payload = _with_fields("quadratic", tensor=[[[1]]], matrix=[[3]], offset=[2],
+                               a=1, b=3, c=2)
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_mixed_norm_tags_of_a_huge_derivative_solve_cleanly(tmp_path, capsys):
+    # |J| = 1e200: the l2 -> linf and linf -> l2 operator norms squared it
+    # unscaled, overflowed, and --strict-h2 refused the solve.
+    section = {"phi_poly": [0.5, 1e200], "psi_slope": 2e200,
+               "majorant_poly": [0.5, 1e200], "horizon": 1.0}
+    for x, y in (("l2", "linf"), ("linf", "l2")):
+        cfg = write_json(tmp_path / f"{x}-{y}.json", {
+            "kind": "custom-scalar", "norms": {"x": x, "y": y}, "custom_scalar": section})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--config", cfg, "--out", str(tmp_path / f"{x}-{y}"),
+                         "--strict-h2"])
+        assert code == 0 and caught == []
+        assert capsys.readouterr().err == ""
 
 
 def _subclasses(cls):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coincide.covering import (
     IdentityCovering,
@@ -8,6 +10,8 @@ from coincide.covering import (
 )
 from coincide.errors import BudgetExceeded, DimensionMismatch, RankDeficient
 from coincide.linalg import NormTag, smallest_singular_value
+from coincide.problems import build_quadratic_instance, scalar_quadratic
+from coincide.solver import coincidence_solve
 
 
 def test_identity_returns_target_bitwise():
@@ -16,6 +20,23 @@ def test_identity_returns_target_bitwise():
     x = cover.solve_within(np.array([0.0, 0.0]), y, budget=0.5)
     assert x is y or np.array_equal(x, y)
     assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("x_prime, y", [
+    (np.zeros(2), np.array([[0.3], [0.4]])),  # would broadcast y - x' to 2 x 2
+    (np.zeros((2, 1)), np.array([0.3, 0.4])),
+    (np.zeros(2), 0.3),
+    (np.zeros(2), np.zeros(0)),
+])
+def test_identity_refuses_a_start_or_target_that_is_not_a_vector(x_prime, y):
+    with pytest.raises(DimensionMismatch, match="expected a nonempty 1-d vector"):
+        IdentityCovering(2).solve_within(x_prime, y, budget=10.0)
+
+
+@pytest.mark.parametrize("x_size, y_size", [(2, 3), (3, 2), (3, 3), (1, 1)])
+def test_identity_refuses_vectors_of_another_dimension(x_size, y_size):
+    with pytest.raises(DimensionMismatch, match="identity covering of dimension 2"):
+        IdentityCovering(2).solve_within(np.zeros(x_size), np.ones(y_size), budget=10.0)
 
 
 def test_identity_budget_enforced():
@@ -141,3 +162,117 @@ def test_solutions_satisfy_equation_to_relative_tolerance():
         y = rng.standard_normal(3)
         x = cover.solve_within(x_prime, y, budget=np.inf)
         assert np.linalg.norm(cover.evaluate(x) - y) <= 1e-9 * (1.0 + np.linalg.norm(y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 12), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       tag=st.sampled_from([NormTag.L2, NormTag.LINF]),
+       scale=st.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e200]),
+       budget=st.sampled_from([0.0, 1e-3, np.inf]), stride=st.sampled_from([1, 2, -1]))
+@example(n=1, rows=1, seed=0, tag=NormTag.L2, scale=1.0, budget=np.inf, stride=1)
+@example(n=12, rows=12, seed=0, tag=NormTag.L2, scale=1.0, budget=np.inf, stride=2)
+def test_solve_within_has_the_same_bits_with_or_without_the_defect(n, rows, seed, tag,
+                                                                   scale, budget, stride):
+    # The defect a step hands over is y - Psi(x'), as the covering forms it;
+    # a caller may hand it over as a strided view.
+    m = min(rows, n)
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((m, n))
+    cover = LinearSurjectiveCovering(B, b=smallest_singular_value(B), norm_x=tag, norm_y=tag)
+    x_prime = scale * rng.standard_normal(n)
+    y = cover.evaluate(x_prime) + scale * rng.standard_normal(m)
+    defect = np.zeros(abs(stride) * m)[::stride]
+    defect[:] = y - cover.evaluate(x_prime)
+
+    def outcome(*extra):
+        try:
+            return cover.solve_within(x_prime, y, budget, *extra).tobytes()
+        except BudgetExceeded as err:
+            return str(err)
+
+    with np.errstate(all="ignore"):
+        assert outcome(defect) == outcome() == outcome(None)
+
+
+def test_linear_covering_refuses_a_defect_that_is_not_a_vector():
+    cover = LinearSurjectiveCovering([[2.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DimensionMismatch, match=r"got shape \(2, 2\)"):
+        cover.solve_within(np.zeros(2), np.ones(2), 10.0, np.ones((2, 2)))
+
+
+def test_a_step_handed_its_defect_evaluates_nothing_in_the_solve(monkeypatch):
+    evaluations = []  # True for a Psi evaluation inside solve_within
+    inside = []
+    evaluate = LinearSurjectiveCovering.evaluate
+    solve_within = LinearSurjectiveCovering.solve_within
+
+    def counted_evaluate(self, x):
+        evaluations.append(bool(inside))
+        return evaluate(self, x)
+
+    def scoped_solve_within(self, *args):
+        inside.append(True)
+        try:
+            return solve_within(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LinearSurjectiveCovering, "evaluate", counted_evaluate)
+    monkeypatch.setattr(LinearSurjectiveCovering, "solve_within", scoped_solve_within)
+    inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
+    _, trace = coincidence_solve(inst, residual_tol=1e-10)
+    assert trace.status == "converged" and trace.steps > 10
+    assert evaluations.count(True) == 0
+    assert evaluations.count(False) == trace.steps + 1  # the residuals
+    # Without a defect the solve evaluates Psi(x') itself.
+    inst.cover.solve_within(np.zeros(1), np.ones(1), np.inf)
+    assert evaluations[-1] is True
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 300), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       order=st.sampled_from(["C", "F"]), stride=st.sampled_from([1, 2, 3]))
+@example(m=300, n=300, seed=0, order="F", stride=2)
+@example(m=1, n=300, seed=1, order="C", stride=1)
+@example(m=300, n=1, seed=2, order="F", stride=3)
+def test_ndarray_dot_has_the_bits_of_matmul(m, n, seed, order, stride):
+    # The covering's products use ndarray.dot for `@` on a C- or F-ordered
+    # matrix and a vector of positive stride: one BLAS gemv either way.
+    rng = np.random.default_rng(seed)
+    A = np.asarray(rng.standard_normal((m, n)), order=order)
+    v = rng.standard_normal(stride * n)[::stride]
+    assert A.dot(v).tobytes() == (A @ v).tobytes()
+
+
+def _laid_out(rng, shape, layout):
+    """A random array of the given shape as a C-ordered array or as a view."""
+    if layout == "C":
+        return rng.standard_normal(shape)
+    if layout == "F":
+        return np.asfortranarray(rng.standard_normal(shape))
+    if layout == "rows":
+        return rng.standard_normal((2 * shape[0],) + shape[1:])[::2]
+    if layout == "columns":
+        return rng.standard_normal(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    if layout == "reversed":
+        return rng.standard_normal(shape)[::-1]
+    return np.broadcast_to(rng.standard_normal(shape[-1]), shape)  # "broadcast"
+
+
+LAYOUTS = ["C", "F", "rows", "columns", "reversed", "broadcast"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 8), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       matrix=st.sampled_from(LAYOUTS), vector=st.sampled_from(["C", "rows", "reversed"]))
+@example(rows=2, n=2, seed=0, matrix="columns", vector="C")
+@example(rows=3, n=7, seed=0, matrix="reversed", vector="reversed")
+def test_evaluate_has_the_bits_of_matmul_in_any_layout(rows, n, seed, matrix, vector):
+    # Layouts where ndarray.dot would round otherwise keep `@`.
+    rng = np.random.default_rng(seed)
+    B = _laid_out(rng, (min(rows, n), n), matrix)
+    if smallest_singular_value(B) <= 1e-6:
+        return
+    cover = LinearSurjectiveCovering(B, check_constant=False)
+    x = _laid_out(rng, (n,), vector)
+    assert cover.evaluate(x).tobytes() == (-(B @ x)).tobytes()

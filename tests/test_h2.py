@@ -7,10 +7,11 @@ gives, bit for bit.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from h2_reference import reference_operator_norm, reference_validate_h2
@@ -82,6 +83,58 @@ def test_operator_norm_keeps_leading_stack_axes(pair):
     assert got.shape == (2, 3)
     for idx in np.ndindex(2, 3):
         assert bits(got[idx]) == bits(reference_operator_norm(stack[idx], *pair))
+
+
+@st.composite
+def normal_range_matrices(draw):
+    """Entries of magnitude 1e-150 to 1e150, or 0: no square overflows or
+    leaves the normal range, so no row norm is recomputed."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(1e-150, 1e150).flatmap(
+        lambda v: st.sampled_from([v, -v])))
+    return np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal_range_matrices(), st.sampled_from([(L2, LINF), (LINF, L2)]))
+@example(np.array([[1e150, -1e150], [1e-150, 0.0]]), (L2, LINF))
+@example(np.array([[1e-150, -1e-150]]), (LINF, L2))  # a vertex image of 0
+def test_rescaled_row_norms_keep_the_bits_of_the_plain_norm(M, pair):
+    assert bits(operator_norm(M, *pair)) == bits(reference_operator_norm(M, *pair))
+
+
+@pytest.mark.parametrize("pair", [(L2, LINF), (LINF, L2)], ids=["l2-linf", "linf-l2"])
+@pytest.mark.parametrize("M, want", [
+    ([[1e200]], 1e200),
+    ([[-1e300]], 1e300),
+    ([[1e-200]], 1e-200),
+    ([[5e-324]], 5e-324),
+    ([[0.0]], 0.0),
+    ([[1.7976931348623157e308]], 1.7976931348623157e308),
+], ids=["1e200", "-1e300", "1e-200", "subnormal", "zero", "max"])
+def test_one_by_one_operator_norm_is_the_absolute_value(M, want, pair):
+    # Unscaled, the square of 1e200 overflowed to inf (with numpy's warning)
+    # and that of 1e-200 underflowed to 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert operator_norm(np.array(M), *pair) == want
+
+
+def test_rows_past_the_square_range_are_rescaled():
+    # l2 -> linf takes the largest row norm; linf -> l2 the largest vertex image.
+    M = np.array([[3e200, 4e200], [3e-200, 4e-200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert operator_norm(M, L2, LINF) == pytest.approx(5e200, rel=1e-15)
+        assert operator_norm(M, LINF, L2) == pytest.approx(math.hypot(7e200, 7e-200),
+                                                           rel=1e-15)
+        stack = operator_norm(np.stack([M[1:], M[:1]]), L2, LINF)
+    assert stack[0] == pytest.approx(5e-200, rel=1e-15)
+    assert stack[1] == pytest.approx(5e200, rel=1e-15)
+    # A row sum that overflows past the largest float is inf, not nan.
+    big = np.array([[1.7976931348623157e308, 1.7976931348623157e308]])
+    with np.errstate(over="ignore"):
+        assert operator_norm(big, LINF, L2) == math.inf
 
 
 def test_linf_to_l2_blocks_give_the_same_bits(monkeypatch):
@@ -405,15 +458,19 @@ def test_affine_proof_needs_an_affine_map_and_a_linear_profile():
 
 def test_mixed_tags_stay_sampled_where_the_norm_overflows():
     # In 1-d every norm is |.|, but the l2 -> linf operator norm squares the
-    # entry: |J| = 1e200 norms to inf. The proof would hold for one tag.
+    # entry, and |J| = 1e200 would overflow unscaled. The proof would hold
+    # for one tag; the mixed tags are sampled, and the rescaled norm makes
+    # the sample clean (it overflowed to 100/100 violations of excess inf).
     section = {"phi_poly": [0.5, 1e200], "psi_slope": 2e200,
                "majorant_poly": [0.5, 1e200], "horizon": 1.0}
     assert built("custom-scalar", section, (L2, L2)).h2_proven
-    mixed = built("custom-scalar", section, (L2, LINF))
-    assert not mixed.h2_proven
-    with np.errstate(over="ignore"):
-        report = validate_h2_derivative(mixed, H2_SAMPLES, tau_hi=1.0)
-    assert report.violations == H2_SAMPLES and report.max_excess == math.inf
+    for norms in ((L2, LINF), (LINF, L2)):
+        mixed = built("custom-scalar", section, norms)
+        assert not mixed.h2_proven
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_h2_derivative(mixed, H2_SAMPLES, tau_hi=1.0)
+        assert report.violations == 0 and report.max_excess == 0.0
 
 
 def test_polynomial_proof_needs_a_finite_majorant_slope():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coincide.errors import DimensionMismatch, NegativeDiscriminant
 from coincide.linalg import finite_diff_jacobian
@@ -85,6 +87,39 @@ class TestApplyBilinear:
         T /= spectral_overestimate(T)
         A = BilinearMap(coeffs=T, bound=spectral_overestimate(T))
         assert A.audit_bound(pairs=1000, seed=5) <= A.bound * (1.0 + 1e-9)
+
+
+def per_slice_overestimate(coeffs) -> float:
+    """One SVD per slice, summed left to right: the overestimate as it was."""
+    return float(sum(np.linalg.svd(coeffs[k], compute_uv=False)[0]
+                     for k in range(coeffs.shape[0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim_y=st.integers(1, 12), dim_x=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e5, 1e150]))
+@example(dim_y=12, dim_x=12, seed=0, scale=1.0)
+@example(dim_y=1, dim_x=1, seed=1, scale=1.0)
+def test_stacked_overestimate_has_the_per_slice_bits(dim_y, dim_x, seed, scale):
+    T = np.random.default_rng(seed).standard_normal((dim_y, dim_x, dim_x)) * scale
+    T = 0.5 * (T + T.transpose(0, 2, 1))
+    got = spectral_overestimate(T)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(per_slice_overestimate(T)).tobytes()
+
+
+def test_overestimate_makes_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    T = np.random.default_rng(7).standard_normal((9, 12, 12))
+    spectral_overestimate(0.5 * (T + T.transpose(0, 2, 1)))
+    assert calls == [(9, 12, 12)]
 
 
 def test_quadratic_evaluate_makes_one_einsum(monkeypatch):

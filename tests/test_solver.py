@@ -275,7 +275,7 @@ class TestCoveringStepRefusesANonFiniteIterate:
 
     def test_user_covering(self):
         class NaNCovering(IdentityCovering):
-            def solve_within(self, x_prime, y, budget):
+            def solve_within(self, x_prime, y, budget, defect=None):
                 return np.full_like(y, math.nan)
 
         with pytest.raises(NonFiniteValue, match=r"step norm nan"):
