@@ -49,6 +49,7 @@ from .problems import (
     QuadraticProblem,
     apply_bilinear,
     build_kantorovich_instance,
+    build_polynomial_instance,
     build_quadratic_instance,
     random_quadratic,
     scalar_quadratic,

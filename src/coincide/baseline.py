@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .covering import CoveringMap, LinearSurjectiveCovering
+from .covering import CoveringMap
 from .errors import InsufficientData, NoCrossing, NotContractive
 from .linalg import NormTag, as_vector, norm, random_direction
 from .solver import (
@@ -72,11 +72,12 @@ class AlphaCoveringProblem:
         """Restrict the quadratic instance to the ball of radius tau_*.
 
         There the analytic Lipschitz constant of Phi is 2 a tau_*; the
-        covering constant is b. The two coincide exactly when D = 0.
+        covering constant is b. The two coincide exactly when D = 0. u is the
+        problem's own covering, the one its coincidence instance uses.
         """
         tau_star = q.tau_star()
         return cls(
-            u=LinearSurjectiveCovering(q.linear, b=q.b),
+            u=q.cover,
             v=QuadraticMap(q.bilinear, q.offset, domain_radius=tau_star),
             alpha=q.b,
             beta=2.0 * q.a * tau_star,

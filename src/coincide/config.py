@@ -16,28 +16,25 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .covering import LinearSurjectiveCovering
 from .errors import CoincidenceError
 from .linalg import NormTag
-from .majorant import DEFAULT_HORIZON, MajorantPair, ScalarFn
+from .majorant import DEFAULT_HORIZON, ScalarFn
 from .problems import (
     BilinearMap,
     QuadraticProblem,
     build_kantorovich_instance,
+    build_polynomial_instance,
     build_quadratic_instance,
     random_quadratic,
 )
-from .solver import (
-    DEFAULT_MAX_STEPS,
-    DEFAULT_RESIDUAL_TOL,
-    AffineMap,
-    CallableMap,
-    ProblemInstance,
-)
+from .solver import DEFAULT_MAX_STEPS, DEFAULT_RESIDUAL_TOL, AffineMap
+
+if TYPE_CHECKING:  # for BuiltProblem's annotation; the builders make instances
+    from .solver import ProblemInstance
 
 KINDS = ("quadratic", "kantorovich", "custom-scalar")
 METHODS = ("majorant", "baseline", "compare")
@@ -277,34 +274,11 @@ def _build_custom_scalar(section: dict, norms) -> ProblemInstance:
         raise ConfigError(f"bad custom_scalar section: {err}") from err
     if psi_slope <= 0:
         raise ConfigError("psi_slope must be positive")
-    poly = ScalarFn.polynomial(phi_poly)
-    phi_map = CallableMap(
-        f=lambda x: np.array([poly(float(np.asarray(x)[0]))]),
-        jac=lambda x: np.array([[poly.derivative(float(np.asarray(x)[0]))]]),
-        domain_center=np.array([x0]),
-        domain_radius=horizon,
-    )
     try:
-        pair = MajorantPair(
-            psi=ScalarFn.linear(psi_slope),
-            phi=ScalarFn.polynomial(majorant_poly),
-            tau0=tau0,
-            horizon=horizon,
-        )
+        return build_polynomial_instance(phi_poly, majorant_poly, psi_slope, horizon,
+                                         x0=x0, tau0=tau0, norms=norms)
     except ValueError as err:
         raise ConfigError(f"invalid majorant pair: {err}") from err
-    inst = ProblemInstance(
-        phi=phi_map,
-        cover=LinearSurjectiveCovering(np.array([[psi_slope]]), b=psi_slope,
-                                       norm_x=norms[0], norm_y=norms[1]),
-        majorants=pair,
-        x0=np.array([x0]),
-    )
-    # Elsewhere the ball is not centred at 0 and the proof would need p' and
-    # m' re-expanded about x0 and tau0; those instances are sampled.
-    if x0 == 0.0 and tau0 == 0.0:
-        inst.h2_proven = _polynomial_h2_proven(phi_poly, majorant_poly, pair, norms)
-    return inst
 
 
 def _coefficients(value, key: str) -> list:
@@ -313,28 +287,6 @@ def _coefficients(value, key: str) -> list:
     if array.ndim != 1:
         raise TypeError(f"{key} must be a list of numbers, got shape {array.shape}")
     return array.tolist()
-
-
-def _polynomial_h2_proven(phi_poly, majorant_poly, pair: MajorantPair, norms) -> bool:
-    """H2 for Phi = p against phi = m on |x| <= tau, with x0 = tau0 = 0.
-
-    It holds when every majorant coefficient m_k (k >= 1) is >= 0 and at
-    least |p_k|, m'(tau_end) is finite and X and Y carry one norm tag. Float
-    rounding is monotone and odd, so k * p_k, each Horner product and each
-    Horner sum keep |fl p'(x)| <= fl m'(tau) whenever |x| <= tau, and
-    fl m'(tau) <= fl m'(tau_end) < inf on the window: no sampled Jacobian is
-    inf or NaN. For one tag the 1x1 operator norm is |J| (linf) or at most
-    |J| (l2, by SVD); the mixed tags take the rescaled row norm of J, which
-    this argument does not cover, so they are sampled. An O(n) float
-    comparison with no slack.
-    """
-    if norms[0] != norms[1]:
-        return False
-    width = max(len(phi_poly), len(majorant_poly))
-    ps = phi_poly[1:] + [0.0] * (width - len(phi_poly))
-    ms = majorant_poly[1:] + [0.0] * (width - len(majorant_poly))
-    return (all(0.0 <= m and abs(p) <= m for p, m in zip(ps, ms))
-            and math.isfinite(pair.phi.derivative(pair.tau_end)))
 
 
 def build_problem(cfg: ProblemConfig) -> BuiltProblem:

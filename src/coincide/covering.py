@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, RankDeficient
-from .linalg import NormTag, as_matrix, as_vector, norm, random_direction, shaped_vector
+from .linalg import (RANK_TOL, NormTag, as_matrix, as_vector, norm, random_direction,
+                     shaped_vector)
 from .majorant import ScalarFn
 
 # Budget slack of the covering contract.
@@ -97,7 +98,7 @@ class LinearSurjectiveCovering(CoveringMap):
         self.norm_y = norm_y
         m, n = self.B.shape
         u, s, vt = np.linalg.svd(self.B, full_matrices=False)
-        if m > n or s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
+        if m > n or s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
             raise RankDeficient(f"matrix {m}x{n} is not surjective")
         self.sigma_min = float(s[-1])
         # Cached minimal-norm inverse; identical math to min_norm_solve.

@@ -76,7 +76,7 @@ def norm(v, tag: NormTag = NormTag.L2) -> float:
         x = v.ravel(order="K")
         return math.sqrt(x.dot(x))
     if tag == _LINF:
-        return float(np.max(np.abs(v))) if v.size else 0.0
+        return float(abs(v).max()) if v.size else 0.0
     raise ValueError(f"unknown norm tag {tag!r}")
 
 

@@ -12,11 +12,12 @@ psi - phi touches zero without a sign change) are resolved by refining grid
 maxima with a golden-section pass.
 
 The scan grid and the validation grid are each evaluated in one call,
-`ScalarFn.on_grid`. For the linear, polynomial and shifted functions the
-library builds, that call repeats the scalar arithmetic step for step on a
-numpy array, so every grid value has the bits the scalar call gives. The sign
-change and the candidate maxima come from array comparisons; the scalar
-golden-section and bisection passes run only on the cells they select.
+`ScalarFn.on_grid`. The linear, polynomial and shifted functions the library
+builds are in-place arithmetic that takes a float or a float64 array, so
+`on_grid` calls them once and every grid value has the scalar call's bits;
+any other function is called point by point. The sign change and the
+candidate maxima come from array comparisons; the scalar golden-section and
+bisection passes run only on the cells they select.
 
 `next_tau` returns the float that bisection to float adjacency returns, but
 finds it in O(1) for a linear psi. Every builder makes psi with
@@ -60,50 +61,60 @@ def root_tolerance(tau: float) -> float:
 
 @dataclass
 class ScalarFn:
-    """A scalar function of tau with an optional derivative evaluator.
-
-    `grid`, when given, is `fn` for a float64 array: the same operations in
-    the same order, elementwise, so each entry has the bits `fn` gives at that
-    point. Without it `on_grid` calls `fn` point by point.
-    """
+    """A scalar function of tau with an optional derivative evaluator."""
 
     fn: Callable[[float], float]
     deriv: Optional[Callable[[float], float]] = None
-    grid: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # (slope, intercept), set only by `linear`; `next_tau` then evaluates
     # slope * t + intercept inline. Not a constructor argument, so a function
     # built any other way never claims to be linear.
     linear_coeffs: Optional[tuple] = field(default=None, init=False, repr=False)
+    # Set only by `linear`, `polynomial` and `shifted`, whose fn takes a
+    # float64 array as well as a float and does the same operations
+    # elementwise; `on_grid` then calls fn once on the array.
+    vectorized: bool = field(default=False, init=False, repr=False)
 
     def __call__(self, tau: float) -> float:
         return float(self.fn(tau))
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         """Values at every point of the float64 array ts."""
-        if self.grid is None:
+        if not self.vectorized:
             return np.array([self(t) for t in ts.tolist()], dtype=float)
         # Overflow gives inf as in scalar float arithmetic, without a warning.
         with np.errstate(all="ignore"):
-            return self.grid(ts)
+            return self.fn(ts)
 
     def derivative(self, tau: float) -> float:
         if self.deriv is None:
             raise ValueError("scalar function has no derivative")
         return float(self.deriv(tau))
 
+    def shifted(self, offset: float) -> "ScalarFn":
+        """t -> self(t) + offset, with self's derivative."""
+        base = self.fn if self.vectorized else self
+
+        def fn(t):
+            out = base(t)
+            out += offset
+            return out
+
+        out = ScalarFn(fn=fn, deriv=self.deriv)
+        out.vectorized = self.vectorized
+        return out
+
+    # In place (`out = t * slope; out += intercept`), so an array t makes one
+    # array: `slope * t + intercept` made on_grid up to 2x slower.
     @staticmethod
     def linear(slope: float, intercept: float = 0.0) -> "ScalarFn":
-        def grid(ts):
-            out = ts * slope
+        def fn(t):
+            out = t * slope
             out += intercept
             return out
 
-        out = ScalarFn(
-            fn=lambda t: slope * t + intercept,
-            deriv=lambda t: slope,
-            grid=grid,
-        )
+        out = ScalarFn(fn=fn, deriv=lambda t: slope)
         out.linear_coeffs = (slope, intercept)
+        out.vectorized = True
         return out
 
     @staticmethod
@@ -113,24 +124,17 @@ class ScalarFn:
         ds = [i * c for i, c in enumerate(cs)][1:] or [0.0]
 
         def horner(values, t):
-            acc = 0.0
+            # The first `acc *= t` makes the float 0.0 an array when t is
+            # one; no coefficients make zeros of t's shape.
+            acc = 0.0 if values else np.zeros_like(t, dtype=float)
             for c in reversed(values):
-                acc = acc * t + c
-            return acc
-
-        # In place, so a grid evaluation holds one array at a time.
-        def grid(ts):
-            acc = np.zeros_like(ts)
-            for c in reversed(cs):
-                acc *= ts
+                acc *= t
                 acc += c
             return acc
 
-        return ScalarFn(
-            fn=lambda t: horner(cs, t),
-            deriv=lambda t: horner(ds, t),
-            grid=grid,
-        )
+        out = ScalarFn(fn=lambda t: horner(cs, t), deriv=lambda t: horner(ds, t))
+        out.vectorized = True
+        return out
 
 
 @dataclass

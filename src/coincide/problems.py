@@ -30,7 +30,7 @@ from .linalg import (
     smallest_singular_value,
 )
 from .majorant import DEFAULT_HORIZON, MajorantPair, ScalarFn
-from .solver import AffineMap, ProblemInstance, SmoothMap
+from .solver import AffineMap, CallableMap, ProblemInstance, SmoothMap
 
 
 @dataclass
@@ -38,9 +38,9 @@ class BilinearMap:
     """Symmetric bilinear A: X x X -> Y as a rank-3 coefficient array.
 
     coeffs[k, i, j] weights x1[i] * x2[j] in output component k. The bound
-    constant satisfies ||A(x1, x2)|| <= bound * ||x1|| * ||x2|| (certify with
-    audit_bound). Without a bound the l2 spectral overestimate is used, which
-    guarantees it; generated tensors are rescaled against it.
+    constant satisfies ||A(x1, x2)|| <= bound * ||x1|| * ||x2||. Without a
+    bound the l2 spectral overestimate is used, which guarantees it;
+    generated tensors are rescaled against it.
     """
 
     coeffs: np.ndarray
@@ -75,19 +75,6 @@ class BilinearMap:
 
     def __call__(self, x1, x2):
         return apply_bilinear(self, x1, x2)
-
-    def audit_bound(self, pairs: int = 1000, seed: int = 0) -> float:
-        """Max sampled l2 ratio ||A(x1,x2)|| / (||x1|| ||x2||); must stay <= bound."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(pairs):
-            x1 = rng.standard_normal(self.dim_x)
-            x2 = rng.standard_normal(self.dim_x)
-            denom = norm(x1) * norm(x2)
-            if denom < 1e-12:
-                continue
-            worst = max(worst, norm(apply_bilinear(self, x1, x2)) / denom)
-        return worst
 
 
 def apply_bilinear(A: BilinearMap, x1, x2) -> np.ndarray:
@@ -158,7 +145,9 @@ class QuadraticProblem:
     """A(x,x) + Bx + C = 0 with its certified constants a, b, c.
 
     a is the bilinear map's bound. b defaults to sigma_min(B), the largest
-    valid covering constant, and c to ||C||.
+    valid covering constant, and c to ||C||. The covering Psi(x) = -Bx with
+    modulus b * tau is built once, on first use, and every instance and
+    baseline made from the problem shares it.
     """
 
     bilinear: BilinearMap
@@ -190,6 +179,10 @@ class QuadraticProblem:
         if abs(self.c - c_true) > 1e-9 * (1.0 + c_true):
             raise ValueError(f"c={self.c} disagrees with ||C||={c_true}")
 
+    @cached_property
+    def cover(self) -> LinearSurjectiveCovering:
+        return LinearSurjectiveCovering(self.linear, b=self.b)
+
     @property
     def a(self) -> float:
         return self.bilinear.bound
@@ -207,9 +200,11 @@ class QuadraticProblem:
         return self.bilinear.dim_y
 
     def tau_star(self) -> float:
+        """(b - sqrt(D)) / (2a); raises NegativeDiscriminant when D < 0."""
         d = self.discriminant
         if d < -_DISCRIMINANT_TOL * max(1.0, self.b * self.b):
-            raise NegativeDiscriminant(f"D = {d} < 0")
+            raise NegativeDiscriminant(
+                f"D = b^2 - 4ac = {d} < 0: the quadratic equation has no certified solution")
         return (self.b - math.sqrt(max(d, 0.0))) / (2.0 * self.a)
 
     def equation_residual(self, x) -> float:
@@ -245,25 +240,14 @@ def build_quadratic_instance(q: QuadraticProblem) -> ProblemInstance:
     x0 = 0 and tau0 = 0, ||Phi'(x)|| = ||2 A(x, .)|| <= 2 S ||x|| <= 2 a tau
     = phi'(tau) on ||x|| <= tau. The comparison has no slack.
     """
-    d = q.discriminant
-    if d < -_DISCRIMINANT_TOL * max(1.0, q.b * q.b):
-        raise NegativeDiscriminant(
-            f"D = b^2 - 4ac = {d} < 0: the quadratic equation has no certified solution")
+    q.tau_star()  # refuses D < 0
     horizon = q.b / q.a
     if not (0.0 < horizon < math.inf):
         raise ValueError(f"the scan window b/a = {horizon} must be finite and positive")
-    pair = MajorantPair(
-        psi=ScalarFn.linear(q.b),
-        phi=ScalarFn.polynomial([q.c, 0.0, q.a]),
-        tau0=0.0,
-        horizon=horizon,
-    )
-    inst = ProblemInstance(
-        phi=QuadraticMap(q.bilinear, q.offset, domain_radius=horizon),
-        cover=LinearSurjectiveCovering(q.linear, b=q.b),
-        majorants=pair,
-        x0=np.zeros(q.bilinear.dim_x),
-    )
+    pair = MajorantPair(psi=q.cover.psi, phi=ScalarFn.polynomial([q.c, 0.0, q.a]),
+                        tau0=0.0, horizon=horizon)
+    inst = ProblemInstance(phi=QuadraticMap(q.bilinear, q.offset, domain_radius=horizon),
+                           cover=q.cover, majorants=pair, x0=np.zeros(q.dim_x))
     inst.h2_proven = q.a >= q.bilinear.overestimate
     return inst
 
@@ -291,24 +275,65 @@ def build_kantorovich_instance(f: SmoothMap, lip_majorant: ScalarFn, x0,
             f"the fixed-point reduction needs f: X -> X, but f maps x0 of shape "
             f"{x0.shape} to shape {fx0.shape}")
     gap = norm(fx0 - x0, norm_tag)
-    offset = gap - lip_majorant(0.0)
-    phi = ScalarFn(
-        fn=lambda t: lip_majorant(t) + offset,
-        deriv=lip_majorant.deriv,
-        grid=lambda ts: lip_majorant.on_grid(ts) + offset,
-    )
+    phi = lip_majorant.shifted(gap - lip_majorant(0.0))
     horizon = DEFAULT_HORIZON if f.domain_radius == math.inf else f.domain_radius
-    pair = MajorantPair(psi=ScalarFn.linear(1.0), phi=phi, tau0=0.0, horizon=horizon)
-    inst = ProblemInstance(
-        phi=f,
-        cover=IdentityCovering(x0.size, norm_tag),
-        majorants=pair,
-        x0=x0,
-    )
+    cover = IdentityCovering(x0.size, norm_tag)
+    pair = MajorantPair(psi=cover.psi, phi=phi, tau0=0.0, horizon=horizon)
+    inst = ProblemInstance(phi=f, cover=cover, majorants=pair, x0=x0)
     if (isinstance(f, AffineMap) and lip_majorant.linear_coeffs is not None
             and np.all(np.isfinite(f.W))):
         inst.h2_proven = operator_norm(f.W, norm_tag, norm_tag) <= lip_majorant.linear_coeffs[0]
     return inst
+
+
+def build_polynomial_instance(phi_poly: list, majorant_poly: list, psi_slope: float,
+                              horizon: float, x0: float = 0.0, tau0: float = 0.0,
+                              norms: tuple = (NormTag.L2, NormTag.L2)) -> ProblemInstance:
+    """1-d Phi = p against Psi(x) = -psi_slope * x, majorized by phi = m.
+
+    p and m are ascending coefficient lists; the window is
+    [tau0, tau0 + horizon], and an invalid pair raises ValueError. H2 is
+    proven at x0 = tau0 = 0 (see `_polynomial_h2_proven`). Elsewhere the ball
+    is not centred at 0 and the proof would need p' and m' re-expanded about
+    x0 and tau0; those instances are sampled.
+    """
+    poly = ScalarFn.polynomial(phi_poly)
+    phi_map = CallableMap(
+        f=lambda x: np.array([poly(float(np.asarray(x)[0]))]),
+        jac=lambda x: np.array([[poly.derivative(float(np.asarray(x)[0]))]]),
+        domain_center=np.array([x0]),
+        domain_radius=horizon,
+    )
+    cover = LinearSurjectiveCovering(np.array([[psi_slope]]), b=psi_slope,
+                                     norm_x=norms[0], norm_y=norms[1])
+    pair = MajorantPair(psi=cover.psi, phi=ScalarFn.polynomial(majorant_poly),
+                        tau0=tau0, horizon=horizon)
+    inst = ProblemInstance(phi=phi_map, cover=cover, majorants=pair, x0=np.array([x0]))
+    if x0 == 0.0 and tau0 == 0.0:
+        inst.h2_proven = _polynomial_h2_proven(phi_poly, majorant_poly, pair, norms)
+    return inst
+
+
+def _polynomial_h2_proven(phi_poly, majorant_poly, pair: MajorantPair, norms) -> bool:
+    """H2 for Phi = p against phi = m on |x| <= tau, with x0 = tau0 = 0.
+
+    It holds when every majorant coefficient m_k (k >= 1) is >= 0 and at
+    least |p_k|, m'(tau_end) is finite and X and Y carry one norm tag. Float
+    rounding is monotone and odd, so k * p_k, each Horner product and each
+    Horner sum keep |fl p'(x)| <= fl m'(tau) whenever |x| <= tau, and
+    fl m'(tau) <= fl m'(tau_end) < inf on the window: no sampled Jacobian is
+    inf or NaN. For one tag the 1x1 operator norm is |J| (linf) or at most
+    |J| (l2, by SVD); the mixed tags take the rescaled row norm of J, which
+    this argument does not cover, so they are sampled. An O(n) float
+    comparison with no slack.
+    """
+    if norms[0] != norms[1]:
+        return False
+    width = max(len(phi_poly), len(majorant_poly))
+    ps = phi_poly[1:] + [0.0] * (width - len(phi_poly))
+    ms = majorant_poly[1:] + [0.0] * (width - len(majorant_poly))
+    return (all(0.0 <= m and abs(p) <= m for p, m in zip(ps, ms))
+            and math.isfinite(pair.phi.derivative(pair.tau_end)))
 
 
 def random_quadratic(dim_x: int, dim_y: int, target_margin: float,

@@ -115,12 +115,9 @@ class ProblemInstance:
     cover: CoveringMap
     majorants: MajorantPair
     x0: np.ndarray
-    # Set only by a builder that proves the derivative bound H2 from the
-    # structure it builds; coincidence_solve then skips the sampled check.
-    # Three rules set it, each with no slack and each implying a clean sample:
-    # a certified quadratic (build_quadratic_instance), an affine fixed-point
-    # map (build_kantorovich_instance) and a 1-d polynomial started at
-    # x0 = tau0 = 0 (the custom-scalar config). Not a constructor argument.
+    # Set only by a builder in problems.py that proves the derivative bound
+    # H2 from the structure it builds; coincidence_solve then skips the
+    # sampled check. Each builder states its rule. Not a constructor argument.
     # The proof is for the phi, majorants and x0 the builder set: to change
     # them, build anew.
     h2_proven: bool = field(default=False, init=False, repr=False)
@@ -273,21 +270,10 @@ def coincidence_solve(inst: ProblemInstance,
     points and warns on violations, "strict" aborts the solve with a
     hypothesis_violation status. The initial-gap
     condition is always enforced. The bound is not sampled when
-    inst.h2_proven is set. Three builders set it, each comparing floats with
-    no slack, and each proof implies that the sample would be clean:
-
-    - build_quadratic_instance, when the certified constant a is at least
-      the tensor's spectral overestimate, so that
-      ||Phi'(x)|| <= 2 a ||x|| <= phi'(tau) on the whole ball;
-    - build_kantorovich_instance, when f is an AffineMap with finite W, the
-      growth profile is linear with slope lip, and operator_norm(W) <= lip
-      (the Jacobian is W everywhere, and phi' is lip);
-    - the custom-scalar config, when x0 = tau0 = 0, the X and Y norms carry
-      one tag, every majorant coefficient m_k (k >= 1) is >= 0 and at least
-      |p_k|, and m'(tau0 + horizon) is finite (Horner's rounding is
-      monotone, so |p'(x)| <= m'(tau) for |x| <= tau, in floats too).
-
-    Any other instance, hand-built ones included, is sampled.
+    inst.h2_proven is set: the quadratic, Kantorovich and polynomial
+    builders of problems.py set it where their docstrings say, each comparing
+    floats with no slack, and each proof implies that the sample would be
+    clean. Any other instance, hand-built ones included, is sampled.
 
     Raises NoCrossing when the majorants never meet, and propagates
     BudgetExceeded when the covering breaks its contract.

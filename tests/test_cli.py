@@ -22,6 +22,7 @@ from coincide.config import (
     load_config,
     save_config,
 )
+from coincide.covering import LinearSurjectiveCovering
 from coincide.problems import QuadraticMap
 
 
@@ -113,6 +114,19 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         summary = (out / "summary.txt").read_text()
         assert "alpha: 2" in summary
+
+    def test_baseline_method_builds_one_covering(self, tmp_path, monkeypatch):
+        built = []
+        init = LinearSurjectiveCovering.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearSurjectiveCovering, "__init__", counted)
+        cfg = write_json(tmp_path / "base.json", scalar_config(0.75, method="baseline"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 1
 
     def test_multiple_configs_with_jobs(self, tmp_path):
         c1 = write_json(tmp_path / "one.json", scalar_config(0.75))
@@ -245,6 +259,23 @@ class TestCompareCommand:
         assert table["majorant"][2] == "converged"
         assert table["baseline"][2] == "converged"
         assert (out / "trace_baseline.csv").exists()
+
+    @pytest.mark.parametrize("name", ["scalar-d-zero", "matrix-2d"])
+    def test_compare_factors_b_once(self, tmp_path, monkeypatch, name):
+        # sigma_min(B) for b, the tensor's overestimate, and one covering that
+        # both schemes share.
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        path = tmp_path / f"{name}.json"
+        save_config(gallery_config(name), path)
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp")]) == 0
+        assert len(calls) == 3
 
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "k.json", {"kind": "kantorovich", "kantorovich": {

@@ -15,7 +15,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from h2_reference import reference_operator_norm, reference_validate_h2
-from coincide import config, problems, solver
+from coincide import problems, solver
 from coincide.config import ConfigError, build_problem, config_from_dict, gallery_config
 from coincide.covering import LinearSurjectiveCovering
 from coincide.linalg import NormTag, operator_norm
@@ -403,7 +403,7 @@ def test_proven_affine_and_cubic_solves_make_no_jacobian(make, jacobians):
 
 def test_each_build_proves_once(monkeypatch):
     norms, proofs = [], []
-    op_norm, polynomial_proof = problems.operator_norm, config._polynomial_h2_proven
+    op_norm, polynomial_proof = problems.operator_norm, problems._polynomial_h2_proven
 
     def counted_norm(M, *tags):
         norms.append(np.shape(M))
@@ -414,7 +414,7 @@ def test_each_build_proves_once(monkeypatch):
         return polynomial_proof(*args)
 
     monkeypatch.setattr(problems, "operator_norm", counted_norm)
-    monkeypatch.setattr(config, "_polynomial_h2_proven", counted_proof)
+    monkeypatch.setattr(problems, "_polynomial_h2_proven", counted_proof)
     affine = build_problem(gallery_config("kantorovich-affine")).instance
     cubic = built("custom-scalar", cubic_section())
     assert (norms, len(proofs)) == ([(1, 1)], 1)

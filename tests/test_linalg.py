@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coincide.errors import DimensionMismatch, RankDeficient
@@ -22,6 +22,27 @@ def test_norm_pythagorean_triple():
 
 def test_norm_linf_takes_magnitude():
     assert norm([3.0, -4.0], NormTag.LINF) == 4.0
+
+
+# Magnitudes around the edges: zeros of both signs, subnormals, the largest
+# float, infinities and NaN.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(EDGE_FLOATS, min_size=1, max_size=12))
+@example([-0.0])
+@example([math.nan, math.inf])
+@example([-math.inf, 1.0, math.nan])
+@example([5e-324, -0.0, -5e-324])
+def test_linf_norm_has_the_bits_of_np_max_abs(values):
+    v = np.array(values)
+    got = norm(v, NormTag.LINF)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(float(np.max(np.abs(v)))).tobytes()
 
 
 def test_norm_zero_vector():

@@ -207,7 +207,7 @@ def test_crossing_matches_quadratic_formula(a, b, margin):
 
 
 def as_plain_callable(f: ScalarFn) -> ScalarFn:
-    """The same function without a grid form, so on_grid calls it point by point."""
+    """The same function, not marked vectorized, so on_grid calls it point by point."""
     return ScalarFn(fn=f.fn, deriv=f.deriv)
 
 
@@ -283,6 +283,34 @@ def test_on_grid_has_the_bits_of_the_scalar_call(slope, intercept, coeffs, ts):
     for f in (ScalarFn.linear(slope, intercept), ScalarFn.polynomial(coeffs), shifted):
         pointwise = np.array([f(t) for t in ts])
         assert f.on_grid(grid).tobytes() == pointwise.tobytes()
+
+
+def counting(f: ScalarFn, calls: list) -> ScalarFn:
+    """f with its fn wrapped so that each call is appended to calls."""
+    fn = f.fn
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return fn(t)
+
+    f.fn = counted
+    return f
+
+
+def test_on_grid_calls_a_library_function_once_and_any_other_per_point():
+    grid = np.linspace(-2.0, 3.0, 101)
+    shifted = build_kantorovich_instance(
+        AffineMap([[0.5]], [0.5], domain_center=[0.0]), ScalarFn.linear(0.5),
+        [0.0]).majorants.phi
+    for f in (ScalarFn.linear(0.5, 0.25), ScalarFn.polynomial([1.0, 0.0, 2.0]),
+              ScalarFn.polynomial([]), shifted):
+        calls = []
+        values = counting(f, calls).on_grid(grid)
+        assert calls == [grid.shape] and values.shape == grid.shape
+    calls = []
+    user = counting(ScalarFn(fn=lambda t: 2.0 * t + 1.0), calls)
+    assert user.on_grid(grid).tolist() == [2.0 * t + 1.0 for t in grid.tolist()]
+    assert calls == [()] * grid.size
 
 
 def test_flat_stretch_of_psi_minus_phi_refines_every_grid_maximum():

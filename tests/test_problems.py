@@ -6,13 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coincide.errors import DimensionMismatch, NegativeDiscriminant
-from coincide.linalg import finite_diff_jacobian
+from coincide.linalg import finite_diff_jacobian, norm
 from coincide.majorant import DEFAULT_HORIZON, ScalarFn
 from coincide.problems import (
     BilinearMap,
     QuadraticMap,
     apply_bilinear,
     build_kantorovich_instance,
+    build_polynomial_instance,
     build_quadratic_instance,
     random_quadratic,
     scalar_quadratic,
@@ -86,7 +87,13 @@ class TestApplyBilinear:
         T = 0.5 * (T + T.transpose(0, 2, 1))
         T /= spectral_overestimate(T)
         A = BilinearMap(coeffs=T, bound=spectral_overestimate(T))
-        assert A.audit_bound(pairs=1000, seed=5) <= A.bound * (1.0 + 1e-9)
+        sample = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(1000):
+            x1, x2 = sample.standard_normal((2, A.dim_x))
+            ratio = norm(apply_bilinear(A, x1, x2)) / (norm(x1) * norm(x2))
+            worst = max(worst, ratio)
+        assert 0.0 < worst <= A.bound * (1.0 + 1e-9)
 
 
 def per_slice_overestimate(coeffs) -> float:
@@ -157,8 +164,19 @@ class TestBuildQuadraticInstance:
         assert rate_estimate(trace)[0] == "sublinear"
 
     def test_negative_discriminant_refused(self):
-        with pytest.raises(NegativeDiscriminant):
-            build_quadratic_instance(scalar_quadratic(1.0, 2.0, 1.25))
+        # One check, with one message, whether the instance or tau_* asks.
+        q = scalar_quadratic(1.0, 2.0, 1.25)
+        message = r"^D = b\^2 - 4ac = -1\.0 < 0: the quadratic equation has no certified"
+        with pytest.raises(NegativeDiscriminant, match=message):
+            build_quadratic_instance(q)
+        with pytest.raises(NegativeDiscriminant, match=message):
+            q.tau_star()
+
+    def test_instances_share_the_problems_covering(self):
+        q = random_quadratic(3, 2, 0.5, seed=8)
+        first, second = build_quadratic_instance(q), build_quadratic_instance(q)
+        assert first.cover is second.cover is q.cover
+        assert q.cover.b == q.b
 
     def test_jacobian_identity_on_random_points(self):
         q = random_quadratic(5, 3, 0.4, seed=31)
@@ -250,6 +268,38 @@ class TestKantorovichReduction:
             f.domain_radius = radius
             with pytest.raises(ValueError, match="horizon must be finite and positive"):
                 build_kantorovich_instance(f, ScalarFn.linear(0.5), [0.0])
+
+
+class TestPolynomialInstance:
+    CUBIC = [0.3, 0.0, 0.0, 1.0]
+
+    def test_cubic_converges_with_its_h2_proven(self):
+        inst = build_polynomial_instance(self.CUBIC, self.CUBIC, 2.0, 1.6)
+        assert inst.h2_proven
+        x, trace = coincidence_solve(inst, h2_check="strict")
+        assert trace.status == STATUS_CONVERGED
+        assert abs(x[0] ** 3 + 0.3 + 2.0 * x[0]) <= 1e-10
+
+    def test_off_the_origin_nothing_is_proven(self):
+        for start in ({"x0": 0.25}, {"tau0": -0.0625}):
+            assert not build_polynomial_instance(self.CUBIC, self.CUBIC, 2.0, 1.6,
+                                                 **start).h2_proven
+
+    def test_invalid_pair_raises_value_error(self):
+        with pytest.raises(ValueError, match="phi is not strictly increasing"):
+            build_polynomial_instance(self.CUBIC, [0.3, -1.0], 2.0, 1.6)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_quadratic_instance(random_quadratic(3, 2, 0.5, seed=12345)),
+    lambda: build_kantorovich_instance(
+        AffineMap([[0.5]], [0.5], domain_center=[0.0], domain_radius=8.0),
+        ScalarFn.linear(0.5), [0.0]),
+    lambda: build_polynomial_instance([0.3, 0.0, 0.0, 1.0], [0.3, 0.0, 0.0, 1.0], 2.0, 1.6),
+], ids=["quadratic", "kantorovich", "polynomial"])
+def test_psi_is_the_coverings_modulus(build):
+    inst = build()
+    assert inst.majorants.psi is inst.cover.psi
 
 
 class TestRandomQuadratic:
