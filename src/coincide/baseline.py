@@ -27,6 +27,7 @@ from .solver import (
     covering_step,
     rate_estimate,
     start_trace,
+    step_kernels,
 )
 from .problems import QuadraticMap, QuadraticProblem, build_quadratic_instance
 
@@ -90,24 +91,28 @@ def alpha_iterate(p: AlphaCoveringProblem, x0, tol: float,
 
     Raises NotContractive unless beta < alpha. Step norms contract with ratio
     at most beta/alpha; the trace's tau column accumulates the budgets, so the
-    same certificate bounds as the majorant trace apply.
+    same certificate bounds as the majorant trace apply. It runs the step
+    body of coincidence_solve on the kernels step_kernels picks, so a 1-d
+    problem runs on floats; x_star is a fresh float64 ndarray.
     """
     if not p.applicable:
         raise NotContractive(
             f"beta = {p.beta} >= alpha = {p.alpha}: the linear-rate scheme does not apply")
     x0 = as_vector(x0)
-    x, v_x, defect, residual, trace = start_trace(p.u, p.v, x0, 0.0, float("nan"))
+    kernels = step_kernels(p.u, p.v, x0)
+    x, v_x, defect, residual, trace = start_trace(kernels, x0, 0.0, float("nan"))
+    origin = kernels.enter(x0)
     tau = 0.0
     for _ in range(max_steps):
         if residual <= tol:
             trace.status = STATUS_CONVERGED
-            return x, trace
+            return kernels.leave(x), trace
         budget = residual / p.alpha
         tau += budget
-        x, v_x, defect, residual = covering_step(trace, p.u, p.v, x0, x, v_x, budget, tau,
+        x, v_x, defect, residual = covering_step(trace, kernels, origin, x, v_x, budget, tau,
                                                  defect)
     trace.status = STATUS_MAX_STEPS
-    return x, trace
+    return kernels.leave(x), trace
 
 
 @dataclass

@@ -11,6 +11,10 @@ interface against that contract.
 the covering step of the solver checks that the iterate it returns is finite.
 The step hands over the defect y - Psi(x') it has already formed for its
 residual, so a covering that needs it does not evaluate Psi(x') again.
+
+A 1-d shipped covering also gives `float_forms`: evaluate and solve_within
+on Python floats, with the bits and the errors the array methods give on
+one-entry vectors. The solver runs 1-d solves on them.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, RankDeficient
-from .linalg import (RANK_TOL, NormTag, as_matrix, as_vector, norm, random_direction,
-                     shaped_vector)
+from .linalg import (RANK_TOL, NormTag, as_matrix, as_vector, float_norm, norm,
+                     random_direction, shaped_vector)
 from .majorant import ScalarFn
 
 # Budget slack of the covering contract.
@@ -31,7 +35,12 @@ AUDIT_TOL = 1e-8
 
 
 class CoveringMap:
-    """Interface: evaluate Psi, invert it within a budget, expose its modulus psi."""
+    """Interface: evaluate Psi, invert it within a budget, expose its modulus psi.
+
+    A covering of R onto R may also give `float_forms()`: (evaluate,
+    correct) on Python floats, with the bits and errors of evaluate and of
+    solve_within on one-entry vectors; correct is always handed the defect.
+    """
 
     psi: ScalarFn
     norm_x: NormTag = NormTag.L2
@@ -48,6 +57,10 @@ class CoveringMap:
         bits the covering's own evaluation would give; None means compute it.
         """
         raise NotImplementedError
+
+
+def _same(x):
+    return x
 
 
 class IdentityCovering(CoveringMap):
@@ -73,11 +86,27 @@ class IdentityCovering(CoveringMap):
                 f"{x_prime.size} and a target of size {y.size}")
         step = norm(y - x_prime, self.norm_x)
         if step > budget + BUDGET_TOL:
-            raise BudgetExceeded(
-                f"identity covering asked to move {step:.6e} > budget {budget:.6e}",
-                step=step, budget=budget,
-            )
+            raise self._over_budget(step, budget)
         return y
+
+    def float_forms(self):
+        if self.dimension != 1:
+            return None
+        step_norm = float_norm(self.norm_x)
+
+        def correct(x_prime, y, budget, defect):
+            step = step_norm(y - x_prime)
+            if step > budget + BUDGET_TOL:
+                raise self._over_budget(step, budget)
+            return y
+
+        return _same, correct
+
+    @staticmethod
+    def _over_budget(step: float, budget: float) -> BudgetExceeded:
+        return BudgetExceeded(
+            f"identity covering asked to move {step:.6e} > budget {budget:.6e}",
+            step=step, budget=budget)
 
 
 class LinearSurjectiveCovering(CoveringMap):
@@ -137,12 +166,35 @@ class LinearSurjectiveCovering(CoveringMap):
         delta = self._pinv.dot(-defect)
         step = norm(delta, self.norm_x)
         if step > budget + BUDGET_TOL:
-            raise BudgetExceeded(
-                f"correction {step:.6e} exceeds budget {budget:.6e} "
-                f"(covering constant b={self.b} too large?)",
-                step=step, budget=budget,
-            )
+            raise self._over_budget(step, budget)
         return x_prime + delta
+
+    def float_forms(self):
+        # For a 1x1 B, `-(B.dot(x))` is -(b * x) and `pinv.dot(-defect)` is
+        # p * -defect, signed zeros included; `B @ x`, which a B in neither
+        # C nor F order takes, adds b * x to +0 and so has other zeros.
+        if self.B.shape != (1, 1) or not self._dot_is_matmul:
+            return None
+        b, p = float(self.B[0, 0]), float(self._pinv[0, 0])
+        step_norm = float_norm(self.norm_x)
+
+        def evaluate(x):
+            return -(b * x)
+
+        def correct(x_prime, y, budget, defect):
+            delta = p * -defect
+            step = step_norm(delta)
+            if step > budget + BUDGET_TOL:
+                raise self._over_budget(step, budget)
+            return x_prime + delta
+
+        return evaluate, correct
+
+    def _over_budget(self, step: float, budget: float) -> BudgetExceeded:
+        return BudgetExceeded(
+            f"correction {step:.6e} exceeds budget {budget:.6e} "
+            f"(covering constant b={self.b} too large?)",
+            step=step, budget=budget)
 
 
 def _c_or_f_ordered(M: np.ndarray) -> bool:

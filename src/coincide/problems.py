@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .covering import IdentityCovering, LinearSurjectiveCovering
-from .errors import DimensionMismatch, NegativeDiscriminant
+from .errors import DimensionMismatch, NegativeDiscriminant, NonFiniteValue
 from .linalg import (
     NormTag,
     as_matrix,
@@ -30,7 +30,7 @@ from .linalg import (
     smallest_singular_value,
 )
 from .majorant import DEFAULT_HORIZON, MajorantPair, ScalarFn
-from .solver import AffineMap, CallableMap, ProblemInstance, SmoothMap
+from .solver import AffineMap, ProblemInstance, SmoothMap
 
 
 @dataclass
@@ -138,6 +138,45 @@ class QuadraticMap(SmoothMap):
     def jacobian(self, x):
         x = as_vector(x)
         return 2.0 * np.einsum("kij,i->kj", self.bilinear.coeffs, x)
+
+    def float_form(self):
+        # The 1x1x1 einsum adds (A * u) * u to +0, which turns a -0 into +0.
+        if self.bilinear.coeffs.shape != (1, 1, 1):
+            return None
+        a, c = float(self.bilinear.coeffs[0, 0, 0]), float(self.offset[0])
+
+        def evaluate(x):
+            u = x + x
+            return 0.25 * (0.0 + a * u * u) + c
+
+        return evaluate
+
+
+class PolynomialMap(SmoothMap):
+    """Phi(x) = p(x) on R for a polynomial ScalarFn p, with Phi'(x) = p'(x).
+
+    A non-finite value raises NonFiniteValue where it is made.
+    """
+
+    def __init__(self, poly: ScalarFn, domain_center: float, domain_radius: float):
+        self.poly = poly
+        self.domain_center = as_vector([domain_center])
+        self.domain_radius = float(domain_radius)
+
+    def evaluate(self, x):
+        return np.array([self._checked(float(np.asarray(x)[0]))])
+
+    def jacobian(self, x):
+        return np.array([[self.poly.derivative(float(np.asarray(x)[0]))]])
+
+    def _checked(self, x: float) -> float:
+        value = self.poly(x)
+        if not math.isfinite(value):
+            raise NonFiniteValue("Phi(x) has a non-finite entry")
+        return value
+
+    def float_form(self):
+        return self._checked
 
 
 @dataclass
@@ -297,13 +336,7 @@ def build_polynomial_instance(phi_poly: list, majorant_poly: list, psi_slope: fl
     is not centred at 0 and the proof would need p' and m' re-expanded about
     x0 and tau0; those instances are sampled.
     """
-    poly = ScalarFn.polynomial(phi_poly)
-    phi_map = CallableMap(
-        f=lambda x: np.array([poly(float(np.asarray(x)[0]))]),
-        jac=lambda x: np.array([[poly.derivative(float(np.asarray(x)[0]))]]),
-        domain_center=np.array([x0]),
-        domain_radius=horizon,
-    )
+    phi_map = PolynomialMap(ScalarFn.polynomial(phi_poly), x0, horizon)
     cover = LinearSurjectiveCovering(np.array([[psi_slope]]), b=psi_slope,
                                      norm_x=norms[0], norm_y=norms[1])
     pair = MajorantPair(psi=cover.psi, phi=ScalarFn.polynomial(majorant_poly),

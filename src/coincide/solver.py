@@ -10,6 +10,24 @@ certifies the step bounds
 
 so the returned point always carries a distance certificate, even on early
 termination.
+
+Both this iteration and the alpha-covering baseline run one step body,
+`covering_step`, on `StepKernels` picked once per solve: evaluate Phi,
+evaluate Psi, correct within the budget, and the X and Y norms. A 1-d solve
+runs on Python floats, where numpy's per-call dispatch on one-entry arrays
+would cost more than the arithmetic, when its map is a `QuadraticMap`, an
+`AffineMap` or a `PolynomialMap` and its covering a `LinearSurjectiveCovering`
+or an `IdentityCovering` (exactly those classes). Every other solve runs on
+the array methods. The float forms keep the array methods' bits and checks:
+
+- the 1x1x1 einsum is 0.0 + (A * u) * u and the 1x1 `W @ x` is 0.0 + w * x:
+  a sum that starts at +0 turns a -0 product into +0;
+- the covering's `B.dot(x)` and `pinv.dot(v)` are bare products, keeping -0;
+- the l2 norm of one entry is sqrt(v * v), which overflows and underflows
+  where abs(v) does not; the linf norm is abs(v);
+- BudgetExceeded, both NonFiniteValue tests and the STEP_TOL test of H2 fire
+  at the same step, and trace rows and the returned x are fresh float64
+  ndarrays.
 """
 
 from __future__ import annotations
@@ -17,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +45,7 @@ from .linalg import (
     NormTag,
     as_vector,
     finite_diff_jacobian,
+    float_norm,
     norm,
     operator_norm,
     random_direction,
@@ -51,7 +70,11 @@ H2_REL_SLACK = 1e-6
 
 
 class SmoothMap:
-    """A differentiable map with an explicit domain ball."""
+    """A differentiable map with an explicit domain ball.
+
+    A map of R into R may also give `float_form()`: evaluate on Python
+    floats, with the bits and errors evaluate gives on one-entry vectors.
+    """
 
     domain_center: np.ndarray
     domain_radius: float
@@ -105,6 +128,12 @@ class AffineMap(SmoothMap):
 
     def jacobian(self, x):
         return self.W.copy()
+
+    def float_form(self):
+        if self.W.shape != (1, 1):
+            return None
+        w, d = float(self.W[0, 0]), float(self.d[0])
+        return lambda x: (0.0 + w * x) + d
 
 
 @dataclass
@@ -212,25 +241,68 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
                     max_excess=math.inf if bad else float(np.max(excess, initial=0.0)))
 
 
-def start_trace(cover: CoveringMap, phi: SmoothMap, x0, tau0: float, tau_star: float):
-    """Open a trace at a copy of x0; returns (x, Phi(x), defect, residual, trace),
-    where defect is Phi(x) - Psi(x) and residual its norm."""
-    x = x0.copy()
-    phi_x = phi.evaluate(x)
-    defect = phi_x - cover.evaluate(x)
-    residual = norm(defect, cover.norm_y)
-    trace = IterateTrace(records=[TraceRecord(0, tau0, x.copy(), 0.0, 0.0, residual)],
+class StepKernels(NamedTuple):
+    """The operations of a covering step, all on ndarrays or all on floats.
+
+    enter makes the loop's own copy of an ndarray point, and leave makes a
+    loop point a fresh float64 ndarray: a trace row or the returned x.
+    """
+
+    phi: Callable      # x -> Phi(x)
+    psi: Callable      # x -> Psi(x)
+    correct: Callable  # (x', y, budget, defect) -> x with Psi(x) = y
+    norm_x: Callable
+    norm_y: Callable
+    enter: Callable
+    leave: Callable
+
+
+def _own_float_form(obj, name: str):
+    """obj.<name>() when obj's own class defines it, else None: a subclass
+    may change the array methods that the form mirrors. The form itself is
+    None where it does not apply (a map or covering that is not 1-d)."""
+    form = vars(type(obj)).get(name)
+    return None if form is None else form(obj)
+
+
+def step_kernels(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray) -> StepKernels:
+    """The float forms when x0 has shape (1,) and the covering's and the
+    map's own classes give them (each does only for a 1-d map), else the
+    array methods."""
+    if x0.shape == (1,):
+        forms = _own_float_form(cover, "float_forms")
+        phi_form = _own_float_form(phi, "float_form")
+        if forms is not None and phi_form is not None:
+            return StepKernels(phi_form, *forms, float_norm(cover.norm_x),
+                               float_norm(cover.norm_y), lambda v: float(v[0]),
+                               lambda v: np.array((v,)))
+    tag_x, tag_y = cover.norm_x, cover.norm_y
+    return StepKernels(phi.evaluate, cover.evaluate, cover.solve_within,
+                       lambda v: norm(v, tag_x), lambda v: norm(v, tag_y),
+                       np.ndarray.copy, lambda v: np.array(v, dtype=float))
+
+
+def start_trace(kernels: StepKernels, x0: np.ndarray, tau0: float, tau_star: float):
+    """Open a trace at x0; returns (x, Phi(x), defect, residual, trace), where
+    x is the loop's copy of x0, defect is Phi(x) - Psi(x) and residual its norm."""
+    x = kernels.enter(x0)
+    phi_x = kernels.phi(x)
+    defect = phi_x - kernels.psi(x)
+    residual = kernels.norm_y(defect)
+    trace = IterateTrace(records=[TraceRecord(0, tau0, kernels.leave(x), 0.0, 0.0, residual)],
                          tau0=tau0, tau_star=tau_star)
     return x, phi_x, defect, residual, trace
 
 
-def covering_step(trace: IterateTrace, cover: CoveringMap, phi: SmoothMap, x0, x, phi_x,
+def covering_step(trace: IterateTrace, kernels: StepKernels, x0, x, phi_x,
                   budget: float, tau_next: float, defect=None):
     """Solve Psi(x_next) = Phi(x) within budget and record the row at tau_next.
 
-    defect is Phi(x) - Psi(x) as the previous step (or start_trace) returned
-    it, handed to the covering so that it need not evaluate Psi(x) again;
-    None makes the covering compute it. budget is passed apart from
+    x0, x, phi_x and defect are in the kernels' form (kernels.enter(x0) for
+    the start). defect is Phi(x) - Psi(x) as the previous step (or
+    start_trace) returned it, handed to the covering so that it need not
+    evaluate Psi(x) again; None, for array kernels only, makes the covering
+    compute it. budget is passed apart from
     tau_next: the baseline sums its budgets into tau, and in floats
     (tau + budget) - tau need not be budget. Propagates BudgetExceeded, and
     raises NonFiniteValue when the step norm is inf or NaN: an inf or NaN
@@ -239,19 +311,19 @@ def covering_step(trace: IterateTrace, cover: CoveringMap, phi: SmoothMap, x0, x
     (Phi(x_next) or Psi(x_next) overflowed), before recording the row.
     Returns (x_next, Phi(x_next), defect at x_next, residual).
     """
+    phi, psi, correct, norm_x, norm_y, _, leave = kernels
     k = len(trace.records)
-    x_next = cover.solve_within(x, phi_x, budget, defect)
-    step = norm(x_next - x, cover.norm_x)
+    x_next = correct(x, phi_x, budget, defect)
+    step = norm_x(x_next - x)
     if not math.isfinite(step):
         raise NonFiniteValue(f"iterate {k} is not finite (step norm {step})")
-    phi_next = phi.evaluate(x_next)
-    defect = phi_next - cover.evaluate(x_next)
-    residual = norm(defect, cover.norm_y)
+    phi_next = phi(x_next)
+    defect = phi_next - psi(x_next)
+    residual = norm_y(defect)
     if not math.isfinite(residual):
         raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
     trace.records.append(TraceRecord(
-        k, tau_next, np.array(x_next, dtype=float),
-        step, norm(x_next - x0, cover.norm_x), residual))
+        k, tau_next, leave(x_next), step, norm_x(x_next - x0), residual))
     return x_next, phi_next, defect, residual
 
 
@@ -278,21 +350,22 @@ def coincidence_solve(inst: ProblemInstance,
     Raises NoCrossing when the majorants never meet, and propagates
     BudgetExceeded when the covering breaks its contract.
 
-    Returns (x_star, trace).
+    Returns (x_star, trace); x_star is a fresh float64 ndarray.
     """
     if h2_check not in ("warn", "strict"):
         raise ValueError("h2_check must be 'warn' or 'strict'")
     pair = inst.majorants
-    cover, phi, x0 = inst.cover, inst.phi, inst.x0
     tau_star = smallest_crossing(pair)
     tau = pair.tau0
-    x, phi_x, defect, residual, trace = start_trace(cover, phi, x0, tau, tau_star)
+    kernels = step_kernels(inst.cover, inst.phi, inst.x0)
+    x, phi_x, defect, residual, trace = start_trace(kernels, inst.x0, tau, tau_star)
+    x0 = kernels.enter(inst.x0)
 
     if not validate_h2_start(pair, residual):
         trace.status = STATUS_HYPOTHESIS
         trace.detail = (f"H2: initial defect {residual:.6e} exceeds "
                         f"phi(tau0)-psi(tau0) = {pair.gap_at_start():.6e}")
-        return x, trace
+        return kernels.leave(x), trace
 
     if not inst.h2_proven:
         report = validate_h2_derivative(inst, H2_SAMPLES, tau_hi=tau_star)
@@ -302,7 +375,7 @@ def coincidence_solve(inst: ProblemInstance,
             if h2_check == "strict":
                 trace.status = STATUS_HYPOTHESIS
                 trace.detail = msg
-                return x, trace
+                return kernels.leave(x), trace
             warnings.warn(msg, RuntimeWarning)
 
     psi = pair.psi
@@ -315,31 +388,31 @@ def coincidence_solve(inst: ProblemInstance,
     for j in range(max_steps):
         if residual <= residual_tol:
             trace.status = STATUS_CONVERGED
-            return x, trace
+            return kernels.leave(x), trace
         if tau_star - tau <= TAIL_STOP:
             trace.status = STATUS_CONVERGED
             trace.detail = "tau tail exhausted"
-            return x, trace
+            return kernels.leave(x), trace
 
         tau_next = next_tau(pair, tau, tau_star)
         if tau_next <= tau:
             trace.status = STATUS_MAX_STEPS
             trace.detail = "tau sequence stalled at float resolution"
-            return x, trace
+            return kernels.leave(x), trace
         psi_next = slope * tau_next + intercept if inline else psi(tau_next)
         increment = psi_next - psi_tau
         if residual > increment + STEP_TOL:
             trace.status = STATUS_HYPOTHESIS
             trace.detail = (f"H2: defect {residual:.6e} exceeds admissible increment "
                             f"{increment:.6e} at step {j}")
-            return x, trace
+            return kernels.leave(x), trace
 
-        x, phi_x, defect, residual = covering_step(trace, cover, phi, x0, x, phi_x,
+        x, phi_x, defect, residual = covering_step(trace, kernels, x0, x, phi_x,
                                                    tau_next - tau, tau_next, defect)
         tau, psi_tau = tau_next, psi_next
 
     trace.status = STATUS_MAX_STEPS
-    return x, trace
+    return kernels.leave(x), trace
 
 
 def rate_estimate(trace: IterateTrace) -> tuple[str, float]:

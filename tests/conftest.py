@@ -7,11 +7,24 @@ import pytest
 
 from coincide.config import build_problem, gallery_config, gallery_names
 from coincide.linalg import norm
+from coincide.problems import BilinearMap, QuadraticProblem
 from coincide.solver import IterateTrace, ProblemInstance
 
 
 def build_gallery(name: str):
     return build_problem(gallery_config(name))
+
+
+def planar_quadratic(a: float, b: float, c: float) -> QuadraticProblem:
+    """scalar_quadratic(a, b, c) on the first axis of R^2, the second held at 0.
+
+    Its iterates are those of the scalar problem with a 0 appended, and its
+    solves run on the array kernels: a 2-d twin of a 1-d float-kernel solve.
+    """
+    coeffs = np.zeros((2, 2, 2))
+    coeffs[0, 0, 0] = a
+    return QuadraticProblem(bilinear=BilinearMap(coeffs=coeffs, bound=a),
+                            linear=b * np.eye(2), offset=np.array([c, 0.0]), b=b, c=c)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from coincide.covering import IdentityCovering, LinearSurjectiveCovering
 from coincide.errors import NotContractive
 from coincide.problems import QuadraticMap, scalar_quadratic
 from coincide.solver import STATUS_CONVERGED, AffineMap
+from conftest import planar_quadratic
 
 
 def step_ratios(trace):
@@ -117,12 +118,9 @@ def test_estimate_lipschitz_underestimates_quadratic():
     assert sampled <= p.beta + 1e-9  # analytic bound dominates sampling
 
 
-def test_each_loop_step_makes_the_same_calls(monkeypatch):
-    # Per step, both loops make one covering solve, two evaluations (Phi and
-    # Psi; the solve is handed the defect and evaluates nothing) and four
-    # norms (the solve's correction, the residual, the step and the
-    # deviation); opening the trace makes two evaluations and one norm. The
-    # counts are exact.
+def _count_loop_calls(monkeypatch, install):
+    """Call counters per loop. install(counted) puts the wrappers in place;
+    counted(name, fn) wraps fn so that its calls count as name."""
     counts = {"majorant": Counter(), "baseline": Counter()}
     active = []
 
@@ -145,20 +143,65 @@ def test_each_loop_step_makes_the_same_calls(monkeypatch):
     monkeypatch.setattr(baseline, "coincidence_solve",
                         scoped("majorant", baseline.coincidence_solve))
     monkeypatch.setattr(baseline, "alpha_iterate", scoped("baseline", baseline.alpha_iterate))
-    for cls, meth, name in ((LinearSurjectiveCovering, "solve_within", "solve_within"),
-                            (LinearSurjectiveCovering, "evaluate", "evaluate"),
-                            (QuadraticMap, "evaluate", "evaluate")):
-        monkeypatch.setattr(cls, meth, counted(name, getattr(cls, meth)))
-    norm = coincide.linalg.norm
+    install(counted)
+    return counts
+
+
+def _patch_everywhere(monkeypatch, fn, replacement):
     for module in (coincide.linalg, coincide.majorant, coincide.covering, coincide.solver,
                    coincide.problems, coincide.baseline):
         for key, value in list(vars(module).items()):
-            if value is norm:
-                monkeypatch.setattr(module, key, counted("norm", norm))
+            if value is fn:
+                monkeypatch.setattr(module, key, replacement)
 
-    report = compare_methods(scalar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8), tol=1e-10)
+
+def _assert_step_counts(counts, report):
+    # Per step, both loops make one covering solve, two evaluations (Phi and
+    # Psi; the solve is handed the defect and evaluates nothing) and four
+    # norms (the solve's correction, the residual, the step and the
+    # deviation); opening the trace makes two evaluations and one norm. The
+    # counts are exact.
     for label, trace in (("majorant", report.majorant_trace),
                          ("baseline", report.baseline_trace)):
         assert trace.status == STATUS_CONVERGED and trace.steps > 300
         n = trace.steps
         assert counts[label] == Counter(solve_within=n, evaluate=2 * n + 2, norm=4 * n + 1)
+
+
+def test_each_loop_step_makes_the_same_calls(monkeypatch):
+    # A 2-d problem: the loops call the array methods.
+    def install(counted):
+        for cls, meth, name in ((LinearSurjectiveCovering, "solve_within", "solve_within"),
+                                (LinearSurjectiveCovering, "evaluate", "evaluate"),
+                                (QuadraticMap, "evaluate", "evaluate")):
+            monkeypatch.setattr(cls, meth, counted(name, getattr(cls, meth)))
+        norm = coincide.linalg.norm
+        _patch_everywhere(monkeypatch, norm, counted("norm", norm))
+
+    counts = _count_loop_calls(monkeypatch, install)
+    report = compare_methods(planar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8), tol=1e-10)
+    _assert_step_counts(counts, report)
+
+
+def test_each_float_loop_step_makes_the_same_calls(monkeypatch):
+    # The 1-d problem: the loops call the float forms, as often.
+    def install(counted):
+        quadratic_form = QuadraticMap.float_form
+        covering_forms = LinearSurjectiveCovering.float_forms
+
+        def counted_quadratic_form(self):
+            return counted("evaluate", quadratic_form(self))
+
+        def counted_covering_forms(self):
+            evaluate, correct = covering_forms(self)
+            return counted("evaluate", evaluate), counted("solve_within", correct)
+
+        monkeypatch.setattr(QuadraticMap, "float_form", counted_quadratic_form)
+        monkeypatch.setattr(LinearSurjectiveCovering, "float_forms", counted_covering_forms)
+        float_norm = coincide.linalg.float_norm
+        _patch_everywhere(monkeypatch, float_norm,
+                          lambda tag: counted("norm", float_norm(tag)))
+
+    counts = _count_loop_calls(monkeypatch, install)
+    report = compare_methods(scalar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8), tol=1e-10)
+    _assert_step_counts(counts, report)

@@ -48,6 +48,13 @@ def scalar_config(c, **overrides):
     return cfg
 
 
+def planar_config(c):
+    """scalar_config(c) on the first axis of R^2 (conftest.planar_quadratic)."""
+    return {"kind": "quadratic", "method": "majorant", "quadratic": {
+        "tensor": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "matrix": [[2.0, 0.0], [0.0, 2.0]], "offset": [c, 0.0], "a": 1.0, "b": 2.0, "c": c}}
+
+
 # A config of each kind and the field that gets an overflowing literal.
 OVERFLOW_FIELDS = {
     "custom-scalar": ({"kind": "custom-scalar", "custom_scalar": {
@@ -169,6 +176,20 @@ class TestSolveCommand:
             assert capsys.readouterr().err == (
                 f"hypothesis violation (H2): H2: sampled derivative bound violated {counts}\n")
 
+    def test_strict_h2_rejects_a_planar_quadratic_below_its_overestimate(self, tmp_path,
+                                                                         capsys):
+        # The "below" quadratic above in 2-d, which runs on the array methods
+        # (1-d configs run on the float forms); both write x0 as x_star.
+        below = planar_config(0.75)
+        below["quadratic"]["a"] = 0.5
+        cfg = write_json(tmp_path / "below.json", below)
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--strict-h2"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "hypothesis violation (H2): H2: sampled derivative bound violated "
+            "23/100 times (max excess 2.608e-01)\n")
+        assert "\nx_star: 0 0\n" in (tmp_path / "out" / "summary.txt").read_text()
+
     def test_overflowing_map_ends_in_one_named_line(self, tmp_path, capsys):
         # Phi(x) = 0.5 + 1e306 x^3 and its Jacobian overflow away from x0 = 0.
         # H2 sampling counts each inf Jacobian as a violation with excess inf;
@@ -194,14 +215,36 @@ class TestSolveCommand:
     def test_phi_overflowing_mid_loop_is_a_non_finite_value(self, tmp_path, capsys,
                                                              monkeypatch):
         # Phi turns inf at step 4: a non-finite value, not an H2 defect that
-        # exceeds the admissible increment.
+        # exceeds the admissible increment. A 2-d config runs on the array
+        # methods.
         evaluate, calls = QuadraticMap.evaluate, []
 
         def overflowing(self, x):
             calls.append(1)
-            return evaluate(self, x) if len(calls) < 5 else np.array([math.inf])
+            return evaluate(self, x) if len(calls) < 5 else np.array([math.inf, 0.0])
 
         monkeypatch.setattr(QuadraticMap, "evaluate", overflowing)
+        cfg = write_json(tmp_path / "pos.json", planar_config(0.75))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "non-finite value: Phi(x_4) - Psi(x_4) is not finite (residual inf)\n")
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
+    def test_phi_overflowing_mid_float_loop_is_a_non_finite_value(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # The same on a 1-d config, which runs on the float forms.
+        float_form, calls = QuadraticMap.float_form, []
+
+        def overflowing_form(self):
+            evaluate = float_form(self)
+
+            def overflowing(x):
+                calls.append(1)
+                return evaluate(x) if len(calls) < 5 else math.inf
+
+            return overflowing
+
+        monkeypatch.setattr(QuadraticMap, "float_form", overflowing_form)
         cfg = write_json(tmp_path / "pos.json", scalar_config(0.75))
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (

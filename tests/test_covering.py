@@ -12,6 +12,7 @@ from coincide.errors import BudgetExceeded, DimensionMismatch, RankDeficient
 from coincide.linalg import NormTag, smallest_singular_value
 from coincide.problems import build_quadratic_instance, scalar_quadratic
 from coincide.solver import coincidence_solve
+from conftest import planar_quadratic
 
 
 def test_identity_returns_target_bitwise():
@@ -201,6 +202,7 @@ def test_linear_covering_refuses_a_defect_that_is_not_a_vector():
 
 
 def test_a_step_handed_its_defect_evaluates_nothing_in_the_solve(monkeypatch):
+    # A 2-d problem: the solve runs on the array methods.
     evaluations = []  # True for a Psi evaluation inside solve_within
     inside = []
     evaluate = LinearSurjectiveCovering.evaluate
@@ -219,14 +221,44 @@ def test_a_step_handed_its_defect_evaluates_nothing_in_the_solve(monkeypatch):
 
     monkeypatch.setattr(LinearSurjectiveCovering, "evaluate", counted_evaluate)
     monkeypatch.setattr(LinearSurjectiveCovering, "solve_within", scoped_solve_within)
-    inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
+    inst = build_quadratic_instance(planar_quadratic(1.0, 2.0, 0.75))
     _, trace = coincidence_solve(inst, residual_tol=1e-10)
     assert trace.status == "converged" and trace.steps > 10
     assert evaluations.count(True) == 0
     assert evaluations.count(False) == trace.steps + 1  # the residuals
     # Without a defect the solve evaluates Psi(x') itself.
-    inst.cover.solve_within(np.zeros(1), np.ones(1), np.inf)
+    inst.cover.solve_within(np.zeros(2), np.ones(2), np.inf)
     assert evaluations[-1] is True
+
+
+def test_a_float_step_handed_its_defect_evaluates_nothing_in_the_correction(monkeypatch):
+    # The 1-d problem: the solve runs on the covering's float forms.
+    evaluations = []  # True for a Psi evaluation inside the correction
+    inside = []
+    float_forms = LinearSurjectiveCovering.float_forms
+
+    def counted_forms(self):
+        evaluate, correct = float_forms(self)
+
+        def counted_evaluate(x):
+            evaluations.append(bool(inside))
+            return evaluate(x)
+
+        def scoped_correct(*args):
+            inside.append(True)
+            try:
+                return correct(*args)
+            finally:
+                inside.pop()
+
+        return counted_evaluate, scoped_correct
+
+    monkeypatch.setattr(LinearSurjectiveCovering, "float_forms", counted_forms)
+    inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
+    _, trace = coincidence_solve(inst, residual_tol=1e-10)
+    assert trace.status == "converged" and trace.steps > 10
+    assert evaluations.count(True) == 0
+    assert evaluations.count(False) == trace.steps + 1  # the residuals
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,0 +1,309 @@
+"""The float forms of the 1-d maps, coverings and norms against their array
+methods, bit for bit, and the rule that picks them.
+
+A 1-d solve runs its steps on the float forms; they must give the bits the
+array methods give on one-entry vectors, signed zeros, subnormals, squares
+that overflow, infinities and NaNs included, and raise the same errors.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import coincide
+from coincide.baseline import AlphaCoveringProblem, alpha_iterate
+from coincide.config import build_problem, gallery_config
+from coincide.covering import IdentityCovering, LinearSurjectiveCovering
+from coincide.errors import CoincidenceError
+from coincide.linalg import NormTag, float_norm, norm
+from coincide.majorant import ScalarFn
+from coincide.problems import (
+    BilinearMap,
+    PolynomialMap,
+    QuadraticMap,
+    build_polynomial_instance,
+    build_quadratic_instance,
+    scalar_quadratic,
+)
+from coincide.solver import AffineMap, CallableMap, coincidence_solve, step_kernels
+from conftest import planar_quadratic
+
+TAGS = [NormTag.L2, NormTag.LINF]
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-160, 1e154,
+           1.5e154, -1e155, 1e200, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+           math.inf, -math.inf, math.nan]
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", float(x))
+
+
+def _values(finite: bool = False):
+    """Special floats and any others; finite ones only when asked."""
+    specials = [v for v in SPECIAL if math.isfinite(v)] if finite else SPECIAL
+    return st.one_of(st.sampled_from(specials),
+                     st.floats(allow_nan=not finite, allow_infinity=not finite),
+                     st.floats(-10.0, 10.0))
+
+
+def _outcome(fn, *args):
+    """("value", bits) of a float or one-entry array, or ("raise", type, message, fields)."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except CoincidenceError as err:
+        fields = [getattr(err, name, None) for name in ("step", "budget")]
+        return ("raise", type(err).__name__, str(err),
+                *[None if v is None else _bits(v) for v in fields])
+    if isinstance(out, np.ndarray):
+        assert out.shape == (1,) and out.dtype == np.float64
+        out = out[0]
+    else:
+        assert type(out) is float
+    return "value", _bits(out)
+
+
+def _same(array_fn, float_fn, *points):
+    """array_fn on one-entry vectors and float_fn on their floats agree."""
+    want = _outcome(array_fn, *[np.array([p]) for p in points])
+    assert _outcome(float_fn, *points) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=_values(), tag=st.sampled_from(TAGS))
+@example(v=-0.0, tag=NormTag.L2)
+@example(v=1e200, tag=NormTag.L2)       # v * v overflows: inf, where abs(v) is not
+@example(v=1e-200, tag=NormTag.L2)      # v * v underflows: 0, where abs(v) is not
+@example(v=5e-324, tag=NormTag.LINF)
+@example(v=math.nan, tag=NormTag.LINF)
+def test_float_norm_has_the_bits_of_norm(v, tag):
+    with np.errstate(all="ignore"):
+        want = norm(np.array([v]), tag)
+    got = float_norm(tag)(v)
+    assert type(got) is float and _bits(got) == _bits(want)
+
+
+def test_float_norm_refuses_an_unknown_tag():
+    with pytest.raises(ValueError, match="unknown norm tag"):
+        float_norm("l1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_values(finite=True), c=_values(finite=True), x=_values())
+@example(a=-2.0, c=0.0, x=0.0)          # (a * u) * u is -0; the einsum's sum is +0
+@example(a=-0.0, c=-0.0, x=1.0)
+@example(a=1e-300, c=1.0, x=1e200)      # a * u * u overflows only in one order
+@example(a=1.0, c=-0.0, x=-0.0)
+def test_quadratic_float_form(a, c, x):
+    qmap = QuadraticMap(BilinearMap(coeffs=[[[a]]], bound=1.0), [c])
+    _same(qmap.evaluate, qmap.float_form(), x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=_values(), d=_values(finite=True), x=_values())
+@example(w=2.0, d=0.0, x=-0.0)          # W @ x is +0 where w * x is -0
+@example(w=2.0, d=-0.0, x=-0.0)
+@example(w=-0.0, d=-0.0, x=math.inf)
+def test_affine_float_form(w, d, x):
+    amap = AffineMap([[w]], [d])
+    _same(amap.evaluate, amap.float_form(), x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(_values(finite=True), min_size=0, max_size=5), x=_values())
+@example(coeffs=[0.5, 0.0, 0.0, 1e306], x=1e2)   # overflows: NonFiniteValue
+@example(coeffs=[-0.0], x=-0.0)
+@example(coeffs=[], x=math.inf)
+def test_polynomial_float_form(coeffs, x):
+    pmap = PolynomialMap(ScalarFn.polynomial(coeffs), 0.0, 1.0)
+    _same(pmap.evaluate, pmap.float_form(), x)
+
+
+def test_polynomial_map_refuses_non_finite_values_where_made():
+    pmap = PolynomialMap(ScalarFn.polynomial([0.5, 0.0, 0.0, 1e306]), 0.0, 1.0)
+    for fn, x in ((pmap.evaluate, np.array([1e200])), (pmap.float_form(), 1e200)):
+        with pytest.raises(CoincidenceError, match=r"^Phi\(x\) has a non-finite entry$"):
+            fn(x)
+
+
+def _linear_cover(b, tag_x, tag_y, constant):
+    kwargs = {"b": constant * abs(b), "norm_x": tag_x, "norm_y": tag_y}
+    if tag_x == NormTag.L2 and tag_y == NormTag.L2:
+        kwargs["check_constant"] = False
+    return LinearSurjectiveCovering([[b]], **kwargs)
+
+
+nonzero = _values(finite=True).filter(lambda v: v != 0.0 and abs(v) < 1e300
+                                      and abs(v) > 1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=nonzero, tags=st.tuples(st.sampled_from(TAGS), st.sampled_from(TAGS)),
+       constant=st.sampled_from([0.5, 1.0, 4.0]), x=_values())
+@example(b=2.0, tags=(NormTag.L2, NormTag.L2), constant=1.0, x=-0.0)
+@example(b=-2.0, tags=(NormTag.LINF, NormTag.LINF), constant=1.0, x=0.0)
+def test_linear_covering_evaluate_float_form(b, tags, constant, x):
+    cover = _linear_cover(b, *tags, constant)
+    evaluate, _ = cover.float_forms()
+    _same(cover.evaluate, evaluate, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(b=nonzero, tags=st.tuples(st.sampled_from(TAGS), st.sampled_from(TAGS)),
+       constant=st.sampled_from([0.5, 1.0, 4.0]), x_prime=_values(), y=_values(),
+       budget=st.one_of(st.sampled_from([0.0, 1e-9, math.inf]), st.floats(0.0, 1e3)),
+       handed=st.booleans())
+@example(b=2.0, tags=(NormTag.L2, NormTag.L2), constant=1.0, x_prime=0.0, y=0.0,
+         budget=1.0, handed=True)          # a +0 defect: p * -defect is -0
+@example(b=-2.0, tags=(NormTag.LINF, NormTag.L2), constant=1.0, x_prime=-0.0, y=-0.0,
+         budget=0.0, handed=False)
+@example(b=2.0, tags=(NormTag.L2, NormTag.L2), constant=4.0, x_prime=0.0, y=1.0,
+         budget=0.1, handed=True)          # over budget
+def test_linear_covering_correction_float_form(b, tags, constant, x_prime, y, budget,
+                                               handed):
+    # The step hands over the defect y - Psi(x'); any defect must agree too.
+    cover = _linear_cover(b, *tags, constant)
+    evaluate, correct = cover.float_forms()
+    with np.errstate(all="ignore"):
+        defect = y - evaluate(x_prime) if handed else y
+    _same(lambda *v: cover.solve_within(v[0], v[1], budget, v[2]),
+          lambda *v: correct(v[0], v[1], budget, v[2]), x_prime, y, defect)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag=st.sampled_from(TAGS), x_prime=_values(), y=_values(),
+       budget=st.one_of(st.sampled_from([0.0, 1e-9, math.inf]), st.floats(0.0, 1e3)))
+@example(tag=NormTag.L2, x_prime=-0.0, y=0.0, budget=0.0)
+@example(tag=NormTag.L2, x_prime=0.0, y=2.0, budget=1.0)   # over budget
+def test_identity_covering_float_forms(tag, x_prime, y, budget):
+    cover = IdentityCovering(1, tag)
+    evaluate, correct = cover.float_forms()
+    _same(cover.evaluate, evaluate, x_prime)
+    with np.errstate(all="ignore"):
+        defect = y - evaluate(x_prime)
+    _same(lambda *v: cover.solve_within(v[0], v[1], budget, v[2]),
+          lambda *v: correct(v[0], v[1], budget, v[2]), x_prime, y, defect)
+
+
+# ---------------------------------------------------------------------------
+# Which solves run on floats
+
+
+class _SubQuadratic(QuadraticMap):
+    pass
+
+
+class _SubLinear(LinearSurjectiveCovering):
+    pass
+
+
+def _quadratic_instance(**swap):
+    inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
+    for key, value in swap.items():
+        setattr(inst, key, value)
+    return inst
+
+
+def _strided_one_by_one():
+    # A 1x1 view in neither C nor F order: the covering keeps `B @ x`.
+    view = np.full((3, 4), 2.0)[1::2, 1::3][:1, :1]
+    assert view.strides == (64, 24)
+    return view
+
+
+FLOAT_CASES = {
+    "quadratic-linear": lambda: _quadratic_instance(),
+    "affine-identity": lambda: _quadratic_instance(
+        phi=AffineMap([[0.5]], [0.5]), cover=IdentityCovering(1)),
+    "polynomial-linear": lambda: build_polynomial_instance(
+        [0.3, 0.0, 0.0, 1.0], [0.3, 0.0, 0.0, 1.0], 2.0, 1.6),
+}
+
+ARRAY_CASES = {
+    "planar": lambda: build_quadratic_instance(planar_quadratic(1.0, 2.0, 0.75)),
+    "map-subclass": lambda: _quadratic_instance(
+        phi=_SubQuadratic(BilinearMap(coeffs=[[[1.0]]], bound=1.0), [0.75])),
+    "covering-subclass": lambda: _quadratic_instance(cover=_SubLinear([[2.0]])),
+    "callable-map": lambda: _quadratic_instance(
+        phi=CallableMap(f=lambda x: x * x + 0.75, domain_center=[0.0])),
+    "strided-matrix": lambda: _quadratic_instance(
+        cover=LinearSurjectiveCovering(_strided_one_by_one())),
+    "start-of-size-two": lambda: _quadratic_instance(x0=np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_CASES)
+def test_one_d_shipped_maps_run_on_floats(name):
+    inst = FLOAT_CASES[name]()
+    kernels = step_kernels(inst.cover, inst.phi, inst.x0)
+    assert type(kernels.enter(inst.x0)) is float
+    assert type(kernels.phi(0.25)) is float
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+def test_other_solves_run_on_the_array_methods(name):
+    inst = ARRAY_CASES[name]()
+    kernels = step_kernels(inst.cover, inst.phi, inst.x0)
+    assert kernels.phi == inst.phi.evaluate
+    assert kernels.psi == inst.cover.evaluate
+    assert kernels.correct == inst.cover.solve_within
+
+
+def _array_method_calls(run) -> int:
+    """Calls of the shipped maps' and coverings' array methods, and of
+    linalg.norm from any module, while run() runs."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (QuadraticMap, AffineMap, PolynomialMap, LinearSurjectiveCovering,
+                    IdentityCovering):
+            for meth in ("evaluate", "solve_within"):
+                if meth in vars(cls):
+                    mp.setattr(cls, meth, counted(vars(cls)[meth]))
+        for module in (coincide.linalg, coincide.majorant, coincide.covering,
+                       coincide.solver, coincide.problems, coincide.baseline):
+            for key, value in list(vars(module).items()):
+                if value is norm:
+                    mp.setattr(module, key, counted(norm))
+        run()
+    return len(calls)
+
+
+LONG_1D = {
+    # 438 steps in each loop
+    "quadratic-majorant": lambda steps: coincidence_solve(
+        build_quadratic_instance(scalar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8)),
+        residual_tol=1e-10, max_steps=steps),
+    "quadratic-baseline": lambda steps: alpha_iterate(
+        AlphaCoveringProblem.from_quadratic(scalar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8)),
+        np.zeros(1), 1e-10, steps),
+    "cubic": lambda steps: coincidence_solve(
+        FLOAT_CASES["polynomial-linear"](), residual_tol=0.0, max_steps=steps),
+    "affine-identity": lambda steps: coincidence_solve(
+        build_problem(gallery_config("kantorovich-affine")).instance, residual_tol=0.0,
+        max_steps=steps),
+}
+
+
+@pytest.mark.parametrize("name", LONG_1D)
+def test_one_d_steps_call_no_array_method(name):
+    # The loop of a 1-d solve runs on the float forms alone: a solve of 300
+    # steps calls the array methods as often as one of 3.
+    steps = {}
+
+    def solve(max_steps):
+        _, trace = LONG_1D[name](max_steps)
+        steps[max_steps] = trace.steps
+
+    assert _array_method_calls(lambda: solve(3)) == _array_method_calls(lambda: solve(300))
+    assert steps[3] == 3 and steps[300] > 3

@@ -22,6 +22,7 @@ from coincide.linalg import NormTag, operator_norm
 from coincide.majorant import MajorantPair, ScalarFn
 from coincide.problems import (
     BilinearMap,
+    PolynomialMap,
     QuadraticMap,
     QuadraticProblem,
     build_kantorovich_instance,
@@ -375,7 +376,7 @@ def affine_section(W, lip) -> dict:
 def jacobians(monkeypatch):
     """Counts of Jacobians made by the maps the affine and polynomial configs build."""
     calls = {"jacobian": 0}
-    for cls in (AffineMap, CallableMap):
+    for cls in (AffineMap, PolynomialMap):
         original = cls.jacobian
 
         def counted(self, x, original=original):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_trace_invariants
+from conftest import assert_trace_invariants, planar_quadratic
 from coincide.covering import IdentityCovering, LinearSurjectiveCovering
 from coincide.errors import InsufficientData, NoCrossing, NonFiniteValue
 from coincide.linalg import NormTag
@@ -11,6 +11,7 @@ from coincide import solver
 from coincide.majorant import MajorantPair, ScalarFn, smallest_crossing
 from coincide.baseline import AlphaCoveringProblem, alpha_iterate
 from coincide.problems import (
+    QuadraticMap,
     build_kantorovich_instance,
     build_quadratic_instance,
     random_quadratic,
@@ -201,24 +202,57 @@ def _non_finite_at_evaluation(smooth, k, value=math.nan):
     smooth.evaluate = patched
 
 
+def _non_finite_at_float_evaluation(monkeypatch, k, value):
+    """Make QuadraticMap's float form return value from its k-th call (1-based) on."""
+    float_form, calls = QuadraticMap.float_form, []
+
+    def patched_form(self):
+        evaluate = float_form(self)
+
+        def patched(x):
+            calls.append(1)
+            out = evaluate(x)
+            return value if len(calls) >= k else out
+
+        return patched
+
+    monkeypatch.setattr(QuadraticMap, "float_form", patched_form)
+
+
+RESIDUAL_4_NOT_FINITE = r"Phi\(x_4\) - Psi\(x_4\) is not finite \(residual (nan|inf)\)"
+
+
 class TestNonFiniteValueMidLoop:
     # A Phi value turning inf or NaN at step 4 makes that step's residual
     # non-finite, and the covering step raises NonFiniteValue before it
-    # records the row. An inf residual is not an H2 defect.
+    # records the row. An inf residual is not an H2 defect. The 2-d problem
+    # runs on the array methods, the 1-d one on the float forms.
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_majorant_loop(self, value):
-        inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
+        inst = build_quadratic_instance(planar_quadratic(1.0, 2.0, 0.75))
         _non_finite_at_evaluation(inst.phi, 5, value)  # call 1 opens the trace
-        with pytest.raises(NonFiniteValue, match=r"Phi\(x_4\) - Psi\(x_4\) is not finite "
-                                                 r"\(residual (nan|inf)\)"):
+        with pytest.raises(NonFiniteValue, match=RESIDUAL_4_NOT_FINITE):
             coincidence_solve(inst)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_baseline_loop(self, value):
-        p = AlphaCoveringProblem.from_quadratic(scalar_quadratic(1.0, 2.0, 0.75))
+        p = AlphaCoveringProblem.from_quadratic(planar_quadratic(1.0, 2.0, 0.75))
         _non_finite_at_evaluation(p.v, 5, value)
-        with pytest.raises(NonFiniteValue, match=r"Phi\(x_4\) - Psi\(x_4\) is not finite "
-                                                 r"\(residual (nan|inf)\)"):
+        with pytest.raises(NonFiniteValue, match=RESIDUAL_4_NOT_FINITE):
+            alpha_iterate(p, np.zeros(2), 1e-10, 100)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_majorant_loop(self, value, monkeypatch):
+        inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
+        _non_finite_at_float_evaluation(monkeypatch, 5, value)
+        with pytest.raises(NonFiniteValue, match=RESIDUAL_4_NOT_FINITE):
+            coincidence_solve(inst)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_baseline_loop(self, value, monkeypatch):
+        p = AlphaCoveringProblem.from_quadratic(scalar_quadratic(1.0, 2.0, 0.75))
+        _non_finite_at_float_evaluation(monkeypatch, 5, value)
+        with pytest.raises(NonFiniteValue, match=RESIDUAL_4_NOT_FINITE):
             alpha_iterate(p, np.zeros(1), 1e-10, 100)
 
     def test_user_map_output_is_checked_where_it_is_made(self):
@@ -236,12 +270,37 @@ class TestNonFiniteValueMidLoop:
         assert len(calls) == 5
 
 
+@pytest.mark.parametrize("problem", [scalar_quadratic, planar_quadratic],
+                         ids=["float", "array"])
+@pytest.mark.parametrize("exit_at", ["initial-gap", "strict-sample", "converged"])
+def test_every_return_gives_a_fresh_float_array(problem, exit_at):
+    # x_star is a float64 ndarray of x0's shape, apart from every trace row,
+    # on the H2 early returns too.
+    q = problem(1.0, 2.0, 0.75)
+    if exit_at == "strict-sample":
+        q.bilinear.bound = 0.5  # below the overestimate: sampled, and violated
+    inst = build_quadratic_instance(q)
+    if exit_at == "initial-gap":
+        inst.x0 = inst.x0 + 1.0
+    x, trace = coincidence_solve(inst, h2_check="strict")
+    want = {"initial-gap": STATUS_HYPOTHESIS, "strict-sample": STATUS_HYPOTHESIS,
+            "converged": STATUS_CONVERGED}[exit_at]
+    assert trace.status == want
+    for v in [x] + [r.x for r in trace.records]:
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == inst.x0.shape
+    assert x.tobytes() == trace.final.x.tobytes()
+    assert all(not np.shares_memory(x, r.x) for r in trace.records)
+    for a, b in zip(trace.records, trace.records[1:]):
+        assert not np.shares_memory(a.x, b.x)
+
+
 def _step(cover, x, phi_x, budget):
     """One covering_step from x with target phi_x; returns the trace it extends."""
     phi = CallableMap(f=lambda z: np.zeros_like(z), domain_center=np.zeros(x.size),
                       domain_radius=1.0)
+    kernels = solver.step_kernels(cover, phi, np.zeros(x.size))
     trace = solver.IterateTrace(records=[None], tau0=0.0, tau_star=1.0)
-    solver.covering_step(trace, cover, phi, np.zeros(x.size), x, phi_x, budget, 0.5)
+    solver.covering_step(trace, kernels, np.zeros(x.size), x, phi_x, budget, 0.5)
     return trace
 
 

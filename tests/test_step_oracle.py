@@ -3,9 +3,9 @@
 `next_tau` evaluates a linear psi inline and walks to its root in O(1),
 `linalg.norm` takes a 1-d l2 norm as sqrt(x.dot(x)), `QuadraticMap.evaluate`
 makes one contraction instead of two, `write_trace_csv` formats a row in one
-call, and both iterations run one shared covering step; none of them may move
-a bit of a result, a byte of a trace or a word of a BracketFailure or
-BudgetExceeded message.
+call, both iterations run one shared covering step, and 1-d solves run that
+step on Python floats; none of them may move a bit of a result, a byte of a
+trace or a word of a BracketFailure or BudgetExceeded message.
 """
 
 import contextlib
@@ -35,6 +35,7 @@ from coincide.majorant import MajorantPair, ScalarFn, _walk_to_root, next_tau
 from coincide.problems import (
     BilinearMap,
     QuadraticMap,
+    build_polynomial_instance,
     build_quadratic_instance,
     random_quadratic,
     scalar_quadratic,
@@ -45,6 +46,7 @@ from coincide.solver import (
     ProblemInstance,
     TraceRecord,
     coincidence_solve,
+    step_kernels,
 )
 
 from step_reference import (
@@ -508,6 +510,78 @@ def test_hand_built_loops_match_reference(name, max_steps):
         assert ours == ref
         if max_steps == 100_000:
             assert ours[2] == "converged"
+
+
+L2, LINF = NormTag.L2, NormTag.LINF
+
+
+def _cubic(x0=0.0, norms=(L2, L2)):
+    """The custom-scalar cubic of the CLI tests, majorized by itself."""
+    k = 1.25
+    t_min = math.sqrt(2.0 / (3.0 * k))
+    cubic = [0.5 * (4.0 / 3.0) * t_min, 0.0, 0.0, k]
+    return build_polynomial_instance(cubic, cubic, 2.0, 2.0 * t_min, x0=x0, norms=norms)
+
+
+def _signed_zero_quadratic():
+    # A negative tensor, a -0 offset and a -0 start: every zero keeps its sign
+    # as the array methods give it.
+    q = scalar_quadratic(1.0, 2.0, 0.75)
+    inst = build_quadratic_instance(q)
+    inst.phi = QuadraticMap(BilinearMap(coeffs=[[[-1.0]]], bound=1.0), [-0.0],
+                            domain_radius=inst.phi.domain_radius)
+    inst.x0 = np.array([-0.0])
+    return inst
+
+
+# name -> (instance, its H2 check, how the majorant loop ends); the check is
+# "proven", "sampled" (clean) or "violated" (sampled, with a warning).
+ONE_D_FAMILIES = {
+    "cubic-at-0-l2": (lambda: _cubic(), "proven", "converged"),
+    "cubic-at-0-linf": (lambda: _cubic(norms=(LINF, LINF)), "proven", "converged"),
+    "cubic-at-0-mixed": (lambda: _cubic(norms=(L2, LINF)), "sampled", "converged"),
+    "cubic-off-0": (lambda: _cubic(x0=-0.0625), "violated", "converged"),
+    "cubic-off-0-linf": (lambda: _cubic(x0=-0.0625, norms=(LINF, LINF)), "violated",
+                         "converged"),
+    # The undersized cubic majorant of ROADMAP item 1: an H2 defect at step 1.
+    "cubic-undersized": (lambda: build_polynomial_instance(
+        [0.5, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.5], 2.0, 2.0), "violated",
+        "hypothesis_violation"),
+    "quadratic-zero-offset": (lambda: build_quadratic_instance(
+        scalar_quadratic(1.0, 2.0, -0.0)), "proven", "converged"),
+    "quadratic-signed-zeros": (_signed_zero_quadratic, "proven", "converged"),
+    "kantorovich-affine": (lambda: build_problem(gallery_config("kantorovich-affine")).instance,
+                           "proven", "converged"),
+}
+
+
+def _warned(solve, *args, **kwargs):
+    """_loop_outcome, with the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = _loop_outcome(solve, *args, **kwargs)
+    return outcome, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("max_steps", [1, 3, 100_000])
+@pytest.mark.parametrize("name", ONE_D_FAMILIES)
+def test_one_d_families_match_reference(name, max_steps):
+    # Each runs on the float forms; the reference runs the array methods.
+    make, h2, status = ONE_D_FAMILIES[name]
+    inst = make()
+    assert inst.h2_proven is (h2 == "proven")
+    assert type(step_kernels(inst.cover, inst.phi, inst.x0).enter(inst.x0)) is float
+    slope = inst.cover.psi.linear_coeffs[0]
+    p = AlphaCoveringProblem(u=inst.cover, v=inst.phi, alpha=slope, beta=0.5 * slope)
+    ours = _warned(coincidence_solve, inst, residual_tol=1e-10, max_steps=max_steps)
+    assert ours == _warned(reference_coincidence_solve, inst, residual_tol=1e-10,
+                           max_steps=max_steps)
+    assert bool(ours[1]) is (h2 == "violated")
+    if max_steps == 100_000:
+        assert ours[0][2] == status
+    x0 = np.zeros(1)
+    assert _warned(alpha_iterate, p, x0, 1e-10, max_steps) == _warned(
+        reference_alpha_iterate, p, x0, 1e-10, max_steps)
 
 
 @settings(max_examples=30, deadline=None)
