@@ -19,25 +19,30 @@ any other function is called point by point. The sign change and the
 candidate maxima come from array comparisons; the scalar golden-section and
 bisection passes run only on the cells they select.
 
-`next_tau` returns the float that bisection to float adjacency returns, but
-finds it in O(1) for a linear psi. Every builder makes psi with
-`ScalarFn.linear`, which records (slope, intercept); for such a psi the
-root's function is the inline arithmetic h(t) = slope * t + intercept - target,
-the same float operations psi(t) - target performs, and a step makes one
-ScalarFn call (phi(tau_j)). For slope > 0 every rounding in h is monotone, so
-h is non-decreasing on the floats. Bisection therefore ends at the one
-adjacent pair with h(lo) < 0 < h(hi) (returning the end with the smaller
-|h|, hi on a tie), or at the float where h is 0 if exactly one float is.
-`_walk_to_root` starts at (target - intercept) / slope and walks a few ulps
-to that pair or zero. It hands back to `_bisect` when the answer depends on
-the bisection's path (h is 0 on two or more adjacent floats, or the root is
-a signed zero), when the walk does not settle within a few ulps (an
-absorption plateau, where slope * t is small next to intercept, makes h flat
-over many floats), or when the bisection's midpoint sums could overflow.
+`budget_stepper(pair, tau_star)` does the set-up of the budget recurrence
+once per pair and returns step(tau_j) -> tau_{j+1}; `next_tau`,
+`tau_sequence` and the solver all step through it. A step returns the float
+that bisection to float adjacency returns, but finds it in O(1) for a linear
+psi. Every builder makes psi with `ScalarFn.linear`, which records
+(slope, intercept); for such a psi the root's function is the inline
+arithmetic h(t) = slope * t + intercept - target, the same float operations
+psi(t) - target performs, and a step makes one ScalarFn call (phi(tau_j))
+and no closure unless it bisects. For slope > 0 every rounding in h is
+monotone, so h is non-decreasing on the floats. Bisection therefore ends at
+the one adjacent pair with h(lo) < 0 < h(hi) (returning the end with the
+smaller |h|, hi on a tie), or at the float where h is 0 if exactly one float
+is. `_walk_to_root` starts at (target - intercept) / slope and walks a few
+ulps to that pair or zero. It hands back to `_bisect` when the answer
+depends on the bisection's path (h is 0 on two or more adjacent floats, or
+the root is a signed zero), when the walk does not settle within a few ulps
+(an absorption plateau, where slope * t is small next to intercept, makes h
+flat over many floats), or when the bisection's midpoint sums could
+overflow.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -65,9 +70,9 @@ class ScalarFn:
 
     fn: Callable[[float], float]
     deriv: Optional[Callable[[float], float]] = None
-    # (slope, intercept), set only by `linear`; `next_tau` then evaluates
-    # slope * t + intercept inline. Not a constructor argument, so a function
-    # built any other way never claims to be linear.
+    # (slope, intercept), set only by `linear`; `budget_stepper` then
+    # evaluates slope * t + intercept inline. Not a constructor argument, so
+    # a function built any other way never claims to be linear.
     linear_coeffs: Optional[tuple] = field(default=None, init=False, repr=False)
     # Set only by `linear`, `polynomial` and `shifted`, whose fn takes a
     # float64 array as well as a float and does the same operations
@@ -132,7 +137,8 @@ class ScalarFn:
                 acc += c
             return acc
 
-        out = ScalarFn(fn=lambda t: horner(cs, t), deriv=lambda t: horner(ds, t))
+        # partial, not a lambda: one Python frame less per call.
+        out = ScalarFn(fn=functools.partial(horner, cs), deriv=functools.partial(horner, ds))
         out.vectorized = True
         return out
 
@@ -224,14 +230,15 @@ def _bisect(g, lo: float, hi: float, g_lo: float, g_hi: float) -> float:
     return hi if abs(g_hi) <= abs(g_lo) else lo
 
 
-# Ulps a linear-psi next_tau walks before it bisects.
+# Ulps a linear-psi step walks before it bisects.
 _WALK_ULPS = 8
 # Below this magnitude the midpoint sum lo + hi of `_bisect` cannot overflow.
 _MIDPOINT_SAFE = 2.0 ** 1022
 
 
-def _walk_to_root(h, t: float):
-    """The float `_bisect(h, lo, hi, h(lo), h(hi))` returns, or None.
+def _walk_to_root(slope: float, intercept: float, target: float, t: float):
+    """The float `_bisect(h, lo, hi, h(lo), h(hi))` returns, or None, for
+    h(t) = slope * t + intercept - target.
 
     h must be non-decreasing with h(lo) < 0 < h(hi), and t in [lo, hi] with
     lo < t < hi unless lo and hi are adjacent; the walk then stays in
@@ -240,18 +247,18 @@ def _walk_to_root(h, t: float):
     (its sign depends on the bisection's path), or when the walk does not
     settle.
     """
-    ht = h(t)
+    ht = slope * t + intercept - target
     if ht == 0.0:
-        unique = (h(math.nextafter(t, -math.inf)) != 0.0
-                  and h(math.nextafter(t, math.inf)) != 0.0)
+        unique = (slope * math.nextafter(t, -math.inf) + intercept - target != 0.0
+                  and slope * math.nextafter(t, math.inf) + intercept - target != 0.0)
         return t if unique and t != 0.0 else None
     up = ht < 0.0
     toward = math.inf if up else -math.inf
     for _ in range(_WALK_ULPS):
         u = math.nextafter(t, toward)
-        hu = h(u)
+        hu = slope * u + intercept - target
         if hu == 0.0:
-            unique = h(math.nextafter(u, toward)) != 0.0
+            unique = slope * math.nextafter(u, toward) + intercept - target != 0.0
             return u if unique and u != 0.0 else None
         if (hu > 0.0) == up:
             a, h_a, b, h_b = (t, ht, u, hu) if up else (u, hu, t, ht)
@@ -348,66 +355,78 @@ def smallest_crossing(pair: MajorantPair) -> float:
     )
 
 
-def next_tau(pair: MajorantPair, tau_j: float, tau_star: float) -> float:
-    """Smallest tau in (tau_j, tau_star] with psi(tau) = phi(tau_j).
+def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], float]:
+    """step(tau_j): the smallest tau in (tau_j, tau_star] with psi(tau) = phi(tau_j).
 
-    The bracket is psi(tau_j) <= phi(tau_j) <= psi(tau_star); the result is
-    the float bisection to float adjacency gives, so consecutive budgets
-    track the exact scalar recurrence to machine precision. For a linear psi
-    the root's function is the arithmetic slope * t + intercept - target
-    itself, with the bits psi(t) - target has, so the only ScalarFn call is
-    phi(tau_j); with slope > 0, `_walk_to_root` finds that float in a few
-    evaluations from (target - intercept) / slope, and the bisection runs
-    only when the walk hands back.
+    The bracket is psi(tau_j) <= phi(tau_j) <= psi(tau_star); a step raises
+    BracketFailure when phi(tau_j) lies outside it by more than the slack.
+    The result is the float bisection to float adjacency gives, so
+    consecutive budgets track the exact scalar recurrence to machine
+    precision. For a linear psi a step makes one ScalarFn call, phi(tau_j),
+    and walks to that float (see the module docstring). What depends only on
+    the pair and tau_star is read here, once.
     """
-    target = pair.phi(tau_j)
-    slack = 10.0 * root_tolerance(max(abs(target), abs(tau_star)))
+    psi, phi = pair.psi, pair.phi
+    abs_star = abs(tau_star)
+    linear = psi.linear_coeffs is not None
+    if linear:
+        slope, intercept = psi.linear_coeffs
+        walks = 0.0 < slope < math.inf
+        psi_star = slope * tau_star + intercept  # h(tau_star) is psi_star - target
 
-    linear = pair.psi.linear_coeffs
-    if linear is not None:
-        slope, intercept = linear
+    def step(tau_j: float) -> float:
+        target = phi(tau_j)
+        slack = 10.0 * root_tolerance(max(abs(target), abs_star))
+        h_lo = slope * tau_j + intercept - target if linear else psi(tau_j) - target
+        if h_lo > slack:
+            raise BracketFailure(
+                f"psi(tau_j)={psi(tau_j)} exceeds phi(tau_j)={target} at tau_j={tau_j}"
+            )
+        if h_lo >= 0.0:
+            return tau_j  # already at the crossing; caller treats this as a stall
+        h_hi = psi_star - target if linear else psi(tau_star) - target
+        if h_hi < -slack:
+            raise BracketFailure(
+                f"psi(tau_star)={psi(tau_star)} below phi(tau_j)={target}; "
+                "tau_star does not bound the recurrence"
+            )
+        if h_hi <= 0.0:
+            return tau_star
+        if linear:
+            if (walks and h_lo < 0.0 < h_hi
+                    and max(abs(tau_j), abs_star) < _MIDPOINT_SAFE):
+                t = (target - intercept) / slope
+                if not t > tau_j:
+                    t = math.nextafter(tau_j, math.inf)
+                elif not t < tau_star:
+                    t = math.nextafter(tau_star, -math.inf)
+                root = _walk_to_root(slope, intercept, target, t)
+                if root is not None:
+                    return root
 
-        def h(t):
-            return slope * t + intercept - target
-    else:
-        def h(t):
-            return pair.psi(t) - target
+            def h(t):
+                return slope * t + intercept - target
+        else:
+            def h(t):
+                return psi(t) - target
+        return _bisect(h, tau_j, tau_star, h_lo, h_hi)
 
-    h_lo = h(tau_j)
-    if h_lo > slack:
-        raise BracketFailure(
-            f"psi(tau_j)={pair.psi(tau_j)} exceeds phi(tau_j)={target} at tau_j={tau_j}"
-        )
-    if h_lo >= 0.0:
-        return tau_j  # already at the crossing; caller treats this as a stall
-    h_hi = h(tau_star)
-    if h_hi < -slack:
-        raise BracketFailure(
-            f"psi(tau_star)={pair.psi(tau_star)} below phi(tau_j)={target}; "
-            "tau_star does not bound the recurrence"
-        )
-    if h_hi <= 0.0:
-        return tau_star
-    if (linear is not None and 0.0 < slope < math.inf and h_lo < 0.0 < h_hi
-            and max(abs(tau_j), abs(tau_star)) < _MIDPOINT_SAFE):
-        t = (target - intercept) / slope
-        if not t > tau_j:
-            t = math.nextafter(tau_j, math.inf)
-        elif not t < tau_star:
-            t = math.nextafter(tau_star, -math.inf)
-        root = _walk_to_root(h, t)
-        if root is not None:
-            return root
-    return _bisect(h, tau_j, tau_star, h_lo, h_hi)
+    return step
+
+
+def next_tau(pair: MajorantPair, tau_j: float, tau_star: float) -> float:
+    """One step of the budget recurrence: `budget_stepper(pair, tau_star)(tau_j)`."""
+    return budget_stepper(pair, tau_star)(tau_j)
 
 
 def tau_sequence(pair: MajorantPair, max_steps: int, tail_tol: float) -> TauSequence:
-    """Iterate next_tau from tau0 until tau_star - tau_j <= tail_tol or max_steps."""
+    """Step the budget recurrence from tau0 until tau_star - tau_j <= tail_tol or max_steps."""
     tau_star = smallest_crossing(pair)
+    step = budget_stepper(pair, tau_star)
     taus = [pair.tau0]
     converged = tau_star - taus[-1] <= tail_tol
     while not converged and len(taus) - 1 < max_steps:
-        t = next_tau(pair, taus[-1], tau_star)
+        t = step(taus[-1])
         if t <= taus[-1]:
             break  # float-level stall; tail cannot shrink further
         taus.append(t)

@@ -51,7 +51,7 @@ from .linalg import (
     random_direction,
     shaped_vector,
 )
-from .majorant import MajorantPair, next_tau, smallest_crossing, validate_h2_start
+from .majorant import MajorantPair, budget_stepper, smallest_crossing, validate_h2_start
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_STEPS = "max_steps"
@@ -378,9 +378,10 @@ def coincidence_solve(inst: ProblemInstance,
                 return kernels.leave(x), trace
             warnings.warn(msg, RuntimeWarning)
 
+    next_budget = budget_stepper(pair, tau_star)
     psi = pair.psi
-    # A linear psi with float coefficients is evaluated inline, as next_tau
-    # does: slope * t + intercept has the bits psi(t) has.
+    # A linear psi with float coefficients is evaluated inline, as the
+    # stepper does: slope * t + intercept has the bits psi(t) has.
     coeffs = psi.linear_coeffs
     inline = coeffs is not None and all(type(c) is float for c in coeffs)
     slope, intercept = coeffs if inline else (0.0, 0.0)
@@ -394,7 +395,7 @@ def coincidence_solve(inst: ProblemInstance,
             trace.detail = "tau tail exhausted"
             return kernels.leave(x), trace
 
-        tau_next = next_tau(pair, tau, tau_star)
+        tau_next = next_budget(tau)
         if tau_next <= tau:
             trace.status = STATUS_MAX_STEPS
             trace.detail = "tau sequence stalled at float resolution"
@@ -426,7 +427,7 @@ def rate_estimate(trace: IterateTrace) -> tuple[str, float]:
     if len(steps) < 20:
         raise InsufficientData(f"need >= 20 recorded steps, have {len(steps)}")
     tail = steps[len(steps) // 2:]
-    tail = [(j, s) for j, s in tail if s > 0.0 and np.isfinite(s)]
+    tail = [(j, s) for j, s in tail if s > 0.0 and math.isfinite(s)]
     if len(tail) < 5:
         raise InsufficientData("tail of trace has too few nonzero steps")
     js = np.array([j for j, _ in tail], dtype=float)

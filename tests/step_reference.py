@@ -10,6 +10,8 @@ they were streamlined.
 - `reference_coincidence_solve` and `reference_alpha_iterate` are the two
   iterations with their own copies of the covering step, before both loops
   called one shared step.
+- `reference_rate_estimate` filters a trace's tail with `np.isfinite` on each
+  step norm.
 
 The tests compare the library against them bit for bit (and byte for byte).
 """
@@ -21,7 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from coincide.errors import BracketFailure, DimensionMismatch, NotContractive
+from coincide.errors import (
+    BracketFailure,
+    DimensionMismatch,
+    InsufficientData,
+    NotContractive,
+)
 from coincide.linalg import NormTag, as_vector
 from coincide.majorant import next_tau, root_tolerance, smallest_crossing, validate_h2_start
 from coincide.solver import (
@@ -252,3 +259,26 @@ def reference_alpha_iterate(p, x0, tol: float,
         x = x_next
     trace.status = STATUS_MAX_STEPS
     return x, trace
+
+
+def reference_rate_estimate(trace: IterateTrace) -> tuple[str, float]:
+    steps = [(r.j, r.step_norm) for r in trace.records[1:]]
+    if len(steps) < 20:
+        raise InsufficientData(f"need >= 20 recorded steps, have {len(steps)}")
+    tail = steps[len(steps) // 2:]
+    tail = [(j, s) for j, s in tail if s > 0.0 and np.isfinite(s)]
+    if len(tail) < 5:
+        raise InsufficientData("tail of trace has too few nonzero steps")
+    js = np.array([j for j, _ in tail], dtype=float)
+    logs = np.log([s for _, s in tail])
+
+    def fit(xs):
+        slope, intercept = np.polyfit(xs, logs, 1)
+        sse = float(np.sum((slope * xs + intercept - logs) ** 2))
+        return slope, sse
+
+    slope_geo, sse_geo = fit(js)
+    slope_pow, sse_pow = fit(np.log(js))
+    if sse_geo <= sse_pow:
+        return "geometric", float(np.exp(slope_geo))
+    return "sublinear", float(slope_pow)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_trace_invariants, planar_quadratic
 from coincide.covering import IdentityCovering, LinearSurjectiveCovering
@@ -23,12 +25,15 @@ from coincide.solver import (
     STATUS_MAX_STEPS,
     AffineMap,
     CallableMap,
+    IterateTrace,
     ProblemInstance,
+    TraceRecord,
     check_jacobian,
     coincidence_solve,
     rate_estimate,
     validate_h2_derivative,
 )
+from step_reference import reference_rate_estimate
 
 
 class TestCoincidenceSolve:
@@ -373,6 +378,33 @@ class TestRateEstimate:
         _, trace = coincidence_solve(inst, residual_tol=1e-3)
         with pytest.raises(InsufficientData):
             rate_estimate(trace)
+
+    @staticmethod
+    def _outcome(estimate, trace):
+        try:
+            regime, value = estimate(trace)
+        except InsufficientData as err:
+            return "raise", str(err)
+        return regime, float(value).hex()
+
+    step_norms = st.one_of(
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                         2.2e-308, 1e-310, 1.7976931348623157e308]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(1e-12, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(step_norms, min_size=19, max_size=60))
+    @example(steps=[0.5 ** k for k in range(1, 41)])
+    @example(steps=[5e-324] * 12 + [math.nan, -0.0, math.inf] * 4 + [1e-310] * 6)
+    def test_tail_filter_matches_the_np_isfinite_one(self, steps):
+        # Row 0 is the start; the rest carry the drawn step norms.
+        trace = IterateTrace(records=[
+            TraceRecord(j, 0.0, np.zeros(1), s, 0.0, 0.0)
+            for j, s in enumerate([0.0] + steps)])
+        with np.errstate(all="ignore"):
+            assert self._outcome(rate_estimate, trace) == self._outcome(
+                reference_rate_estimate, trace)
 
 
 class TestTraceInvariants:

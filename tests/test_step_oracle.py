@@ -1,6 +1,7 @@
 """The per-step hot paths against the oracle in step_reference.py, bit for bit.
 
-`next_tau` evaluates a linear psi inline and walks to its root in O(1),
+`budget_stepper` (which `next_tau` and the solve step through) evaluates a
+linear psi inline and walks to its root in O(1),
 `linalg.norm` takes a 1-d l2 norm as sqrt(x.dot(x)), `QuadraticMap.evaluate`
 makes one contraction instead of two, `write_trace_csv` formats a row in one
 call, both iterations run one shared covering step, and 1-d solves run that
@@ -31,7 +32,14 @@ from coincide.config import build_problem, gallery_config
 from coincide.covering import LinearSurjectiveCovering
 from coincide.errors import BracketFailure, CoincidenceError
 from coincide.linalg import NormTag, norm
-from coincide.majorant import MajorantPair, ScalarFn, _walk_to_root, next_tau
+from coincide.majorant import (
+    MajorantPair,
+    ScalarFn,
+    _walk_to_root,
+    budget_stepper,
+    next_tau,
+    tau_sequence,
+)
 from coincide.problems import (
     BilinearMap,
     QuadraticMap,
@@ -68,6 +76,16 @@ def _outcome(step, pair, tau_j, tau_star):
         return "raise", str(err)
 
 
+def _ours(pair, tau_j, tau_star):
+    """The outcome of next_tau, which one stepper built for tau_star must give
+    on each of two calls as well: a step carries nothing to the next."""
+    got = _outcome(next_tau, pair, tau_j, tau_star)
+    step = budget_stepper(pair, tau_star)
+    for _ in range(2):
+        assert _outcome(lambda _pair, t, _star: step(t), pair, tau_j, tau_star) == got
+    return got
+
+
 def _pair(slope, intercept, target, linear=True):
     """psi = slope * t + intercept (flagged linear, or as a polynomial that is
     not), and a phi whose value is `target` everywhere."""
@@ -94,7 +112,7 @@ def test_next_tau_matches_oracle(slope, intercept, tau_j, width, frac, linear):
     psi_star = slope * tau_star + intercept
     target = psi_j + frac * (psi_star - psi_j)
     pair = _pair(slope, intercept, target, linear)
-    assert _outcome(next_tau, pair, tau_j, tau_star) == _outcome(
+    assert _ours(pair, tau_j, tau_star) == _outcome(
         reference_next_tau, pair, tau_j, tau_star)
 
 
@@ -113,7 +131,7 @@ BRANCHES = {
 def test_every_next_tau_branch_matches_oracle(branch, linear):
     target, kind = BRANCHES[branch]
     pair = _pair(2.0, 0.5, target, linear)
-    got = _outcome(next_tau, pair, 1.0, 3.0)
+    got = _ours(pair, 1.0, 3.0)
     assert got == _outcome(reference_next_tau, pair, 1.0, 3.0)
     assert got[0] == kind
     if branch == "stall":
@@ -145,7 +163,7 @@ def _bisect_calls():
 
 def _matches_oracle(slope, intercept, target, tau_j, tau_star):
     pair = _pair(slope, intercept, target)
-    got = _outcome(next_tau, pair, tau_j, tau_star)
+    got = _ours(pair, tau_j, tau_star)
     assert got == _outcome(reference_next_tau, pair, tau_j, tau_star)
     return got
 
@@ -187,7 +205,8 @@ def test_next_tau_on_absorption_plateaus_matches_oracle(slope, intercept, tau_j,
 
 def test_plateau_examples_bisect():
     # The zero plateaus of the first two @examples above, and an absorption
-    # plateau, are left to the bisection.
+    # plateau, are left to the bisection: once per example by next_tau and
+    # by each of the two calls of its stepper in _ours.
     with _bisect_calls() as calls:
         for slope, t0 in ((0.1, 1.5), (3.0, 0.7)):
             target = slope * t0
@@ -195,7 +214,7 @@ def test_plateau_examples_bisect():
                            slope * math.nextafter(t0, math.inf) - target)
             _matches_oracle(slope, 0.0, target, 0.0, 4.0 * t0)
         got = _matches_oracle(1e-3, 1e6, 1e6 + 1.5e-3, 0.0, 10.0)
-    assert got[0] == "tau" and len(calls) == 3
+    assert got[0] == "tau" and len(calls) == 3 * 3
 
 
 # A negative tau0: the bracket may hold 0, where the sign of a zero root
@@ -214,6 +233,18 @@ def test_next_tau_from_negative_tau0_matches_oracle(slope, intercept, tau_j, wid
 ULP = 2.0 ** -52  # the spacing of the floats in [1, 2)
 
 
+class _StepSlope:
+    """A slope whose product with t is h(t): `_walk_to_root(_StepSlope(h),
+    0.0, 0.0, t)` walks h(t) + 0.0 - 0.0, which is h(t) for every value h
+    takes below, so the walk can be run on any non-decreasing h."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def __mul__(self, t):
+        return self.h(t)
+
+
 @settings(max_examples=300, deadline=None)
 @given(zeros=st.integers(0, 3), start=st.integers(-12, 12),
        below=st.sampled_from([1.0, 2.0, 0.5, 3.0]), above=st.sampled_from([1.0, 2.0, 0.5]))
@@ -228,7 +259,7 @@ def test_walk_ends_where_bisection_does_or_hands_back(zeros, start, below, above
         return -below if i < 0 else 0.0 if i < zeros else above
 
     lo, hi = 1.5 - 20 * ULP, 1.5 + 20 * ULP
-    got = _walk_to_root(h, 1.5 + start * ULP)
+    got = _walk_to_root(_StepSlope(h), 0.0, 0.0, 1.5 + start * ULP)
     if zeros >= 2:
         assert got is None
     else:
@@ -600,24 +631,82 @@ def test_inflated_covering_constant_fails_alike(q, factor):
         assert ours[:2] == ("raise", "BudgetExceeded")
 
 
-def test_pinned_d_zero_solve_never_bisects_in_next_tau():
-    # a = 2^10, b = 2, c = 2^-10 (D = 0, 617 steps): every budget comes from
-    # the walk. The crossing scan may bisect; next_tau may not.
-    inst = build_quadratic_instance(d_zero_quadratic(10, 1))
-    from_next_tau = []  # bisections per next_tau call
+@contextlib.contextmanager
+def _solve_steppers():
+    """The steppers coincide.solver builds inside the block: one list each,
+    with a (bisections, ScalarFn objects called) entry per call of a step."""
+    steppers, called = [], []
+    build, call = coincide.majorant.budget_stepper, ScalarFn.__call__
 
-    def scoped(*args):
-        before = len(calls)
-        try:
-            return next_tau(*args)
-        finally:
-            from_next_tau.append(len(calls) - before)
+    def counted_call(self, tau):
+        called.append(self)
+        return call(self, tau)
+
+    def counted_build(pair, tau_star):
+        step, per_step = build(pair, tau_star), []
+        steppers.append(per_step)
+
+        def scoped(tau_j):
+            before, first = len(calls), len(called)
+            try:
+                return step(tau_j)
+            finally:
+                per_step.append((len(calls) - before, called[first:]))
+
+        return scoped
 
     with _bisect_calls() as calls, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coincide.solver, "next_tau", scoped)
+        mp.setattr(ScalarFn, "__call__", counted_call)
+        mp.setattr(coincide.solver, "budget_stepper", counted_build)
+        yield steppers
+
+
+def test_pinned_d_zero_solve_never_bisects_in_next_tau():
+    # a = 2^10, b = 2, c = 2^-10 (D = 0, 617 steps): every budget comes from
+    # the walk. The crossing scan may bisect; the solve's stepper may not, and
+    # each of its steps makes one ScalarFn call, phi(tau_j).
+    inst = build_quadratic_instance(d_zero_quadratic(10, 1))
+    with _solve_steppers() as steppers:
         _, trace = coincidence_solve(inst, residual_tol=1e-8)
     assert trace.status == "converged" and trace.steps == 617
-    assert len(from_next_tau) == 617 and sum(from_next_tau) == 0
+    assert len(steppers) == 1
+    per_step = steppers[0]
+    assert len(per_step) == 617 and sum(bisections for bisections, _ in per_step) == 0
+    called = [fn for _, fns in per_step for fn in fns]
+    assert len(called) == 617 and all(fn is inst.majorants.phi for fn in called)
+
+
+@pytest.mark.parametrize("name", ["scalar-d-zero", "scalar-d-pos", "matrix-2d",
+                                  "kantorovich-affine", "random-quadratic"])
+def test_a_solve_builds_one_stepper(name):
+    cfg = gallery_config(name)
+    with _solve_steppers() as steppers:
+        _, trace = coincidence_solve(build_problem(cfg).instance, cfg.residual_tol,
+                                     cfg.max_steps)
+    assert trace.status == "converged"
+    assert [len(per_step) for per_step in steppers] == [trace.steps]
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=scalar_quadratics, linear=st.booleans())
+@example(q=d_zero_quadratic(10, 1), linear=True)
+@example(q=near_d_quadratic(1.0, 2.0, -2.8), linear=False)
+def test_one_stepper_steps_a_tau_sequence_as_fresh_calls_do(q, linear):
+    # tau_sequence steps one stepper; each budget must be what a fresh
+    # next_tau call and the bisecting oracle give at the same tau_j.
+    pair = build_quadratic_instance(q).majorants
+    if not linear:
+        slope, intercept = pair.psi.linear_coeffs
+        pair = MajorantPair(psi=ScalarFn.polynomial([intercept, slope]), phi=pair.phi,
+                            tau0=pair.tau0, horizon=pair.horizon)
+    seq = tau_sequence(pair, max_steps=700, tail_tol=0.0)
+    assert len(seq) > 1
+    step = budget_stepper(pair, seq.tau_star)
+    for tau_j, tau_next in zip(seq.taus, seq.taus[1:]):
+        want = tau_next.hex()
+        assert step(tau_j).hex() == want
+        assert next_tau(pair, tau_j, seq.tau_star).hex() == want
+        assert reference_next_tau(pair, tau_j, seq.tau_star).hex() == want
 
 
 def _isfinite_calls(run):
