@@ -19,6 +19,8 @@ from .covering import CoveringMap
 from .errors import InsufficientData, NoCrossing, NotContractive
 from .linalg import NormTag, as_vector, norm, random_direction
 from .solver import (
+    DEFAULT_MAX_STEPS,
+    DEFAULT_RESIDUAL_TOL,
     STATUS_CONVERGED,
     STATUS_MAX_STEPS,
     IterateTrace,
@@ -29,7 +31,7 @@ from .solver import (
     start_trace,
     step_kernels,
 )
-from .problems import QuadraticMap, QuadraticProblem, build_quadratic_instance
+from .problems import QuadraticMap, QuadraticProblem
 
 
 def estimate_lipschitz(v: SmoothMap, center, radius: float, pairs: int = 500,
@@ -148,8 +150,8 @@ def _rate_or_na(trace: IterateTrace) -> tuple[str, float]:
         return "insufficient-data", float("nan")
 
 
-def compare_methods(q: QuadraticProblem, tol: float = 1e-10,
-                    max_steps: int = 100_000) -> ComparisonReport:
+def compare_methods(q: QuadraticProblem, tol: float = DEFAULT_RESIDUAL_TOL,
+                    max_steps: int = DEFAULT_MAX_STEPS) -> ComparisonReport:
     """Run both schemes on the same instance and tabulate the outcomes.
 
     The baseline row reports not_contractive when beta >= alpha (exactly the
@@ -157,10 +159,8 @@ def compare_methods(q: QuadraticProblem, tol: float = 1e-10,
     share the same minimal-norm inversion, so step counts are comparable.
     """
     report = ComparisonReport()
-    inst = build_quadratic_instance(q)
-
     try:
-        x_m, trace_m = coincidence_solve(inst, residual_tol=tol, max_steps=max_steps)
+        x_m, trace_m = coincidence_solve(q.instance, residual_tol=tol, max_steps=max_steps)
         regime, value = _rate_or_na(trace_m)
         report.majorant_trace = trace_m
         report.runs.append(MethodRun(

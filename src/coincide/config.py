@@ -28,7 +28,6 @@ from .problems import (
     QuadraticProblem,
     build_kantorovich_instance,
     build_polynomial_instance,
-    build_quadratic_instance,
     random_quadratic,
 )
 from .solver import DEFAULT_MAX_STEPS, DEFAULT_RESIDUAL_TOL, AffineMap
@@ -36,7 +35,13 @@ from .solver import DEFAULT_MAX_STEPS, DEFAULT_RESIDUAL_TOL, AffineMap
 if TYPE_CHECKING:  # for BuiltProblem's annotation; the builders make instances
     from .solver import ProblemInstance
 
-KINDS = ("quadratic", "kantorovich", "custom-scalar")
+# The sections each kind reads; a config holds exactly one of them.
+SECTIONS = {
+    "quadratic": ("quadratic", "generate"),
+    "kantorovich": ("kantorovich",),
+    "custom-scalar": ("custom_scalar",),
+}
+KINDS = tuple(SECTIONS)
 METHODS = ("majorant", "baseline", "compare")
 # Largest generated tensor, dim_y * dim_x^2 entries (256 MiB of float64):
 # admits dim_x = dim_y = 300.
@@ -50,14 +55,12 @@ class ConfigError(CoincidenceError):
 @dataclass
 class ProblemConfig:
     kind: str
+    section: str  # the one key of SECTIONS[kind] the config holds
+    body: object  # that section's value
     method: str = "majorant"
     norms: tuple = (NormTag.L2, NormTag.L2)
     residual_tol: float = DEFAULT_RESIDUAL_TOL
     max_steps: int = DEFAULT_MAX_STEPS
-    quadratic: Optional[dict] = None
-    generate: Optional[dict] = None
-    kantorovich: Optional[dict] = None
-    custom_scalar: Optional[dict] = None
     label: str = ""
 
     def to_dict(self) -> dict:
@@ -70,10 +73,7 @@ class ProblemConfig:
         }
         if self.label:
             out["label"] = self.label
-        for key in ("quadratic", "generate", "kantorovich", "custom_scalar"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
+        out[self.section] = self.body
         return out
 
 
@@ -93,25 +93,22 @@ def config_from_dict(data: dict) -> ProblemConfig:
         raise ConfigError(f"bad norms section: {norms_raw!r}") from err
     residual_tol, max_steps = checked_limits(data.get("residual_tol", DEFAULT_RESIDUAL_TOL),
                                              data.get("max_steps", DEFAULT_MAX_STEPS))
-    cfg = ProblemConfig(
+    keys = SECTIONS[kind]
+    present = [key for key in keys if data.get(key) is not None]
+    if len(present) != 1:
+        names = " or ".join(f"'{key}'" for key in keys)
+        need = f"exactly one of {names}" if len(keys) > 1 else f"a {names} section"
+        raise ConfigError(f"{kind} configs need {need}")
+    return ProblemConfig(
         kind=kind,
         method=method,
         norms=norms,
         residual_tol=residual_tol,
         max_steps=max_steps,
-        quadratic=data.get("quadratic"),
-        generate=data.get("generate"),
-        kantorovich=data.get("kantorovich"),
-        custom_scalar=data.get("custom_scalar"),
+        section=present[0],
+        body=data[present[0]],
         label=data.get("label", ""),
     )
-    if kind == "quadratic" and (cfg.quadratic is None) == (cfg.generate is None):
-        raise ConfigError("quadratic configs need exactly one of 'quadratic' or 'generate'")
-    if kind == "kantorovich" and cfg.kantorovich is None:
-        raise ConfigError("kantorovich configs need a 'kantorovich' section")
-    if kind == "custom-scalar" and cfg.custom_scalar is None:
-        raise ConfigError("custom-scalar configs need a 'custom_scalar' section")
-    return cfg
 
 
 def checked_limits(residual_tol, max_steps) -> tuple[float, int]:
@@ -293,18 +290,15 @@ def build_problem(cfg: ProblemConfig) -> BuiltProblem:
     """Turn a parsed config into a runnable instance (raises ConfigError,
     NegativeDiscriminant)."""
     if cfg.kind == "quadratic":
-        q = (_build_explicit_quadratic(cfg.quadratic, cfg.norms)
-             if cfg.quadratic is not None else _build_generated_quadratic(cfg.generate))
+        q = (_build_explicit_quadratic(cfg.body, cfg.norms) if cfg.section == "quadratic"
+             else _build_generated_quadratic(cfg.body))
         try:
-            inst = build_quadratic_instance(q)
+            inst = q.instance
         except ValueError as err:  # e.g. a scan window b/a that overflows
             raise ConfigError(f"invalid quadratic problem: {err}") from err
         return BuiltProblem(instance=inst, quadratic=q, config=cfg)
-    if cfg.kind == "kantorovich":
-        return BuiltProblem(instance=_build_kantorovich(cfg.kantorovich, cfg.norms),
-                            config=cfg)
-    return BuiltProblem(instance=_build_custom_scalar(cfg.custom_scalar, cfg.norms),
-                        config=cfg)
+    build = _build_kantorovich if cfg.kind == "kantorovich" else _build_custom_scalar
+    return BuiltProblem(instance=build(cfg.body, cfg.norms), config=cfg)
 
 
 # ---------------------------------------------------------------------------

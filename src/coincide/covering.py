@@ -146,11 +146,11 @@ class LinearSurjectiveCovering(CoveringMap):
             )
         self.b = float(b)
         self.psi = ScalarFn.linear(self.b)
-        # ndarray.dot makes the BLAS gemv call `@` makes, with less dispatch,
-        # when the matrix lies in C or F order and the vector has a positive
-        # stride; `@` on other layouts (a column slice, a reversed view) runs
-        # numpy's own loop, whose sums round otherwise, so those keep `@`.
-        # The pseudo-inverse is C-ordered and -defect is a new C-ordered vector.
+        # ndarray.dot, with less dispatch than `@`, when the matrix lies in C
+        # or F order and the vector has a positive stride; `@` on other
+        # layouts (a column slice, a reversed view) rounds its sums otherwise.
+        # On a 1x1 matrix `B.dot(x)` keeps a -0 product that `B @ x` adds to
+        # +0. The pseudo-inverse is C-ordered and -defect is a new C vector.
         self._dot_is_matmul = _c_or_f_ordered(self.B)
 
     def evaluate(self, x):

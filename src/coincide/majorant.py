@@ -20,10 +20,11 @@ candidate maxima come from array comparisons; the scalar golden-section and
 bisection passes run only on the cells they select.
 
 `budget_stepper(pair, tau_star)` does the set-up of the budget recurrence
-once per pair and returns step(tau_j) -> tau_{j+1}; `next_tau`,
-`tau_sequence` and the solver all step through it. A step returns the float
-that bisection to float adjacency returns, but finds it in O(1) for a linear
-psi. Every builder makes psi with `ScalarFn.linear`, which records
+once per pair and returns step(tau_j) -> (tau_{j+1}, increment): the
+increment psi(tau_{j+1}) - psi(tau_j) is the defect the solver may admit
+next, and `next_tau` and `tau_sequence` keep tau_{j+1}. A step returns the
+float that bisection to float adjacency returns, but finds it in O(1) for a
+linear psi. Every builder makes psi with `ScalarFn.linear`, which records
 (slope, intercept); for such a psi the root's function is the inline
 arithmetic h(t) = slope * t + intercept - target, the same float operations
 psi(t) - target performs, and a step makes one ScalarFn call (phi(tau_j))
@@ -355,16 +356,16 @@ def smallest_crossing(pair: MajorantPair) -> float:
     )
 
 
-def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], float]:
-    """step(tau_j): the smallest tau in (tau_j, tau_star] with psi(tau) = phi(tau_j).
+def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], tuple]:
+    """step(tau_j) -> (tau_{j+1}, psi(tau_{j+1}) - psi(tau_j)), where tau_{j+1}
+    is the smallest tau in (tau_j, tau_star] with psi(tau) = phi(tau_j).
 
     The bracket is psi(tau_j) <= phi(tau_j) <= psi(tau_star); a step raises
     BracketFailure when phi(tau_j) lies outside it by more than the slack.
-    The result is the float bisection to float adjacency gives, so
-    consecutive budgets track the exact scalar recurrence to machine
-    precision. For a linear psi a step makes one ScalarFn call, phi(tau_j),
-    and walks to that float (see the module docstring). What depends only on
-    the pair and tau_star is read here, once.
+    tau_{j+1} is the float bisection to float adjacency gives, and a stall
+    (tau_{j+1} = tau_j) has increment 0.0. For a linear psi a step makes one
+    ScalarFn call, phi(tau_j), and walks to that float (see the module
+    docstring). What depends only on the pair and tau_star is read here, once.
     """
     psi, phi = pair.psi, pair.phi
     abs_star = abs(tau_star)
@@ -374,24 +375,26 @@ def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], flo
         walks = 0.0 < slope < math.inf
         psi_star = slope * tau_star + intercept  # h(tau_star) is psi_star - target
 
-    def step(tau_j: float) -> float:
+    def step(tau_j: float) -> tuple:
         target = phi(tau_j)
         slack = 10.0 * root_tolerance(max(abs(target), abs_star))
-        h_lo = slope * tau_j + intercept - target if linear else psi(tau_j) - target
+        psi_j = slope * tau_j + intercept if linear else psi(tau_j)
+        h_lo = psi_j - target
         if h_lo > slack:
             raise BracketFailure(
                 f"psi(tau_j)={psi(tau_j)} exceeds phi(tau_j)={target} at tau_j={tau_j}"
             )
         if h_lo >= 0.0:
-            return tau_j  # already at the crossing; caller treats this as a stall
-        h_hi = psi_star - target if linear else psi(tau_star) - target
+            return tau_j, 0.0  # already at the crossing; caller treats this as a stall
+        top = psi_star if linear else psi(tau_star)
+        h_hi = top - target
         if h_hi < -slack:
             raise BracketFailure(
                 f"psi(tau_star)={psi(tau_star)} below phi(tau_j)={target}; "
                 "tau_star does not bound the recurrence"
             )
         if h_hi <= 0.0:
-            return tau_star
+            return tau_star, top - psi_j
         if linear:
             if (walks and h_lo < 0.0 < h_hi
                     and max(abs(tau_j), abs_star) < _MIDPOINT_SAFE):
@@ -402,21 +405,22 @@ def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], flo
                     t = math.nextafter(tau_star, -math.inf)
                 root = _walk_to_root(slope, intercept, target, t)
                 if root is not None:
-                    return root
+                    return root, slope * root + intercept - psi_j
 
             def h(t):
                 return slope * t + intercept - target
         else:
             def h(t):
                 return psi(t) - target
-        return _bisect(h, tau_j, tau_star, h_lo, h_hi)
+        root = _bisect(h, tau_j, tau_star, h_lo, h_hi)
+        return root, psi(root) - psi_j
 
     return step
 
 
 def next_tau(pair: MajorantPair, tau_j: float, tau_star: float) -> float:
-    """One step of the budget recurrence: `budget_stepper(pair, tau_star)(tau_j)`."""
-    return budget_stepper(pair, tau_star)(tau_j)
+    """One step of the budget recurrence: `budget_stepper(pair, tau_star)(tau_j)[0]`."""
+    return budget_stepper(pair, tau_star)(tau_j)[0]
 
 
 def tau_sequence(pair: MajorantPair, max_steps: int, tail_tol: float) -> TauSequence:
@@ -426,7 +430,7 @@ def tau_sequence(pair: MajorantPair, max_steps: int, tail_tol: float) -> TauSequ
     taus = [pair.tau0]
     converged = tau_star - taus[-1] <= tail_tol
     while not converged and len(taus) - 1 < max_steps:
-        t = step(taus[-1])
+        t = step(taus[-1])[0]
         if t <= taus[-1]:
             break  # float-level stall; tail cannot shrink further
         taus.append(t)

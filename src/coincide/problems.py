@@ -186,7 +186,8 @@ class QuadraticProblem:
     a is the bilinear map's bound. b defaults to sigma_min(B), the largest
     valid covering constant, and c to ||C||. The covering Psi(x) = -Bx with
     modulus b * tau is built once, on first use, and every instance and
-    baseline made from the problem shares it.
+    baseline made from the problem shares it; so is `instance`, the
+    build_quadratic_instance(self) that compare_methods solves.
     """
 
     bilinear: BilinearMap
@@ -221,6 +222,10 @@ class QuadraticProblem:
     @cached_property
     def cover(self) -> LinearSurjectiveCovering:
         return LinearSurjectiveCovering(self.linear, b=self.b)
+
+    @cached_property
+    def instance(self) -> ProblemInstance:
+        return build_quadratic_instance(self)
 
     @property
     def a(self) -> float:

@@ -295,21 +295,21 @@ def start_trace(kernels: StepKernels, x0: np.ndarray, tau0: float, tau_star: flo
 
 
 def covering_step(trace: IterateTrace, kernels: StepKernels, x0, x, phi_x,
-                  budget: float, tau_next: float, defect=None):
+                  budget: float, tau_next: float, defect):
     """Solve Psi(x_next) = Phi(x) within budget and record the row at tau_next.
 
     x0, x, phi_x and defect are in the kernels' form (kernels.enter(x0) for
     the start). defect is Phi(x) - Psi(x) as the previous step (or
     start_trace) returned it, handed to the covering so that it need not
-    evaluate Psi(x) again; None, for array kernels only, makes the covering
-    compute it. budget is passed apart from
-    tau_next: the baseline sums its budgets into tau, and in floats
-    (tau + budget) - tau need not be budget. Propagates BudgetExceeded, and
-    raises NonFiniteValue when the step norm is inf or NaN: an inf or NaN
-    entry in x or Phi(x), or in the covering's answer, makes it so. It
-    raises NonFiniteValue too when the new residual is inf or NaN
-    (Phi(x_next) or Psi(x_next) overflowed), before recording the row.
-    Returns (x_next, Phi(x_next), defect at x_next, residual).
+    evaluate Psi(x) again. budget is passed apart from tau_next: the
+    baseline sums its budgets into tau, and in floats (tau + budget) - tau
+    need not be budget.
+
+    Propagates BudgetExceeded, and raises NonFiniteValue when the step norm
+    is inf or NaN: an inf or NaN entry in x or Phi(x), or in the covering's
+    answer, makes it so. It raises NonFiniteValue too when the new residual
+    is inf or NaN (Phi(x_next) or Psi(x_next) overflowed), before recording
+    the row. Returns (x_next, Phi(x_next), defect at x_next, residual).
     """
     phi, psi, correct, norm_x, norm_y, _, leave = kernels
     k = len(trace.records)
@@ -379,13 +379,6 @@ def coincidence_solve(inst: ProblemInstance,
             warnings.warn(msg, RuntimeWarning)
 
     next_budget = budget_stepper(pair, tau_star)
-    psi = pair.psi
-    # A linear psi with float coefficients is evaluated inline, as the
-    # stepper does: slope * t + intercept has the bits psi(t) has.
-    coeffs = psi.linear_coeffs
-    inline = coeffs is not None and all(type(c) is float for c in coeffs)
-    slope, intercept = coeffs if inline else (0.0, 0.0)
-    psi_tau = psi(tau)  # each step's psi(tau_next) is the next step's psi(tau)
     for j in range(max_steps):
         if residual <= residual_tol:
             trace.status = STATUS_CONVERGED
@@ -395,13 +388,11 @@ def coincidence_solve(inst: ProblemInstance,
             trace.detail = "tau tail exhausted"
             return kernels.leave(x), trace
 
-        tau_next = next_budget(tau)
+        tau_next, increment = next_budget(tau)
         if tau_next <= tau:
             trace.status = STATUS_MAX_STEPS
             trace.detail = "tau sequence stalled at float resolution"
             return kernels.leave(x), trace
-        psi_next = slope * tau_next + intercept if inline else psi(tau_next)
-        increment = psi_next - psi_tau
         if residual > increment + STEP_TOL:
             trace.status = STATUS_HYPOTHESIS
             trace.detail = (f"H2: defect {residual:.6e} exceeds admissible increment "
@@ -410,7 +401,7 @@ def coincidence_solve(inst: ProblemInstance,
 
         x, phi_x, defect, residual = covering_step(trace, kernels, x0, x, phi_x,
                                                    tau_next - tau, tau_next, defect)
-        tau, psi_tau = tau_next, psi_next
+        tau = tau_next
 
     trace.status = STATUS_MAX_STEPS
     return kernels.leave(x), trace

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from coincide.config import (
     save_config,
 )
 from coincide.covering import LinearSurjectiveCovering
+from coincide.majorant import MajorantPair
 from coincide.problems import QuadraticMap
 
 
@@ -320,6 +322,23 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp")]) == 0
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("command", ["compare", "solve"])
+    def test_a_request_builds_one_instance(self, tmp_path, monkeypatch, command):
+        # The config build makes q.instance and compare_methods solves that
+        # same instance: one pair validation per request.
+        calls = []
+        validate = MajorantPair.validate
+
+        def counted(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(MajorantPair, "validate", counted)
+        path = tmp_path / "zero.json"
+        save_config(gallery_config("scalar-d-zero"), path)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "k.json", {"kind": "kantorovich", "kantorovich": {
             "linear": [[0.5]], "shift": [0.5], "x0": [0.0], "lipschitz": 0.5}})
@@ -340,6 +359,38 @@ class TestDeterminism:
                              "--max-steps", "2000"]) in (0, 2)
                 outs.append((out / "trace.csv").read_bytes())
             assert outs[0] == outs[1]
+
+
+# sha256 of the trace files of three gallery entries, which run on the 1-d
+# float kernels: a change that moves a bit of a budget, an iterate or a norm
+# moves a digest. A change meant to alter these outputs updates the digests
+# and says so. summary.txt is not pinned: its rate lines come from np.polyfit,
+# whose last bits depend on the LAPACK build.
+TRACE_DIGESTS = {
+    ("solve", "scalar-d-pos"): {
+        "trace.csv": "aa42057d0707b9cecc999cd3f982acf6939f7aab5e5d85adea1991c3865bcf44"},
+    ("solve", "scalar-d-zero"): {
+        "trace.csv": "bebac935e79fad92d0c0d697375d2c91e1b396f265f299e19327bac0f6717044"},
+    ("solve", "kantorovich-affine"): {
+        "trace.csv": "be1287f510c1967ce8c30c45d304224b1aae6157d56d914d0b6b248188fa049b"},
+    # The two schemes take the same steps at D > 0; the baseline is refused at D = 0.
+    ("compare", "scalar-d-pos"): {
+        "trace_majorant.csv": "aa42057d0707b9cecc999cd3f982acf6939f7aab5e5d85adea1991c3865bcf44",
+        "trace_baseline.csv": "aa42057d0707b9cecc999cd3f982acf6939f7aab5e5d85adea1991c3865bcf44"},
+    ("compare", "scalar-d-zero"): {
+        "trace_majorant.csv": "bebac935e79fad92d0c0d697375d2c91e1b396f265f299e19327bac0f6717044"},
+}
+
+
+@pytest.mark.parametrize("command, name", TRACE_DIGESTS)
+def test_gallery_traces_keep_their_bytes(tmp_path, command, name):
+    path = tmp_path / f"{name}.json"
+    save_config(gallery_config(name), path)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    traces = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in out.glob("trace*.csv")}
+    assert traces == TRACE_DIGESTS[command, name]
 
 
 class TestConfigRoundTrip:

@@ -305,7 +305,8 @@ def _step(cover, x, phi_x, budget):
                       domain_radius=1.0)
     kernels = solver.step_kernels(cover, phi, np.zeros(x.size))
     trace = solver.IterateTrace(records=[None], tau0=0.0, tau_star=1.0)
-    solver.covering_step(trace, kernels, np.zeros(x.size), x, phi_x, budget, 0.5)
+    solver.covering_step(trace, kernels, np.zeros(x.size), x, phi_x, budget, 0.5,
+                         phi_x - cover.evaluate(x))
     return trace
 
 

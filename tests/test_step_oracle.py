@@ -57,6 +57,7 @@ from coincide.solver import (
     step_kernels,
 )
 
+from conftest import planar_quadratic
 from step_reference import (
     reference_alpha_iterate,
     reference_bisect,
@@ -82,7 +83,7 @@ def _ours(pair, tau_j, tau_star):
     got = _outcome(next_tau, pair, tau_j, tau_star)
     step = budget_stepper(pair, tau_star)
     for _ in range(2):
-        assert _outcome(lambda _pair, t, _star: step(t), pair, tau_j, tau_star) == got
+        assert _outcome(lambda _pair, t, _star: step(t)[0], pair, tau_j, tau_star) == got
     return got
 
 
@@ -615,6 +616,54 @@ def test_one_d_families_match_reference(name, max_steps):
         reference_alpha_iterate, p, x0, 1e-10, max_steps)
 
 
+def _assert_steps_match(pair, tau_star, taus):
+    """One stepper, stepped along taus, gives each next tau and the increment
+    psi(tau_{j+1}) - psi(tau_j) of two ScalarFn calls, bit for bit."""
+    step = budget_stepper(pair, tau_star)
+    for tau_j, tau_next in zip(taus, taus[1:]):
+        got, increment = step(tau_j)
+        assert float.hex(got) == float.hex(tau_next)
+        assert float.hex(increment) == float.hex(pair.psi(tau_next) - pair.psi(tau_j))
+
+
+# psi = 2 tau in three forms the stepper does not take inline as floats: a
+# polynomial (not flagged linear, so each step bisects and calls psi), and a
+# linear psi with a float64 or an int slope.
+PSI_FORMS = {
+    "polynomial": lambda: ScalarFn.polynomial([0.0, 2.0]),
+    "float64-slope": lambda: ScalarFn.linear(np.float64(2.0)),
+    "int-slope": lambda: ScalarFn.linear(2),
+}
+
+
+@pytest.mark.parametrize("psi", PSI_FORMS)
+@pytest.mark.parametrize("undersized", [False, True], ids=["sized", "undersized"])
+@pytest.mark.parametrize("make", [scalar_quadratic, planar_quadratic],
+                         ids=["float-path", "array-path"])
+def test_psi_forms_match_reference(psi, undersized, make):
+    # a = 1, b = 2, c = 0.75 under phi = 0.75 + a tau^2; a = 0.5 undersizes
+    # the majorant, and the defect at step 1 then exceeds the admissible
+    # increment psi(tau_2) - psi(tau_1), whose value the detail prints.
+    certified = build_quadratic_instance(make(1.0, 2.0, 0.75))
+    phi = ScalarFn.polynomial([0.75, 0.0, 0.5 if undersized else 1.0])
+    pair = MajorantPair(psi=PSI_FORMS[psi](), phi=phi, tau0=0.0, horizon=2.0)
+    inst = ProblemInstance(phi=certified.phi, cover=certified.cover, majorants=pair,
+                           x0=certified.x0)
+    float_path = make is scalar_quadratic
+    assert (type(step_kernels(inst.cover, inst.phi, inst.x0).enter(inst.x0)) is float) \
+        is float_path
+    ours = _warned(coincidence_solve, inst, residual_tol=1e-10)
+    assert ours == _warned(reference_coincidence_solve, inst, residual_tol=1e-10)
+    status, detail, _, tau_star, rows = ours[0][2:]
+    _assert_steps_match(pair, float.fromhex(tau_star), [float.fromhex(r[1]) for r in rows])
+    if undersized:
+        assert status == "hypothesis_violation"
+        assert detail.startswith("H2: defect ") and "admissible increment" in detail
+        assert detail.endswith("at step 1")
+    else:
+        assert status == "converged"
+
+
 @settings(max_examples=30, deadline=None)
 @given(q=scalar_quadratics, factor=st.floats(1.5, 4.0))
 def test_inflated_covering_constant_fails_alike(q, factor):
@@ -701,10 +750,9 @@ def test_one_stepper_steps_a_tau_sequence_as_fresh_calls_do(q, linear):
                             tau0=pair.tau0, horizon=pair.horizon)
     seq = tau_sequence(pair, max_steps=700, tail_tol=0.0)
     assert len(seq) > 1
-    step = budget_stepper(pair, seq.tau_star)
+    _assert_steps_match(pair, seq.tau_star, seq.taus)
     for tau_j, tau_next in zip(seq.taus, seq.taus[1:]):
         want = tau_next.hex()
-        assert step(tau_j).hex() == want
         assert next_tau(pair, tau_j, seq.tau_star).hex() == want
         assert reference_next_tau(pair, tau_j, seq.tau_star).hex() == want
 
