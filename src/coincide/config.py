@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -141,9 +142,10 @@ def _number(value, key: str):
 def _number_array(value, key: str) -> np.ndarray:
     """value as a float array, if numpy reads it as integers or floats.
 
-    One np.asarray and a dtype test, with no walk over the entries: strings,
-    booleans, null, objects and ragged nesting are refused (TypeError or
-    ValueError), and so is an integer too large for 64 bits.
+    A np.asarray and a dtype test refuse strings, booleans, null, objects,
+    ragged nesting (TypeError or ValueError) and integers too large for 64
+    bits. numpy reads booleans among numbers as numbers, so the entries of a
+    numeric array are then walked, one nesting level at a time, for a bool.
     """
     array = np.asarray(value)
     kind = array.dtype.kind
@@ -151,6 +153,11 @@ def _number_array(value, key: str) -> np.ndarray:
         found = {"b": "booleans", "U": "strings"}.get(
             kind, "null, objects or integers beyond 64 bits")
         raise TypeError(f"{key} must hold numbers only, got {found}")
+    entries = value if array.ndim else (value,)
+    for _ in range(array.ndim - 1):
+        entries = chain.from_iterable(entries)
+    if bool in map(type, entries):
+        raise TypeError(f"{key} must hold numbers only, got booleans")
     return array.astype(float, copy=False)
 
 

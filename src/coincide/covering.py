@@ -116,7 +116,9 @@ class LinearSurjectiveCovering(CoveringMap):
     sigma_min(B), the default. A user-supplied b is accepted (required for
     linf norms, where no constant is computed automatically) but anything
     above sigma_min under l2/l2 is rejected unless check_constant=False;
-    audit such overrides with verify_covering_sampled.
+    audit such overrides with verify_covering_sampled. B is factored here
+    once: the one SVD gives sigma_min, the default b and the cached
+    pseudo-inverse, and every check of b is made here.
     """
 
     def __init__(self, B, b: float | None = None,
@@ -136,14 +138,12 @@ class LinearSurjectiveCovering(CoveringMap):
             if norm_x != NormTag.L2 or norm_y != NormTag.L2:
                 raise ValueError("covering constant b must be supplied for non-l2 norms")
             b = self.sigma_min
-        if b <= 0:
+        if not (b > 0):  # NaN too
             raise ValueError("covering constant b must be positive")
         if (check_constant and norm_x == NormTag.L2 and norm_y == NormTag.L2
                 and b > self.sigma_min + 1e-9):
             raise ValueError(
-                f"b={b} exceeds sigma_min={self.sigma_min}; not a valid l2 covering "
-                "constant (pass check_constant=False to audit it anyway)"
-            )
+                f"b={b} exceeds sigma_min={self.sigma_min}; not a valid l2 covering constant")
         self.b = float(b)
         self.psi = ScalarFn.linear(self.b)
         # ndarray.dot, with less dispatch than `@`, when the matrix lies in C

@@ -152,10 +152,9 @@ def random_direction(rng, dim: int, tag: NormTag) -> np.ndarray:
     """
     if tag == NormTag.L2:
         d = rng.standard_normal(dim)
-        size = np.linalg.norm(d)
     else:
         d = rng.uniform(-1.0, 1.0, size=dim)
-        size = np.max(np.abs(d))
+    size = norm(d, tag)
     if size <= 1e-12:
         return np.eye(dim)[0]
     return d / size

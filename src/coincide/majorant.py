@@ -25,10 +25,10 @@ increment psi(tau_{j+1}) - psi(tau_j) is the defect the solver may admit
 next, and `next_tau` and `tau_sequence` keep tau_{j+1}. A step returns the
 float that bisection to float adjacency returns, but finds it in O(1) for a
 linear psi. Every builder makes psi with `ScalarFn.linear`, which records
-(slope, intercept); for such a psi the root's function is the inline
-arithmetic h(t) = slope * t + intercept - target, the same float operations
-psi(t) - target performs, and a step makes one ScalarFn call (phi(tau_j))
-and no closure unless it bisects. For slope > 0 every rounding in h is
+(slope, intercept); for such a psi a step evaluates psi inline as
+slope * t + intercept, the float operations psi(t) performs, and makes one
+ScalarFn call (phi(tau_j)) unless it bisects. A bisection runs on
+h(t) = psi(t) - target for every psi. For slope > 0 every rounding in h is
 monotone, so h is non-decreasing on the floats. Bisection therefore ends at
 the one adjacent pair with h(lo) < 0 < h(hi) (returning the end with the
 smaller |h|, hi on a tie), or at the float where h is 0 if exactly one float
@@ -373,7 +373,9 @@ def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], tup
     if linear:
         slope, intercept = psi.linear_coeffs
         walks = 0.0 < slope < math.inf
-        psi_star = slope * tau_star + intercept  # h(tau_star) is psi_star - target
+        psi_star = slope * tau_star + intercept
+    else:
+        walks, psi_star = False, psi(tau_star)
 
     def step(tau_j: float) -> tuple:
         target = phi(tau_j)
@@ -382,37 +384,28 @@ def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], tup
         h_lo = psi_j - target
         if h_lo > slack:
             raise BracketFailure(
-                f"psi(tau_j)={psi(tau_j)} exceeds phi(tau_j)={target} at tau_j={tau_j}"
+                f"psi(tau_j)={psi_j} exceeds phi(tau_j)={target} at tau_j={tau_j}"
             )
         if h_lo >= 0.0:
             return tau_j, 0.0  # already at the crossing; caller treats this as a stall
-        top = psi_star if linear else psi(tau_star)
-        h_hi = top - target
+        h_hi = psi_star - target
         if h_hi < -slack:
             raise BracketFailure(
-                f"psi(tau_star)={psi(tau_star)} below phi(tau_j)={target}; "
+                f"psi(tau_star)={psi_star} below phi(tau_j)={target}; "
                 "tau_star does not bound the recurrence"
             )
         if h_hi <= 0.0:
-            return tau_star, top - psi_j
-        if linear:
-            if (walks and h_lo < 0.0 < h_hi
-                    and max(abs(tau_j), abs_star) < _MIDPOINT_SAFE):
-                t = (target - intercept) / slope
-                if not t > tau_j:
-                    t = math.nextafter(tau_j, math.inf)
-                elif not t < tau_star:
-                    t = math.nextafter(tau_star, -math.inf)
-                root = _walk_to_root(slope, intercept, target, t)
-                if root is not None:
-                    return root, slope * root + intercept - psi_j
-
-            def h(t):
-                return slope * t + intercept - target
-        else:
-            def h(t):
-                return psi(t) - target
-        root = _bisect(h, tau_j, tau_star, h_lo, h_hi)
+            return tau_star, psi_star - psi_j
+        if walks and h_lo < 0.0 < h_hi and max(abs(tau_j), abs_star) < _MIDPOINT_SAFE:
+            t = (target - intercept) / slope
+            if not t > tau_j:
+                t = math.nextafter(tau_j, math.inf)
+            elif not t < tau_star:
+                t = math.nextafter(tau_star, -math.inf)
+            root = _walk_to_root(slope, intercept, target, t)
+            if root is not None:
+                return root, slope * root + intercept - psi_j
+        root = _bisect(lambda t: psi(t) - target, tau_j, tau_star, h_lo, h_hi)
         return root, psi(root) - psi_j
 
     return step

@@ -12,7 +12,7 @@ successive substitution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -164,10 +164,10 @@ class PolynomialMap(SmoothMap):
         self.domain_radius = float(domain_radius)
 
     def evaluate(self, x):
-        return np.array([self._checked(float(np.asarray(x)[0]))])
+        return np.array([self._checked(_entry(x))])
 
     def jacobian(self, x):
-        return np.array([[self.poly.derivative(float(np.asarray(x)[0]))]])
+        return np.array([[self.poly.derivative(_entry(x))]])
 
     def _checked(self, x: float) -> float:
         value = self.poly(x)
@@ -179,15 +179,24 @@ class PolynomialMap(SmoothMap):
         return self._checked
 
 
+def _entry(x) -> float:
+    """The entry of the one-entry vector x; DimensionMismatch for any other size."""
+    x = shaped_vector(x)
+    if x.size != 1:
+        raise DimensionMismatch(f"polynomial map expects vectors of size 1, got {x.size}")
+    return float(x[0])
+
+
 @dataclass
 class QuadraticProblem:
     """A(x,x) + Bx + C = 0 with its certified constants a, b, c.
 
-    a is the bilinear map's bound. b defaults to sigma_min(B), the largest
-    valid covering constant, and c to ||C||. The covering Psi(x) = -Bx with
-    modulus b * tau is built once, on first use, and every instance and
-    baseline made from the problem shares it; so is `instance`, the
-    build_quadratic_instance(self) that compare_methods solves.
+    a is the bilinear map's bound and c defaults to ||C||. The covering
+    Psi(x) = -Bx with modulus b * tau, `cover`, is built with the problem:
+    it factors B, defaults b to sigma_min(B), the largest valid covering
+    constant, and checks a given b. Every instance and baseline made from
+    the problem shares it; `instance`, the build_quadratic_instance(self)
+    that compare_methods solves, is built once, on first use.
     """
 
     bilinear: BilinearMap
@@ -195,6 +204,7 @@ class QuadraticProblem:
     offset: np.ndarray
     b: Optional[float] = None
     c: Optional[float] = None
+    cover: LinearSurjectiveCovering = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.linear = as_matrix(self.linear)
@@ -206,22 +216,13 @@ class QuadraticProblem:
                 f"{self.bilinear.dim_y}x{self.bilinear.dim_x}")
         if self.offset.size != dy:
             raise DimensionMismatch(f"offset has size {self.offset.size}, expected {dy}")
-        sigma = smallest_singular_value(self.linear)
-        if self.b is None:
-            self.b = sigma
-        if self.b > sigma + 1e-9:
-            raise ValueError(f"b={self.b} exceeds the covering constant {sigma} of B")
-        if not (self.b > 0.0):
-            raise ValueError("b must be positive")
+        self.cover = LinearSurjectiveCovering(self.linear, b=self.b)
+        self.b = self.cover.b
         c_true = norm(self.offset, NormTag.L2)
         if self.c is None:
             self.c = c_true
         if abs(self.c - c_true) > 1e-9 * (1.0 + c_true):
             raise ValueError(f"c={self.c} disagrees with ||C||={c_true}")
-
-    @cached_property
-    def cover(self) -> LinearSurjectiveCovering:
-        return LinearSurjectiveCovering(self.linear, b=self.b)
 
     @cached_property
     def instance(self) -> ProblemInstance:

@@ -154,11 +154,6 @@ class ProblemInstance:
     def __post_init__(self):
         self.x0 = as_vector(self.x0)
 
-    @property
-    def norms(self) -> tuple:
-        """(X norm, Y norm), those of the covering."""
-        return (self.cover.norm_x, self.cover.norm_y)
-
 
 @dataclass
 class TraceRecord:
@@ -202,7 +197,7 @@ def _sample_in_tau_ball(rng, inst: ProblemInstance, tau0: float, tau_hi: float):
     """Random (tau, x) with ||x - x0|| <= tau - tau0 in the instance's X norm."""
     tau = rng.uniform(tau0, tau_hi)
     rho = rng.uniform(0.0, tau - tau0) if tau > tau0 else 0.0
-    return tau, inst.x0 + rho * random_direction(rng, inst.x0.size, inst.norms[0])
+    return tau, inst.x0 + rho * random_direction(rng, inst.x0.size, inst.cover.norm_x)
 
 
 def validate_h2_derivative(inst: ProblemInstance, samples: int,
@@ -233,7 +228,7 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
     bad = samples - int(np.count_nonzero(finite))
     excess = np.empty(0)
     if bad < samples:
-        ops = operator_norm(stack[finite], inst.norms[0], inst.norms[1])
+        ops = operator_norm(stack[finite], inst.cover.norm_x, inst.cover.norm_y)
         bounds = slopes[finite] * (1.0 + H2_REL_SLACK)
         violated = ops > bounds
         excess = ops[violated] - bounds[violated]
@@ -376,7 +371,9 @@ def coincidence_solve(inst: ProblemInstance,
                 trace.status = STATUS_HYPOTHESIS
                 trace.detail = msg
                 return kernels.leave(x), trace
-            warnings.warn(msg, RuntimeWarning)
+            # One stable line, "coincide:0: RuntimeWarning: H2: ...", once per message.
+            warnings.warn_explicit(msg, RuntimeWarning, "coincide", 0, module=__name__,
+                                   registry=globals().setdefault("__warningregistry__", {}))
 
     next_budget = budget_stepper(pair, tau_star)
     for j in range(max_steps):

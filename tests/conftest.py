@@ -41,7 +41,7 @@ def assert_trace_invariants(inst: ProblemInstance, trace: IterateTrace,
     inversion bound:  ||Psi(x_{j+1}) - Phi(x_j)|| <= invert_tol * (1 + ||Phi(x_j)||)
     majorization:     residual_{j+1}    <= phi(tau_{j+1}) - phi(tau_j) + step_tol
     """
-    norm_x, norm_y = inst.norms
+    norm_x, norm_y = inst.cover.norm_x, inst.cover.norm_y
     phi_fn = inst.majorants.phi
     recs = trace.records
     assert recs[0].step_norm == 0.0 and recs[0].deviation == 0.0

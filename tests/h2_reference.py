@@ -40,9 +40,9 @@ def reference_validate_h2(inst, samples: int, tau_hi: float | None = None,
     for _ in range(samples):
         tau = rng.uniform(pair.tau0, tau_hi)
         rho = rng.uniform(0.0, tau - pair.tau0) if tau > pair.tau0 else 0.0
-        x = inst.x0 + rho * random_direction(rng, inst.x0.size, inst.norms[0])
+        x = inst.x0 + rho * random_direction(rng, inst.x0.size, inst.cover.norm_x)
         J = np.atleast_2d(inst.phi.jacobian(x))
-        op = reference_operator_norm(J, inst.norms[0], inst.norms[1])
+        op = reference_operator_norm(J, inst.cover.norm_x, inst.cover.norm_y)
         bound = pair.phi.derivative(tau) * (1.0 + H2_REL_SLACK)
         if op > bound:
             violations += 1

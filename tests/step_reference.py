@@ -154,7 +154,7 @@ def reference_coincidence_solve(inst: ProblemInstance,
     if h2_check not in ("warn", "strict", "off"):
         raise ValueError("h2_check must be 'warn', 'strict' or 'off'")
     pair = inst.majorants
-    norm_x, norm_y = inst.norms
+    norm_x, norm_y = inst.cover.norm_x, inst.cover.norm_y
     tau_star = smallest_crossing(pair)
 
     x = inst.x0.copy()

@@ -281,6 +281,22 @@ class TestGalleryCommand:
             assert code in (0, 2), name
 
 
+def count_svds(tmp_path, monkeypatch, command, name) -> int:
+    """np.linalg.svd calls of one `command` request on the gallery entry `name`."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    path = tmp_path / f"{name}.json"
+    save_config(gallery_config(name), path)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    return len(calls)
+
+
 class TestCompareCommand:
     def test_degenerate_instance_reports_dichotomy(self, tmp_path):
         cfg = write_json(tmp_path / "zero.json", scalar_config(1.0))
@@ -307,20 +323,12 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("name", ["scalar-d-zero", "matrix-2d"])
     def test_compare_factors_b_once(self, tmp_path, monkeypatch, name):
-        # sigma_min(B) for b, the tensor's overestimate, and one covering that
-        # both schemes share.
-        calls = []
-        svd = np.linalg.svd
+        # The tensor's overestimate and one covering, which gives sigma_min(B)
+        # for b and which both schemes share.
+        assert count_svds(tmp_path, monkeypatch, "compare", name) == 2
 
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        path = tmp_path / f"{name}.json"
-        save_config(gallery_config(name), path)
-        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp")]) == 0
-        assert len(calls) == 3
+    def test_solve_factors_b_once(self, tmp_path, monkeypatch):
+        assert count_svds(tmp_path, monkeypatch, "solve", "matrix-2d") == 2
 
     @pytest.mark.parametrize("command", ["compare", "solve"])
     def test_a_request_builds_one_instance(self, tmp_path, monkeypatch, command):
@@ -637,6 +645,22 @@ class TestNonFiniteInputs:
         assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("section", [
+    # Rank one with c > 0: b defaulted to about 1e-17, and the config was
+    # refused as D < 0.
+    {"tensor": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+     "matrix": [[1.0, 2.0], [2.0, 4.0]], "offset": [0.3, 0.4]},
+    # Tall: two equations in one unknown.
+    {"tensor": [[[1.0]], [[0.0]]], "matrix": [[1.0], [2.0]], "offset": [0.3, 0.4]},
+], ids=["rank-deficient", "tall"])
+def test_a_matrix_that_is_not_onto_is_a_config_error(tmp_path, capsys, section):
+    cfg = write_json(tmp_path / "cfg.json", {"kind": "quadratic", "quadratic": section})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    shape = "x".join(map(str, np.shape(section["matrix"])))
+    assert capsys.readouterr().err == (
+        f"config error: invalid quadratic problem: matrix {shape} is not surjective\n")
+
+
 def _with_fields(kind, **fields):
     """The kind's config from OVERFLOW_FIELDS with some section fields replaced."""
     payload, section, _ = OVERFLOW_FIELDS[kind]
@@ -654,6 +678,10 @@ NON_NUMBERS = {
     "quadratic-string-tensor-and-a": _with_fields("quadratic", tensor=[[["1"]]], a="1.0"),
     "quadratic-true-a": _with_fields("quadratic", a=True),
     "quadratic-true-matrix": _with_fields("quadratic", matrix=[[True]]),
+    "quadratic-false-among-matrix-numbers": {**planar_config(0.75), "quadratic": {
+        **planar_config(0.75)["quadratic"], "matrix": [[2.0, False], [0.0, 2.0]]}},
+    "custom-scalar-true-among-coefficients": _with_fields("custom-scalar",
+                                                          phi_poly=[0.75, 0.0, True]),
     "kantorovich-true-lipschitz": _with_fields("kantorovich", lipschitz=True),
     "custom-scalar-string-slope": _with_fields("custom-scalar", psi_slope="2"),
     "custom-scalar-null-coefficient": _with_fields("custom-scalar", majorant_poly=[0.75, None]),
@@ -805,3 +833,21 @@ def test_cli_import_leaves_the_process_pool_unloaded():
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_the_h2_warning_is_one_stable_line(tmp_path):
+    # Mixed norm tags are sampled; the undersized majorant warns and then
+    # stops at step 1. The line carries no source path or line number.
+    cfg = write_json(tmp_path / "under.json", {
+        "kind": "custom-scalar", "norms": {"x": "linf", "y": "l2"}, "custom_scalar": {
+            "phi_poly": [0.75, 0.0, 1.0], "psi_slope": 2.0,
+            "majorant_poly": [0.75, 0.0, 0.9], "x0": 0.0, "horizon": 2.0}})
+    proc = subprocess.run([sys.executable, "-m", "coincide.cli", "solve", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "coincide:0: RuntimeWarning: H2: sampled derivative bound violated 9/100 times "
+        "(max excess 6.345e-02)\n"
+        "hypothesis violation (H2): H2: defect 1.406250e-01 exceeds admissible increment "
+        "1.265625e-01 at step 1\n")

@@ -93,6 +93,12 @@ def test_covering_rejects_inflated_constant_by_default():
     assert cover.b == 1.5
 
 
+@pytest.mark.parametrize("b", [0.0, -1.0, float("nan")])
+def test_covering_rejects_a_constant_that_is_not_positive(b):
+    with pytest.raises(ValueError, match="must be positive"):
+        LinearSurjectiveCovering([[2.0]], b=b, check_constant=False)
+
+
 def test_covering_requires_constant_for_linf():
     with pytest.raises(ValueError, match="supplied"):
         LinearSurjectiveCovering([[2.0]],

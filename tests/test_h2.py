@@ -337,7 +337,8 @@ def test_overestimate_and_sigma_are_computed_once_per_config(monkeypatch, consta
     monkeypatch.setattr(problems, "spectral_overestimate", counted_overestimate)
     monkeypatch.setattr(problems, "smallest_singular_value", counted_sigma)
     explicit_quadratic(**constants)
-    assert counts == {"overestimate": 1, "sigma": 1}
+    # sigma_min(B) comes from the covering's own SVD.
+    assert counts == {"overestimate": 1, "sigma": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -370,8 +370,8 @@ def test_pair_checks_and_crossing_make_few_scalar_calls(scalar_calls, build):
 
 
 def test_linear_psi_next_tau_calls_only_phi(scalar_calls):
-    # psi is linear, so the bisection evaluates it inline: the one ScalarFn
-    # call is phi(tau_j). Bisecting psi(t) - target made 55 calls here.
+    # psi is linear, so the step evaluates it inline and walks to the root:
+    # the one ScalarFn call is phi(tau_j). Bisecting psi(t) - target makes 55.
     pair = quad_pair(1.0, 2.0, 0.75)
     tau_star = smallest_crossing(pair)
     scalar_calls[0] = 0

@@ -10,7 +10,9 @@ from coincide.linalg import finite_diff_jacobian, norm
 from coincide.majorant import DEFAULT_HORIZON, ScalarFn
 from coincide.problems import (
     BilinearMap,
+    PolynomialMap,
     QuadraticMap,
+    QuadraticProblem,
     apply_bilinear,
     build_kantorovich_instance,
     build_polynomial_instance,
@@ -178,6 +180,12 @@ class TestBuildQuadraticInstance:
         assert first.cover is second.cover is q.cover
         assert q.cover.b == q.b
 
+    def test_default_b_is_the_coverings_sigma_min(self):
+        B = np.random.default_rng(5).standard_normal((2, 3))
+        q = QuadraticProblem(bilinear=BilinearMap(coeffs=np.ones((2, 3, 3))),
+                             linear=B, offset=np.zeros(2))
+        assert q.b.hex() == q.cover.sigma_min.hex()
+
     def test_jacobian_identity_on_random_points(self):
         q = random_quadratic(5, 3, 0.4, seed=31)
         phi = QuadraticMap(q.bilinear, q.offset)
@@ -284,6 +292,13 @@ class TestPolynomialInstance:
         for start in ({"x0": 0.25}, {"tau0": -0.0625}):
             assert not build_polynomial_instance(self.CUBIC, self.CUBIC, 2.0, 1.6,
                                                  **start).h2_proven
+
+    @pytest.mark.parametrize("x", [[0.5, 0.25], [[0.5]], 0.5])
+    def test_map_refuses_a_point_that_is_not_one_entry(self, x):
+        phi = PolynomialMap(ScalarFn.polynomial(self.CUBIC), 0.0, 1.6)
+        for method in (phi.evaluate, phi.jacobian):
+            with pytest.raises(DimensionMismatch):
+                method(x)
 
     def test_invalid_pair_raises_value_error(self):
         with pytest.raises(ValueError, match="phi is not strictly increasing"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,14 @@ class TestValidateH2Derivative:
         with pytest.warns(RuntimeWarning, match="H2"):
             x, trace = coincidence_solve(undersized_slope_instance(), h2_check="warn")
         assert trace.status in (STATUS_CONVERGED, STATUS_MAX_STEPS, STATUS_HYPOTHESIS)
+
+    def test_warn_mode_warns_once_per_message(self):
+        # The warning names no source line, so its location is the message.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(2):
+                coincidence_solve(undersized_slope_instance(), h2_check="warn")
+        assert [(w.filename, w.lineno) for w in caught] == [("coincide", 0)]
 
     def test_non_finite_jacobian_is_a_violation_with_excess_inf(self):
         # Phi' = 2x, made NaN for x > 0.25 and -inf for x < -0.25; the finite
