@@ -25,6 +25,7 @@ from .solver import (
     STATUS_MAX_STEPS,
     IterateTrace,
     SmoothMap,
+    as_point,
     coincidence_solve,
     covering_step,
     rate_estimate,
@@ -108,13 +109,13 @@ def alpha_iterate(p: AlphaCoveringProblem, x0, tol: float,
     for _ in range(max_steps):
         if residual <= tol:
             trace.status = STATUS_CONVERGED
-            return kernels.leave(x), trace
+            return as_point(x), trace
         budget = residual / p.alpha
         tau += budget
         x, v_x, defect, residual = covering_step(trace, kernels, origin, x, v_x, budget, tau,
                                                  defect)
     trace.status = STATUS_MAX_STEPS
-    return kernels.leave(x), trace
+    return as_point(x), trace
 
 
 @dataclass

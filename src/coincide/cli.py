@@ -7,14 +7,14 @@ Subcommands:
 
 Exit codes: 0 converged, 2 certified partial result (max_steps), 1 for
 hypothesis violations (named H1/H2/crossing), a non-finite value in the
-iteration (Phi overflowing, say), parse/validation failures and an --out that
-cannot be a directory, each reported as one stderr line named by
-ERROR_PREFIXES. residual_tol (config or --tol) must be finite and
-positive, max_steps (config or --max-steps) at least 1, and JSON
-Infinity/NaN literals and number literals that overflow a double (1e400) are
-refused. A batch (several --config paths) writes each config to
-OUT/<file stem>, is refused when two stems collide, and exits 1 if any
-config failed, else 2 if any hit its step cap, else 0.
+iteration (Phi overflowing, say), parse/validation failures, an --out that
+cannot be a directory and a warning that a -W filter turns into an error, each
+reported as one stderr line named by ERROR_PREFIXES. residual_tol (config or
+--tol) must be finite and positive, max_steps (config or --max-steps) at least
+1, and JSON Infinity/NaN literals and number literals that overflow a double
+(1e400) are refused. A batch (several --config paths) writes each config to
+OUT/<file stem>, is refused when two stems collide, and exits 1 if any config
+failed, else 2 if any hit its step cap, else 0.
 All floats are printed with 17 significant digits so reruns are bit-identical.
 """
 
@@ -75,6 +75,7 @@ ERROR_PREFIXES = (
     (NonFiniteValue, "non-finite value"),
     (CoincidenceError, "config error"),
     (OSError, "output error"),
+    (Warning, "warning raised as error"),
 )
 
 
@@ -93,8 +94,7 @@ _TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g"
 
 def write_trace_csv(trace: IterateTrace, path: Path) -> None:
     lines = [TRACE_HEADER]
-    lines += [_TRACE_ROW % (r.j, r.tau, r.deviation, r.step_norm, r.residual)
-              for r in trace.records]
+    lines += map(_TRACE_ROW.__mod__, trace.rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -125,11 +125,12 @@ def write_summary(trace: IterateTrace, x_star, path: Path,
 
 
 def _guarded(run, *args) -> int:
-    """run(*args), with a CoincidenceError or an OSError (an --out that is not
-    a usable directory) turned into one named stderr line."""
+    """run(*args), with a CoincidenceError, an OSError (an --out that is not
+    a usable directory) or a Warning (raised as an error under a filter such
+    as -W error) turned into one named stderr line."""
     try:
         return run(*args)
-    except (CoincidenceError, OSError) as err:
+    except (CoincidenceError, OSError, Warning) as err:
         prefix = next(name for cls, name in ERROR_PREFIXES if isinstance(err, cls))
         print(f"{prefix}: {err}", file=sys.stderr)
         return EXIT_FAIL

@@ -26,8 +26,12 @@ the array methods. The float forms keep the array methods' bits and checks:
 - the l2 norm of one entry is sqrt(v * v), which overflows and underflows
   where abs(v) does not; the linf norm is abs(v);
 - BudgetExceeded, both NonFiniteValue tests and the STEP_TOL test of H2 fire
-  at the same step, and trace rows and the returned x are fresh float64
-  ndarrays.
+  at the same step.
+
+A trace stores each row as a plain tuple in trace.csv's column order and
+each x_j as the loop holds it (a Python float on the float path); its
+`records` and `final` build `TraceRecord`s when read, and every x they give,
+like the returned x, is a fresh float64 ndarray.
 """
 
 from __future__ import annotations
@@ -155,6 +159,11 @@ class ProblemInstance:
         self.x0 = as_vector(self.x0)
 
 
+def as_point(v) -> np.ndarray:
+    """A stored or loop point (a float or an ndarray) as a fresh float64 vector."""
+    return np.array(v, dtype=float, ndmin=1)
+
+
 @dataclass
 class TraceRecord:
     j: int
@@ -165,9 +174,19 @@ class TraceRecord:
     residual: float
 
 
+def _record(row: tuple, point) -> TraceRecord:
+    j, tau, deviation, step_norm, residual = row
+    return TraceRecord(j, tau, as_point(point), step_norm, deviation, residual)
+
+
 @dataclass
 class IterateTrace:
-    records: list = field(default_factory=list)
+    """rows[j] is (j, tau, deviation, step_norm, residual), trace.csv's columns,
+    and points[j] is x_j as the loop held it. `records` and `final` are views
+    built on each read, so hoist a `records` read out of a loop."""
+
+    rows: list = field(default_factory=list)
+    points: list = field(default_factory=list)
     status: str = STATUS_MAX_STEPS
     detail: str = ""
     tau0: float = 0.0
@@ -175,11 +194,15 @@ class IterateTrace:
 
     @property
     def steps(self) -> int:
-        return len(self.records) - 1
+        return len(self.rows) - 1
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        return list(map(_record, self.rows, self.points))
 
     @property
     def final(self) -> TraceRecord:
-        return self.records[-1]
+        return _record(self.rows[-1], self.points[-1])
 
 
 @dataclass
@@ -239,8 +262,10 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
 class StepKernels(NamedTuple):
     """The operations of a covering step, all on ndarrays or all on floats.
 
-    enter makes the loop's own copy of an ndarray point, and leave makes a
-    loop point a fresh float64 ndarray: a trace row or the returned x.
+    enter makes the loop's own copy of an ndarray point, and keep the copy of
+    a loop point that a trace stores: the float itself on the float path, a
+    copy on the array path, so a map that reuses its output buffer cannot
+    alias stored points.
     """
 
     phi: Callable      # x -> Phi(x)
@@ -249,7 +274,7 @@ class StepKernels(NamedTuple):
     norm_x: Callable
     norm_y: Callable
     enter: Callable
-    leave: Callable
+    keep: Callable
 
 
 def _own_float_form(obj, name: str):
@@ -269,12 +294,11 @@ def step_kernels(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray) -> StepKern
         phi_form = _own_float_form(phi, "float_form")
         if forms is not None and phi_form is not None:
             return StepKernels(phi_form, *forms, float_norm(cover.norm_x),
-                               float_norm(cover.norm_y), lambda v: float(v[0]),
-                               lambda v: np.array((v,)))
+                               float_norm(cover.norm_y), lambda v: float(v[0]), float)
     tag_x, tag_y = cover.norm_x, cover.norm_y
     return StepKernels(phi.evaluate, cover.evaluate, cover.solve_within,
                        lambda v: norm(v, tag_x), lambda v: norm(v, tag_y),
-                       np.ndarray.copy, lambda v: np.array(v, dtype=float))
+                       np.ndarray.copy, np.ndarray.copy)
 
 
 def start_trace(kernels: StepKernels, x0: np.ndarray, tau0: float, tau_star: float):
@@ -284,7 +308,7 @@ def start_trace(kernels: StepKernels, x0: np.ndarray, tau0: float, tau_star: flo
     phi_x = kernels.phi(x)
     defect = phi_x - kernels.psi(x)
     residual = kernels.norm_y(defect)
-    trace = IterateTrace(records=[TraceRecord(0, tau0, kernels.leave(x), 0.0, 0.0, residual)],
+    trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, residual)], points=[kernels.keep(x)],
                          tau0=tau0, tau_star=tau_star)
     return x, phi_x, defect, residual, trace
 
@@ -306,8 +330,8 @@ def covering_step(trace: IterateTrace, kernels: StepKernels, x0, x, phi_x,
     is inf or NaN (Phi(x_next) or Psi(x_next) overflowed), before recording
     the row. Returns (x_next, Phi(x_next), defect at x_next, residual).
     """
-    phi, psi, correct, norm_x, norm_y, _, leave = kernels
-    k = len(trace.records)
+    phi, psi, correct, norm_x, norm_y, _, keep = kernels
+    k = len(trace.rows)
     x_next = correct(x, phi_x, budget, defect)
     step = norm_x(x_next - x)
     if not math.isfinite(step):
@@ -317,8 +341,8 @@ def covering_step(trace: IterateTrace, kernels: StepKernels, x0, x, phi_x,
     residual = norm_y(defect)
     if not math.isfinite(residual):
         raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
-    trace.records.append(TraceRecord(
-        k, tau_next, leave(x_next), step, norm_x(x_next - x0), residual))
+    trace.rows.append((k, tau_next, norm_x(x_next - x0), step, residual))
+    trace.points.append(keep(x_next))
     return x_next, phi_next, defect, residual
 
 
@@ -360,7 +384,7 @@ def coincidence_solve(inst: ProblemInstance,
         trace.status = STATUS_HYPOTHESIS
         trace.detail = (f"H2: initial defect {residual:.6e} exceeds "
                         f"phi(tau0)-psi(tau0) = {pair.gap_at_start():.6e}")
-        return kernels.leave(x), trace
+        return as_point(x), trace
 
     if not inst.h2_proven:
         report = validate_h2_derivative(inst, H2_SAMPLES, tau_hi=tau_star)
@@ -370,7 +394,7 @@ def coincidence_solve(inst: ProblemInstance,
             if h2_check == "strict":
                 trace.status = STATUS_HYPOTHESIS
                 trace.detail = msg
-                return kernels.leave(x), trace
+                return as_point(x), trace
             # One stable line, "coincide:0: RuntimeWarning: H2: ...", once per message.
             warnings.warn_explicit(msg, RuntimeWarning, "coincide", 0, module=__name__,
                                    registry=globals().setdefault("__warningregistry__", {}))
@@ -379,29 +403,29 @@ def coincidence_solve(inst: ProblemInstance,
     for j in range(max_steps):
         if residual <= residual_tol:
             trace.status = STATUS_CONVERGED
-            return kernels.leave(x), trace
+            return as_point(x), trace
         if tau_star - tau <= TAIL_STOP:
             trace.status = STATUS_CONVERGED
             trace.detail = "tau tail exhausted"
-            return kernels.leave(x), trace
+            return as_point(x), trace
 
         tau_next, increment = next_budget(tau)
         if tau_next <= tau:
             trace.status = STATUS_MAX_STEPS
             trace.detail = "tau sequence stalled at float resolution"
-            return kernels.leave(x), trace
+            return as_point(x), trace
         if residual > increment + STEP_TOL:
             trace.status = STATUS_HYPOTHESIS
             trace.detail = (f"H2: defect {residual:.6e} exceeds admissible increment "
                             f"{increment:.6e} at step {j}")
-            return kernels.leave(x), trace
+            return as_point(x), trace
 
         x, phi_x, defect, residual = covering_step(trace, kernels, x0, x, phi_x,
                                                    tau_next - tau, tau_next, defect)
         tau = tau_next
 
     trace.status = STATUS_MAX_STEPS
-    return kernels.leave(x), trace
+    return as_point(x), trace
 
 
 def rate_estimate(trace: IterateTrace) -> tuple[str, float]:
@@ -411,7 +435,7 @@ def rate_estimate(trace: IterateTrace) -> tuple[str, float]:
     and against log j (power law; returns the exponent) over the last half of
     the recorded steps, and keeps the better least-squares fit.
     """
-    steps = [(r.j, r.step_norm) for r in trace.records[1:]]
+    steps = [(r[0], r[3]) for r in trace.rows[1:]]
     if len(steps) < 20:
         raise InsufficientData(f"need >= 20 recorded steps, have {len(steps)}")
     tail = steps[len(steps) // 2:]

@@ -13,12 +13,16 @@ they were streamlined.
 - `reference_rate_estimate` filters a trace's tail with `np.isfinite` on each
   step norm.
 
+The reference iterations return a `ReferenceTrace`, the trace shape of the
+solver before it stored rows as tuples: a list of `TraceRecord`s.
+
 The tests compare the library against them bit for bit (and byte for byte).
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +44,27 @@ from coincide.solver import (
     STATUS_MAX_STEPS,
     STEP_TOL,
     TAIL_STOP,
-    IterateTrace,
     ProblemInstance,
     TraceRecord,
     validate_h2_derivative,
 )
+
+
+@dataclass
+class ReferenceTrace:
+    records: list = field(default_factory=list)
+    status: str = STATUS_MAX_STEPS
+    detail: str = ""
+    tau0: float = 0.0
+    tau_star: float = float("nan")
+
+    @property
+    def steps(self) -> int:
+        return len(self.records) - 1
+
+    @property
+    def final(self) -> TraceRecord:
+        return self.records[-1]
 
 
 def reference_norm(v, tag: NormTag = NormTag.L2) -> float:
@@ -129,7 +149,7 @@ def reference_write_trace_csv(trace, path: Path) -> None:
 def reference_coincidence_solve(inst: ProblemInstance,
                                 residual_tol: float = DEFAULT_RESIDUAL_TOL,
                                 max_steps: int = DEFAULT_MAX_STEPS,
-                                h2_check: str = "warn") -> tuple[np.ndarray, IterateTrace]:
+                                h2_check: str = "warn") -> tuple[np.ndarray, ReferenceTrace]:
     """Run the majorant-controlled coincidence iteration.
 
     Stops when the residual ||Phi(x_j) - Psi(x_j)|| drops to residual_tol, or
@@ -161,8 +181,8 @@ def reference_coincidence_solve(inst: ProblemInstance,
     tau = pair.tau0
     phi_x = inst.phi.evaluate(x)
     residual = reference_norm(phi_x - inst.cover.evaluate(x), norm_y)
-    trace = IterateTrace(records=[TraceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
-                         tau0=pair.tau0, tau_star=tau_star)
+    trace = ReferenceTrace(records=[TraceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
+                           tau0=pair.tau0, tau_star=tau_star)
 
     if not validate_h2_start(pair, residual):
         trace.status = STATUS_HYPOTHESIS
@@ -222,7 +242,7 @@ def reference_coincidence_solve(inst: ProblemInstance,
 
 
 def reference_alpha_iterate(p, x0, tol: float,
-                            max_steps: int) -> tuple[np.ndarray, IterateTrace]:
+                            max_steps: int) -> tuple[np.ndarray, ReferenceTrace]:
     """Iterate u(x_{i+1}) = v(x_i) with per-step budget ||v(x_i) - u(x_i)|| / alpha.
 
     Raises NotContractive unless beta < alpha. Step norms contract with ratio
@@ -237,8 +257,8 @@ def reference_alpha_iterate(p, x0, tol: float,
     v_x = p.v.evaluate(x)
     residual = reference_norm(v_x - p.u.evaluate(x), p.u.norm_y)
     tau = 0.0
-    trace = IterateTrace(records=[TraceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
-                         tau0=0.0, tau_star=float("nan"))
+    trace = ReferenceTrace(records=[TraceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
+                           tau0=0.0, tau_star=float("nan"))
     for i in range(max_steps):
         if residual <= tol:
             trace.status = STATUS_CONVERGED
@@ -261,7 +281,7 @@ def reference_alpha_iterate(p, x0, tol: float,
     return x, trace
 
 
-def reference_rate_estimate(trace: IterateTrace) -> tuple[str, float]:
+def reference_rate_estimate(trace) -> tuple[str, float]:
     steps = [(r.j, r.step_norm) for r in trace.records[1:]]
     if len(steps) < 20:
         raise InsufficientData(f"need >= 20 recorded steps, have {len(steps)}")

@@ -835,13 +835,16 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# Mixed norm tags are sampled; the undersized majorant warns, then stops at step 1.
+UNDERSIZED_CUSTOM_SCALAR = {
+    "kind": "custom-scalar", "norms": {"x": "linf", "y": "l2"}, "custom_scalar": {
+        "phi_poly": [0.75, 0.0, 1.0], "psi_slope": 2.0,
+        "majorant_poly": [0.75, 0.0, 0.9], "x0": 0.0, "horizon": 2.0}}
+
+
 def test_the_h2_warning_is_one_stable_line(tmp_path):
-    # Mixed norm tags are sampled; the undersized majorant warns and then
-    # stops at step 1. The line carries no source path or line number.
-    cfg = write_json(tmp_path / "under.json", {
-        "kind": "custom-scalar", "norms": {"x": "linf", "y": "l2"}, "custom_scalar": {
-            "phi_poly": [0.75, 0.0, 1.0], "psi_slope": 2.0,
-            "majorant_poly": [0.75, 0.0, 0.9], "x0": 0.0, "horizon": 2.0}})
+    # The line carries no source path or line number.
+    cfg = write_json(tmp_path / "under.json", UNDERSIZED_CUSTOM_SCALAR)
     proc = subprocess.run([sys.executable, "-m", "coincide.cli", "solve", "--config", cfg,
                            "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, env=_child_env())
@@ -851,3 +854,33 @@ def test_the_h2_warning_is_one_stable_line(tmp_path):
         "(max excess 6.345e-02)\n"
         "hypothesis violation (H2): H2: defect 1.406250e-01 exceeds admissible increment "
         "1.265625e-01 at step 1\n")
+
+
+WARNING_AS_ERROR = ("warning raised as error: H2: sampled derivative bound violated "
+                    "9/100 times (max excess 6.345e-02)\n")
+
+
+def _solve_with_warnings_as_errors(tmp_path, *configs):
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning:coincide.solver", "-m", "coincide.cli",
+         "solve", "--config", *configs, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env())
+
+
+def test_a_warning_raised_as_error_is_one_named_line(tmp_path):
+    cfg = write_json(tmp_path / "under.json", UNDERSIZED_CUSTOM_SCALAR)
+    proc = _solve_with_warnings_as_errors(tmp_path, cfg)
+    assert proc.returncode == 1
+    assert proc.stderr == WARNING_AS_ERROR
+
+
+def test_a_warning_raised_as_error_fails_only_its_config(tmp_path):
+    under = write_json(tmp_path / "under.json", UNDERSIZED_CUSTOM_SCALAR)
+    good = tmp_path / "good.json"
+    save_config(gallery_config("scalar-d-pos"), good)
+    proc = _solve_with_warnings_as_errors(tmp_path, under, str(good))
+    assert proc.returncode == 1
+    assert proc.stderr == WARNING_AS_ERROR
+    summary = (tmp_path / "out" / "good" / "summary.txt").read_text(encoding="utf-8")
+    assert summary.startswith("status: converged\n")
+    assert not (tmp_path / "out" / "under" / "trace.csv").exists()

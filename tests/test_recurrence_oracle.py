@@ -27,7 +27,8 @@ def checked_steps(q, residual_tol: float, max_steps: int) -> int:
     checked = 0
     with localcontext() as ctx:
         ctx.prec = 50
-        for prev, cur in zip(trace.records, trace.records[1:]):
+        records = trace.records
+        for prev, cur in zip(records, records[1:]):
             if cur.tau >= trace.tau_star:
                 continue  # clamped to the crossing, not a root of the recurrence
             want = (a * Decimal(prev.tau) ** 2 + c) / b

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from coincide.linalg import NormTag
 from coincide import solver
 from coincide.majorant import MajorantPair, ScalarFn, smallest_crossing
 from coincide.baseline import AlphaCoveringProblem, alpha_iterate
+from coincide.cli import write_trace_csv
 from coincide.problems import (
     QuadraticMap,
     build_kantorovich_instance,
@@ -28,7 +30,6 @@ from coincide.solver import (
     CallableMap,
     IterateTrace,
     ProblemInstance,
-    TraceRecord,
     check_jacobian,
     coincidence_solve,
     rate_estimate,
@@ -64,9 +65,10 @@ class TestCoincidenceSolve:
         oracle = [0.0]
         for _ in range(1000):
             oracle.append(-(oracle[-1] ** 2 + 1.0) / 2.0)
+        records = trace.records
         for j in (100, 500, 1000):
-            assert trace.records[j].x[0] == pytest.approx(oracle[j], abs=1e-11)
-            assert abs(trace.records[j].x[0] + 1.0) == pytest.approx(2.0 / j, rel=0.25)
+            assert records[j].x[0] == pytest.approx(oracle[j], abs=1e-11)
+            assert abs(records[j].x[0] + 1.0) == pytest.approx(2.0 / j, rel=0.25)
 
     def test_degenerate_step_loop_evaluates_psi_once_per_step(self, monkeypatch):
         # D = 4 - 4 * 2^10 * 2^-10 = 0. The crossing is precomputed, so every
@@ -303,9 +305,79 @@ def test_every_return_gives_a_fresh_float_array(problem, exit_at):
     for v in [x] + [r.x for r in trace.records]:
         assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == inst.x0.shape
     assert x.tobytes() == trace.final.x.tobytes()
-    assert all(not np.shares_memory(x, r.x) for r in trace.records)
-    for a, b in zip(trace.records, trace.records[1:]):
+    records = trace.records
+    assert all(not np.shares_memory(x, r.x) for r in records)
+    for a, b in zip(records, records[1:]):
         assert not np.shares_memory(a.x, b.x)
+
+
+def _loops(q):
+    """(x_star, trace) of the majorant loop and of the baseline loop on q."""
+    yield coincidence_solve(build_quadratic_instance(q))
+    yield alpha_iterate(AlphaCoveringProblem.from_quadratic(q), np.zeros(q.dim_x), 1e-10, 1000)
+
+
+class TestTraceStorage:
+    # A trace keeps each row as a tuple and each x_j as the loop held it;
+    # records and final build fresh TraceRecords on each read.
+
+    def test_float_path_points_are_python_floats(self):
+        for _, trace in _loops(scalar_quadratic(1.0, 2.0, 0.75)):
+            assert trace.steps > 2 and len(trace.points) == trace.steps + 1
+            assert all(type(p) is float for p in trace.points)
+
+    def test_array_path_points_share_no_memory(self):
+        for x, trace in _loops(planar_quadratic(1.0, 2.0, 0.75)):
+            points = trace.points
+            assert trace.steps > 2 and len(points) == trace.steps + 1
+            for i, p in enumerate(points):
+                assert type(p) is np.ndarray and not np.shares_memory(p, x)
+                assert not any(np.shares_memory(p, q) for q in points[i + 1:])
+
+    @pytest.mark.parametrize("problem", [scalar_quadratic, planar_quadratic],
+                             ids=["float", "array"])
+    def test_each_read_of_records_is_fresh(self, problem):
+        _, trace = coincidence_solve(build_quadratic_instance(problem(1.0, 2.0, 0.75)))
+        first, second = trace.records, trace.records
+        assert len(first) == len(second) == trace.steps + 1
+        assert not any(np.shares_memory(a.x, b.x) for a in first for b in second)
+        want = [r.x.tobytes() for r in second]
+        for r in first:
+            r.x[:] = 7.0
+        trace.final.x[:] = 7.0
+        assert [r.x.tobytes() for r in trace.records] == want
+        assert trace.final.x.tobytes() == want[-1]
+
+    @pytest.mark.parametrize("problem", [scalar_quadratic, planar_quadratic],
+                             ids=["float", "array"])
+    def test_rows_are_the_lines_of_trace_csv(self, problem, tmp_path):
+        _, trace = coincidence_solve(build_quadratic_instance(problem(1.0, 2.0, 1.0)),
+                                     max_steps=300)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        assert header == "j,tau,deviation,step_norm,residual"
+        parsed = [(int(j), *map(float, rest)) for j, *rest in (ln.split(",") for ln in lines)]
+        assert len(parsed) == len(trace.rows) == 301
+        hexed = [(r[0], *map(float.hex, r[1:])) for r in trace.rows]
+        assert hexed == [(r[0], *map(float.hex, r[1:])) for r in parsed]
+
+    def test_a_float_path_row_costs_under_300_bytes(self):
+        # D = 0: the solve runs all 10,000 steps. A TraceRecord holding a
+        # one-entry ndarray costs about 380 B a row; a tuple and a float
+        # about 245 B.
+        inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 1.0))
+        coincidence_solve(inst, residual_tol=0.0, max_steps=10)  # warm up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, trace = coincidence_solve(inst, residual_tol=0.0, max_steps=10_000)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = trace.steps + 1
+        assert rows >= 10_000
+        assert held / rows < 300
 
 
 def _step(cover, x, phi_x, budget):
@@ -313,7 +385,8 @@ def _step(cover, x, phi_x, budget):
     phi = CallableMap(f=lambda z: np.zeros_like(z), domain_center=np.zeros(x.size),
                       domain_radius=1.0)
     kernels = solver.step_kernels(cover, phi, np.zeros(x.size))
-    trace = solver.IterateTrace(records=[None], tau0=0.0, tau_star=1.0)
+    trace = solver.IterateTrace(rows=[(0, 0.0, 0.0, 0.0, 0.0)], points=[x.copy()],
+                                tau0=0.0, tau_star=1.0)
     solver.covering_step(trace, kernels, np.zeros(x.size), x, phi_x, budget, 0.5,
                          phi_x - cover.evaluate(x))
     return trace
@@ -409,9 +482,8 @@ class TestRateEstimate:
     @example(steps=[5e-324] * 12 + [math.nan, -0.0, math.inf] * 4 + [1e-310] * 6)
     def test_tail_filter_matches_the_np_isfinite_one(self, steps):
         # Row 0 is the start; the rest carry the drawn step norms.
-        trace = IterateTrace(records=[
-            TraceRecord(j, 0.0, np.zeros(1), s, 0.0, 0.0)
-            for j, s in enumerate([0.0] + steps)])
+        trace = IterateTrace(rows=[(j, 0.0, 0.0, s, 0.0) for j, s in enumerate([0.0] + steps)],
+                             points=[0.0] * (len(steps) + 1))
         with np.errstate(all="ignore"):
             assert self._outcome(rate_estimate, trace) == self._outcome(
                 reference_rate_estimate, trace)

@@ -59,6 +59,7 @@ from coincide.solver import (
 
 from conftest import planar_quadratic
 from step_reference import (
+    ReferenceTrace,
     reference_alpha_iterate,
     reference_bisect,
     reference_coincidence_solve,
@@ -414,11 +415,12 @@ def test_quadratic_evaluate_keeps_signed_zeros():
 
 
 def _write_both(records):
-    trace = IterateTrace(records=records)
+    trace = IterateTrace(rows=[(r.j, r.tau, r.deviation, r.step_norm, r.residual)
+                               for r in records], points=[r.x for r in records])
     with tempfile.TemporaryDirectory() as tmp:
         ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
         write_trace_csv(trace, ours)
-        reference_write_trace_csv(trace, ref)
+        reference_write_trace_csv(ReferenceTrace(records=records), ref)
         return ours.read_bytes(), ref.read_bytes()
 
 
