@@ -5,7 +5,8 @@ beta/alpha whenever the Lipschitz constant beta of v sits strictly below the
 covering constant alpha of u. On the degenerate quadratic instances
 (discriminant zero) beta equals alpha and the scheme is inapplicable, while
 the majorant-controlled solver still certifies a solution; compare_methods
-reports both side by side.
+reports both side by side. alpha_iterate steps by the solver's
+covering_stepper and ends through IterateTrace.end, as coincidence_solve does.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from .solver import (
     STATUS_MAX_STEPS,
     IterateTrace,
     SmoothMap,
-    as_point,
     coincidence_solve,
-    covering_step,
+    covering_stepper,
     rate_estimate,
-    start_trace,
-    step_kernels,
 )
 from .problems import QuadraticMap, QuadraticProblem
+
+# Status of a compare row whose majorants never meet.
+STATUS_NO_CROSSING = "no_crossing"
 
 
 def estimate_lipschitz(v: SmoothMap, center, radius: float, pairs: int = 500,
@@ -94,28 +95,23 @@ def alpha_iterate(p: AlphaCoveringProblem, x0, tol: float,
 
     Raises NotContractive unless beta < alpha. Step norms contract with ratio
     at most beta/alpha; the trace's tau column accumulates the budgets, so the
-    same certificate bounds as the majorant trace apply. It runs the step
-    body of coincidence_solve on the kernels step_kernels picks, so a 1-d
-    problem runs on floats; x_star is a fresh float64 ndarray.
+    same certificate bounds as the majorant trace apply. It steps by the
+    covering_stepper of coincidence_solve, so a 1-d problem runs on floats,
+    and ends through IterateTrace.end; x_star is a fresh float64 ndarray.
     """
     if not p.applicable:
         raise NotContractive(
             f"beta = {p.beta} >= alpha = {p.alpha}: the linear-rate scheme does not apply")
-    x0 = as_vector(x0)
-    kernels = step_kernels(p.u, p.v, x0)
-    x, v_x, defect, residual, trace = start_trace(kernels, x0, 0.0, float("nan"))
-    origin = kernels.enter(x0)
+    trace, step = covering_stepper(p.u, p.v, as_vector(x0), 0.0, float("nan"))
+    residual = trace.rows[0][-1]
     tau = 0.0
     for _ in range(max_steps):
         if residual <= tol:
-            trace.status = STATUS_CONVERGED
-            return as_point(x), trace
+            return trace.end(STATUS_CONVERGED)
         budget = residual / p.alpha
         tau += budget
-        x, v_x, defect, residual = covering_step(trace, kernels, origin, x, v_x, budget, tau,
-                                                 defect)
-    trace.status = STATUS_MAX_STEPS
-    return as_point(x), trace
+        residual = step(budget, tau)
+    return trace.end(STATUS_MAX_STEPS)
 
 
 @dataclass
@@ -170,7 +166,7 @@ def compare_methods(q: QuadraticProblem, tol: float = DEFAULT_RESIDUAL_TOL,
             residual=trace_m.final.residual, x_star=x_m, detail=trace_m.detail))
     except NoCrossing as err:
         report.runs.append(MethodRun(
-            method="majorant", status="no_crossing", steps=0,
+            method="majorant", status=STATUS_NO_CROSSING, steps=0,
             rate_regime="n/a", rate_value=float("nan"),
             residual=float("nan"), applicable=False, detail=str(err)))
 

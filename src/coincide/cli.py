@@ -9,12 +9,14 @@ Exit codes: 0 converged, 2 certified partial result (max_steps), 1 for
 hypothesis violations (named H1/H2/crossing), a non-finite value in the
 iteration (Phi overflowing, say), parse/validation failures, an --out that
 cannot be a directory and a warning that a -W filter turns into an error, each
-reported as one stderr line named by ERROR_PREFIXES. residual_tol (config or
---tol) must be finite and positive, max_steps (config or --max-steps) at least
-1, and JSON Infinity/NaN literals and number literals that overflow a double
-(1e400) are refused. A batch (several --config paths) writes each config to
-OUT/<file stem>, is refused when two stems collide, and exits 1 if any config
-failed, else 2 if any hit its step cap, else 0.
+reported as one stderr line named by ERROR_PREFIXES, or by STATUS_PREFIXES
+for a solve or compare's majorant row that ends in a failed hypothesis.
+residual_tol (config or --tol) must be finite and positive, max_steps (config
+or --max-steps) and --jobs at least 1, and JSON Infinity/NaN literals and
+number literals that overflow a double (1e400) are refused. A batch (several
+--config paths) writes each config to OUT/<file stem>, is refused when two
+stems collide, and exits 1 if any config failed, else 2 if any hit its step
+cap, else 0.
 All floats are printed with 17 significant digits so reruns are bit-identical.
 """
 
@@ -27,7 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import AlphaCoveringProblem, _rate_or_na, alpha_iterate, compare_methods
+from .baseline import (
+    STATUS_NO_CROSSING,
+    AlphaCoveringProblem,
+    _rate_or_na,
+    alpha_iterate,
+    compare_methods,
+)
 from .config import (
     BuiltProblem,
     ConfigError,
@@ -65,6 +73,10 @@ EXIT_PARTIAL = 2
 
 # Exit code of a finished run by its status; any other status exits EXIT_FAIL.
 STATUS_EXIT = {STATUS_CONVERGED: EXIT_OK, STATUS_MAX_STEPS: EXIT_PARTIAL}
+
+# Stderr prefix of a run that ended with a failed hypothesis, by its status.
+STATUS_PREFIXES = {STATUS_HYPOTHESIS: "hypothesis violation (H2)",
+                   STATUS_NO_CROSSING: "hypothesis violation (crossing)"}
 
 # Stderr prefix of a run that raised; the first matching class wins.
 ERROR_PREFIXES = (
@@ -124,6 +136,15 @@ def write_summary(trace: IterateTrace, x_star, path: Path,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _exit_code(status: str, detail: str) -> int:
+    """The exit code of a run that ended with status; a status that names a
+    failed hypothesis also prints its one stderr line."""
+    prefix = STATUS_PREFIXES.get(status)
+    if prefix is not None:
+        print(f"{prefix}: {detail}", file=sys.stderr)
+    return STATUS_EXIT.get(status, EXIT_FAIL)
+
+
 def _guarded(run, *args) -> int:
     """run(*args), with a CoincidenceError, an OSError (an --out that is not
     a usable directory) or a Warning (raised as an error under a filter such
@@ -169,12 +190,12 @@ def _run_solve(config_path: str, out_dir: str, tol, max_steps, strict_h2: bool) 
             f"discriminant: {_fmt(q.discriminant)}"]
     write_trace_csv(trace, out / "trace.csv")
     write_summary(trace, x_star, out / "summary.txt", extra)
-    if trace.status == STATUS_HYPOTHESIS:
-        print(f"hypothesis violation (H2): {trace.detail}", file=sys.stderr)
-    return STATUS_EXIT.get(trace.status, EXIT_FAIL)
+    return _exit_code(trace.status, trace.detail)
 
 
 def cmd_solve(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     configs = args.config
     if len(configs) == 1:
         return _run_solve(configs[0], args.out, args.tol, args.max_steps, args.strict_h2)
@@ -242,7 +263,8 @@ def cmd_compare(args) -> int:
         write_trace_csv(report.majorant_trace, out / "trace_majorant.csv")
     if report.baseline_trace is not None:
         write_trace_csv(report.baseline_trace, out / "trace_baseline.csv")
-    return STATUS_EXIT.get(report.run_for("majorant").status, EXIT_FAIL)
+    majorant = report.run_for("majorant")
+    return _exit_code(majorant.status, majorant.detail)
 
 
 @functools.cache

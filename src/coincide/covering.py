@@ -8,9 +8,9 @@ tightly. `verify_covering_sampled` audits any implementation of the
 interface against that contract.
 
 `solve_within` checks the shapes of x' and y but does not scan their entries;
-the covering step of the solver checks that the iterate it returns is finite.
-The step hands over the defect y - Psi(x') it has already formed for its
-residual, so a covering that needs it does not evaluate Psi(x') again.
+the step of the solver's `covering_stepper` checks that the iterate it returns
+is finite. The step hands over the defect y - Psi(x') it has already formed
+for its residual, so a covering that needs it does not evaluate Psi(x') again.
 
 A 1-d shipped covering also gives `float_forms`: evaluate and solve_within
 on Python floats, with the bits and the errors the array methods give on

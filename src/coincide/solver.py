@@ -11,13 +11,15 @@ certifies the step bounds
 so the returned point always carries a distance certificate, even on early
 termination.
 
-Both this iteration and the alpha-covering baseline run one step body,
-`covering_step`, on `StepKernels` picked once per solve: evaluate Phi,
-evaluate Psi, correct within the budget, and the X and Y norms. A 1-d solve
-runs on Python floats, where numpy's per-call dispatch on one-entry arrays
-would cost more than the arithmetic, when its map is a `QuadraticMap`, an
-`AffineMap` or a `PolynomialMap` and its covering a `LinearSurjectiveCovering`
-or an `IdentityCovering` (exactly those classes). Every other solve runs on
+Both this iteration and the alpha-covering baseline step by one
+`covering_stepper`, which opens the trace, picks the kernels once per solve
+(evaluate Phi, evaluate Psi, correct within the budget, and the X and Y
+norms) and owns the iterate; each solve ends through `IterateTrace.end`,
+which returns the last stored point. A 1-d solve runs on Python floats,
+where numpy's per-call dispatch on one-entry arrays would cost more than the
+arithmetic, when its map is a `QuadraticMap`, an `AffineMap` or a
+`PolynomialMap` and its covering a `LinearSurjectiveCovering` or an
+`IdentityCovering` (exactly those classes). Every other solve runs on
 the array methods. The float forms keep the array methods' bits and checks:
 
 - the 1x1x1 einsum is 0.0 + (A * u) * u and the 1x1 `W @ x` is 0.0 + w * x:
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -204,6 +206,12 @@ class IterateTrace:
     def final(self) -> TraceRecord:
         return _record(self.rows[-1], self.points[-1])
 
+    def end(self, status: str, detail: str = "") -> tuple[np.ndarray, "IterateTrace"]:
+        """Close the trace with status and detail; returns (x, self), x the
+        last point as a fresh float64 vector."""
+        self.status, self.detail = status, detail
+        return as_point(self.points[-1]), self
+
 
 @dataclass
 class H2Report:
@@ -259,24 +267,6 @@ def validate_h2_derivative(inst: ProblemInstance, samples: int,
                     max_excess=math.inf if bad else float(np.max(excess, initial=0.0)))
 
 
-class StepKernels(NamedTuple):
-    """The operations of a covering step, all on ndarrays or all on floats.
-
-    enter makes the loop's own copy of an ndarray point, and keep the copy of
-    a loop point that a trace stores: the float itself on the float path, a
-    copy on the array path, so a map that reuses its output buffer cannot
-    alias stored points.
-    """
-
-    phi: Callable      # x -> Phi(x)
-    psi: Callable      # x -> Psi(x)
-    correct: Callable  # (x', y, budget, defect) -> x with Psi(x) = y
-    norm_x: Callable
-    norm_y: Callable
-    enter: Callable
-    keep: Callable
-
-
 def _own_float_form(obj, name: str):
     """obj.<name>() when obj's own class defines it, else None: a subclass
     may change the array methods that the form mirrors. The form itself is
@@ -285,65 +275,65 @@ def _own_float_form(obj, name: str):
     return None if form is None else form(obj)
 
 
-def step_kernels(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray) -> StepKernels:
-    """The float forms when x0 has shape (1,) and the covering's and the
+def covering_stepper(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray,
+                     tau0: float, tau_star: float) -> tuple[IterateTrace, Callable]:
+    """Open a trace at x0 and return (trace, step).
+
+    step(budget, tau_next) solves Psi(x_next) = Phi(x) within budget from
+    the current x, records the row at tau_next and returns its residual. It
+    keeps x, Phi(x), the defect Phi(x) - Psi(x), handed to the covering so
+    that it need not evaluate Psi(x) again, and its own copy of x0. budget is
+    passed apart from tau_next: the baseline sums its budgets into tau, and
+    in floats (tau + budget) - tau need not be budget. step propagates
+    BudgetExceeded; it raises NonFiniteValue, before recording the row, when
+    the step norm (an inf or NaN in x, Phi(x) or the covering's answer) or
+    the new residual (Phi or Psi overflowed at x_next) is inf or NaN.
+
+    The float forms run when x0 has shape (1,) and the covering's and the
     map's own classes give them (each does only for a 1-d map), else the
-    array methods."""
+    array methods. The trace stores the float itself on the float path and a
+    copy on the array path, so a map that reuses its output buffer cannot
+    alias stored points.
+    """
+    tag_x, tag_y = cover.norm_x, cover.norm_y
+    forms = phi_form = None
     if x0.shape == (1,):
         forms = _own_float_form(cover, "float_forms")
         phi_form = _own_float_form(phi, "float_form")
-        if forms is not None and phi_form is not None:
-            return StepKernels(phi_form, *forms, float_norm(cover.norm_x),
-                               float_norm(cover.norm_y), lambda v: float(v[0]), float)
-    tag_x, tag_y = cover.norm_x, cover.norm_y
-    return StepKernels(phi.evaluate, cover.evaluate, cover.solve_within,
-                       lambda v: norm(v, tag_x), lambda v: norm(v, tag_y),
-                       np.ndarray.copy, np.ndarray.copy)
+    if forms is not None and phi_form is not None:
+        (psi, correct), evaluate = forms, phi_form
+        norm_x, norm_y = float_norm(tag_x), float_norm(tag_y)
+        enter, keep = (lambda v: float(v[0])), float
+    else:
+        evaluate, psi, correct = phi.evaluate, cover.evaluate, cover.solve_within
+        norm_x, norm_y = (lambda v: norm(v, tag_x)), (lambda v: norm(v, tag_y))
+        enter = keep = np.ndarray.copy
 
-
-def start_trace(kernels: StepKernels, x0: np.ndarray, tau0: float, tau_star: float):
-    """Open a trace at x0; returns (x, Phi(x), defect, residual, trace), where
-    x is the loop's copy of x0, defect is Phi(x) - Psi(x) and residual its norm."""
-    x = kernels.enter(x0)
-    phi_x = kernels.phi(x)
-    defect = phi_x - kernels.psi(x)
-    residual = kernels.norm_y(defect)
-    trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, residual)], points=[kernels.keep(x)],
+    x = enter(x0)
+    phi_x = evaluate(x)
+    defect = phi_x - psi(x)
+    trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, norm_y(defect))], points=[keep(x)],
                          tau0=tau0, tau_star=tau_star)
-    return x, phi_x, defect, residual, trace
+    rows, points, origin = trace.rows, trace.points, enter(x0)
 
+    def step(budget: float, tau_next: float) -> float:
+        nonlocal x, phi_x, defect
+        k = len(rows)
+        x_next = correct(x, phi_x, budget, defect)
+        size = norm_x(x_next - x)
+        if not math.isfinite(size):
+            raise NonFiniteValue(f"iterate {k} is not finite (step norm {size})")
+        phi_x = evaluate(x_next)
+        defect = phi_x - psi(x_next)
+        residual = norm_y(defect)
+        if not math.isfinite(residual):
+            raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
+        rows.append((k, tau_next, norm_x(x_next - origin), size, residual))
+        points.append(keep(x_next))
+        x = x_next
+        return residual
 
-def covering_step(trace: IterateTrace, kernels: StepKernels, x0, x, phi_x,
-                  budget: float, tau_next: float, defect):
-    """Solve Psi(x_next) = Phi(x) within budget and record the row at tau_next.
-
-    x0, x, phi_x and defect are in the kernels' form (kernels.enter(x0) for
-    the start). defect is Phi(x) - Psi(x) as the previous step (or
-    start_trace) returned it, handed to the covering so that it need not
-    evaluate Psi(x) again. budget is passed apart from tau_next: the
-    baseline sums its budgets into tau, and in floats (tau + budget) - tau
-    need not be budget.
-
-    Propagates BudgetExceeded, and raises NonFiniteValue when the step norm
-    is inf or NaN: an inf or NaN entry in x or Phi(x), or in the covering's
-    answer, makes it so. It raises NonFiniteValue too when the new residual
-    is inf or NaN (Phi(x_next) or Psi(x_next) overflowed), before recording
-    the row. Returns (x_next, Phi(x_next), defect at x_next, residual).
-    """
-    phi, psi, correct, norm_x, norm_y, _, keep = kernels
-    k = len(trace.rows)
-    x_next = correct(x, phi_x, budget, defect)
-    step = norm_x(x_next - x)
-    if not math.isfinite(step):
-        raise NonFiniteValue(f"iterate {k} is not finite (step norm {step})")
-    phi_next = phi(x_next)
-    defect = phi_next - psi(x_next)
-    residual = norm_y(defect)
-    if not math.isfinite(residual):
-        raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
-    trace.rows.append((k, tau_next, norm_x(x_next - x0), step, residual))
-    trace.points.append(keep(x_next))
-    return x_next, phi_next, defect, residual
+    return trace, step
 
 
 def coincidence_solve(inst: ProblemInstance,
@@ -376,15 +366,12 @@ def coincidence_solve(inst: ProblemInstance,
     pair = inst.majorants
     tau_star = smallest_crossing(pair)
     tau = pair.tau0
-    kernels = step_kernels(inst.cover, inst.phi, inst.x0)
-    x, phi_x, defect, residual, trace = start_trace(kernels, inst.x0, tau, tau_star)
-    x0 = kernels.enter(inst.x0)
+    trace, step = covering_stepper(inst.cover, inst.phi, inst.x0, tau, tau_star)
+    residual = trace.rows[0][-1]
 
     if not validate_h2_start(pair, residual):
-        trace.status = STATUS_HYPOTHESIS
-        trace.detail = (f"H2: initial defect {residual:.6e} exceeds "
-                        f"phi(tau0)-psi(tau0) = {pair.gap_at_start():.6e}")
-        return as_point(x), trace
+        return trace.end(STATUS_HYPOTHESIS, f"H2: initial defect {residual:.6e} exceeds "
+                                            f"phi(tau0)-psi(tau0) = {pair.gap_at_start():.6e}")
 
     if not inst.h2_proven:
         report = validate_h2_derivative(inst, H2_SAMPLES, tau_hi=tau_star)
@@ -392,9 +379,7 @@ def coincidence_solve(inst: ProblemInstance,
             msg = (f"H2: sampled derivative bound violated {report.violations}/"
                    f"{report.samples} times (max excess {report.max_excess:.3e})")
             if h2_check == "strict":
-                trace.status = STATUS_HYPOTHESIS
-                trace.detail = msg
-                return as_point(x), trace
+                return trace.end(STATUS_HYPOTHESIS, msg)
             # One stable line, "coincide:0: RuntimeWarning: H2: ...", once per message.
             warnings.warn_explicit(msg, RuntimeWarning, "coincide", 0, module=__name__,
                                    registry=globals().setdefault("__warningregistry__", {}))
@@ -402,30 +387,21 @@ def coincidence_solve(inst: ProblemInstance,
     next_budget = budget_stepper(pair, tau_star)
     for j in range(max_steps):
         if residual <= residual_tol:
-            trace.status = STATUS_CONVERGED
-            return as_point(x), trace
+            return trace.end(STATUS_CONVERGED)
         if tau_star - tau <= TAIL_STOP:
-            trace.status = STATUS_CONVERGED
-            trace.detail = "tau tail exhausted"
-            return as_point(x), trace
+            return trace.end(STATUS_CONVERGED, "tau tail exhausted")
 
         tau_next, increment = next_budget(tau)
         if tau_next <= tau:
-            trace.status = STATUS_MAX_STEPS
-            trace.detail = "tau sequence stalled at float resolution"
-            return as_point(x), trace
+            return trace.end(STATUS_MAX_STEPS, "tau sequence stalled at float resolution")
         if residual > increment + STEP_TOL:
-            trace.status = STATUS_HYPOTHESIS
-            trace.detail = (f"H2: defect {residual:.6e} exceeds admissible increment "
-                            f"{increment:.6e} at step {j}")
-            return as_point(x), trace
+            return trace.end(STATUS_HYPOTHESIS, f"H2: defect {residual:.6e} exceeds "
+                                                f"admissible increment {increment:.6e} at step {j}")
 
-        x, phi_x, defect, residual = covering_step(trace, kernels, x0, x, phi_x,
-                                                   tau_next - tau, tau_next, defect)
+        residual = step(tau_next - tau, tau_next)
         tau = tau_next
 
-    trace.status = STATUS_MAX_STEPS
-    return as_point(x), trace
+    return trace.end(STATUS_MAX_STEPS)
 
 
 def rate_estimate(trace: IterateTrace) -> tuple[str, float]:

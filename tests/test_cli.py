@@ -347,6 +347,32 @@ class TestCompareCommand:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_an_in_loop_h2_violation_is_one_named_line(self, tmp_path, capsys, command):
+        # a = 0.5 undersizes the majorant: H2 sampling warns, then the defect
+        # at step 1 exceeds its admissible increment.
+        below = scalar_config(0.75)
+        below["quadratic"]["a"] = 0.5
+        cfg = write_json(tmp_path / "below.json", below)
+        with pytest.warns(RuntimeWarning, match="sampled derivative bound violated"):
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "hypothesis violation (H2): H2: defect 1.406250e-01 exceeds admissible "
+            "increment 7.031250e-02 at step 1\n")
+
+    def test_a_majorant_row_without_crossing_is_one_named_line(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def no_crossing(*args, **kwargs):
+            raise errors.NoCrossing("injected failure")
+
+        monkeypatch.setattr(coincide.baseline, "coincidence_solve", no_crossing)
+        cfg = write_json(tmp_path / "pos.json", scalar_config(0.75))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "hypothesis violation (crossing): injected failure\n"
+        assert "majorant,0,no_crossing," in (out / "comparison.csv").read_text()
+
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "k.json", {"kind": "kantorovich", "kantorovich": {
             "linear": [[0.5]], "shift": [0.5], "x0": [0.0], "lipschitz": 0.5}})
@@ -435,6 +461,16 @@ class TestBatch:
             assert main(["solve", "--config", *batch, "--out", out]) == code, batch
         assert (tmp_path / "out" / "cap" / "trace.csv").exists()
         assert "NegativeDiscriminant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_jobs_below_one_is_a_config_error(self, tmp_path, capsys, jobs, count):
+        paths = [write_json(tmp_path / f"c{i}.json", scalar_config(0.75))
+                 for i in range(count)]
+        out = tmp_path / "out"
+        assert main(["solve", "--config", *paths, "--out", str(out), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"config error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
 
     def test_colliding_stems_are_refused_before_any_run(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()

@@ -29,7 +29,7 @@ from coincide.problems import (
     build_quadratic_instance,
     scalar_quadratic,
 )
-from coincide.solver import AffineMap, CallableMap, coincidence_solve, step_kernels
+from coincide.solver import AffineMap, CallableMap, coincidence_solve, covering_stepper
 from conftest import planar_quadratic
 
 TAGS = [NormTag.L2, NormTag.LINF]
@@ -236,21 +236,38 @@ ARRAY_CASES = {
 }
 
 
+def _one_step(inst):
+    """The trace of one covering step from inst.x0, and the array methods of
+    inst's map and covering that opening it and the step called. Each of them
+    is stubbed on the instance to map x to zeros, so any x0 can step."""
+    called = set()
+
+    def stub(name):
+        def method(x, *args):
+            called.add(name)
+            return np.zeros_like(x)
+        return method
+
+    inst.phi.evaluate = stub("phi.evaluate")
+    inst.cover.evaluate = stub("cover.evaluate")
+    inst.cover.solve_within = stub("cover.solve_within")
+    trace, step = covering_stepper(inst.cover, inst.phi, inst.x0, 0.0, 1.0)
+    step(1.0, 1.0)
+    return trace, called
+
+
 @pytest.mark.parametrize("name", FLOAT_CASES)
 def test_one_d_shipped_maps_run_on_floats(name):
-    inst = FLOAT_CASES[name]()
-    kernels = step_kernels(inst.cover, inst.phi, inst.x0)
-    assert type(kernels.enter(inst.x0)) is float
-    assert type(kernels.phi(0.25)) is float
+    trace, called = _one_step(FLOAT_CASES[name]())
+    assert called == set()
+    assert [type(p) for p in trace.points] == [float, float]
 
 
 @pytest.mark.parametrize("name", ARRAY_CASES)
 def test_other_solves_run_on_the_array_methods(name):
-    inst = ARRAY_CASES[name]()
-    kernels = step_kernels(inst.cover, inst.phi, inst.x0)
-    assert kernels.phi == inst.phi.evaluate
-    assert kernels.psi == inst.cover.evaluate
-    assert kernels.correct == inst.cover.solve_within
+    trace, called = _one_step(ARRAY_CASES[name]())
+    assert called == {"phi.evaluate", "cover.evaluate", "cover.solve_within"}
+    assert [type(p) for p in trace.points] == [np.ndarray, np.ndarray]
 
 
 def _array_method_calls(run) -> int:

@@ -286,24 +286,62 @@ class TestNonFiniteValueMidLoop:
         assert len(calls) == 5
 
 
+def _undersized(q):
+    q.bilinear.bound = 0.5  # below the overestimate: sampled, and violated
+    return q
+
+
+def _strict(q, **kwargs):
+    return coincidence_solve(build_quadratic_instance(q), h2_check="strict", **kwargs)
+
+
+def _off_start(q):
+    inst = build_quadratic_instance(q)
+    inst.x0 = inst.x0 + 1.0
+    return coincidence_solve(inst, h2_check="strict")
+
+
+def _in_loop_defect(q):
+    with pytest.warns(RuntimeWarning, match="sampled derivative bound violated"):
+        return coincidence_solve(build_quadratic_instance(_undersized(q)))
+
+
+def _baseline(q, max_steps):
+    return alpha_iterate(AlphaCoveringProblem.from_quadratic(q), np.zeros(q.dim_x), 1e-10,
+                         max_steps)
+
+
+# Every exit of both loops on a = 1, b = 2, c = 0.75: (x_star, trace) and
+# the (status, steps, detail) it ends with.
+EXITS = {
+    "initial-gap": (_off_start, (STATUS_HYPOTHESIS, 0, "H2: initial defect")),
+    "strict-sample": (lambda q: _strict(_undersized(q)),
+                      (STATUS_HYPOTHESIS, 0, "H2: sampled derivative bound violated")),
+    "converged": (_strict, (STATUS_CONVERGED, 31, "")),
+    "tail-exhausted": (lambda q: _strict(q, residual_tol=0.0),
+                       (STATUS_CONVERGED, 45, "tau tail exhausted")),
+    "in-loop-defect": (_in_loop_defect,
+                       (STATUS_HYPOTHESIS, 1, "H2: defect 1.406250e-01 exceeds admissible "
+                                              "increment 7.031250e-02 at step 1")),
+    "max-steps": (lambda q: _strict(q, max_steps=3), (STATUS_MAX_STEPS, 3, "")),
+    "baseline-converged": (lambda q: _baseline(q, 1000), (STATUS_CONVERGED, 31, "")),
+    "baseline-max-steps": (lambda q: _baseline(q, 3), (STATUS_MAX_STEPS, 3, "")),
+}
+
+
 @pytest.mark.parametrize("problem", [scalar_quadratic, planar_quadratic],
                          ids=["float", "array"])
-@pytest.mark.parametrize("exit_at", ["initial-gap", "strict-sample", "converged"])
+@pytest.mark.parametrize("exit_at", EXITS)
 def test_every_return_gives_a_fresh_float_array(problem, exit_at):
-    # x_star is a float64 ndarray of x0's shape, apart from every trace row,
-    # on the H2 early returns too.
+    # x_star is a float64 ndarray of x0's shape with the bytes of the last
+    # row's x, apart from every trace row, on every exit of both loops.
+    run, (status, steps, detail) = EXITS[exit_at]
     q = problem(1.0, 2.0, 0.75)
-    if exit_at == "strict-sample":
-        q.bilinear.bound = 0.5  # below the overestimate: sampled, and violated
-    inst = build_quadratic_instance(q)
-    if exit_at == "initial-gap":
-        inst.x0 = inst.x0 + 1.0
-    x, trace = coincidence_solve(inst, h2_check="strict")
-    want = {"initial-gap": STATUS_HYPOTHESIS, "strict-sample": STATUS_HYPOTHESIS,
-            "converged": STATUS_CONVERGED}[exit_at]
-    assert trace.status == want
+    x, trace = run(q)
+    assert (trace.status, trace.steps) == (status, steps)
+    assert trace.detail.startswith(detail) and bool(trace.detail) is bool(detail)
     for v in [x] + [r.x for r in trace.records]:
-        assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == inst.x0.shape
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (q.dim_x,)
     assert x.tobytes() == trace.final.x.tobytes()
     records = trace.records
     assert all(not np.shares_memory(x, r.x) for r in records)
@@ -380,20 +418,25 @@ class TestTraceStorage:
         assert held / rows < 300
 
 
+class _Target(solver.SmoothMap):
+    """Phi that maps every x to one target."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def evaluate(self, x):
+        return self.target
+
+
 def _step(cover, x, phi_x, budget):
-    """One covering_step from x with target phi_x; returns the trace it extends."""
-    phi = CallableMap(f=lambda z: np.zeros_like(z), domain_center=np.zeros(x.size),
-                      domain_radius=1.0)
-    kernels = solver.step_kernels(cover, phi, np.zeros(x.size))
-    trace = solver.IterateTrace(rows=[(0, 0.0, 0.0, 0.0, 0.0)], points=[x.copy()],
-                                tau0=0.0, tau_star=1.0)
-    solver.covering_step(trace, kernels, np.zeros(x.size), x, phi_x, budget, 0.5,
-                         phi_x - cover.evaluate(x))
+    """One covering step from x with target phi_x; returns the trace it extends."""
+    trace, step = solver.covering_stepper(cover, _Target(phi_x), x, 0.0, 1.0)
+    step(budget, 0.5)
     return trace
 
 
 class TestCoveringStepRefusesANonFiniteIterate:
-    # The loop scans no entries; covering_step checks the step norm once,
+    # The loop scans no entries; a covering step checks the step norm once,
     # whatever covering made the iterate, and appends no row for it.
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["target", "start"])

@@ -54,7 +54,7 @@ from coincide.solver import (
     ProblemInstance,
     TraceRecord,
     coincidence_solve,
-    step_kernels,
+    covering_stepper,
 )
 
 from conftest import planar_quadratic
@@ -589,6 +589,12 @@ ONE_D_FAMILIES = {
 }
 
 
+def _runs_on_floats(inst) -> bool:
+    """Whether a solve of inst steps on the float forms: its trace then holds x0 as a float."""
+    trace, _ = covering_stepper(inst.cover, inst.phi, inst.x0, 0.0, 0.0)
+    return type(trace.points[0]) is float
+
+
 def _warned(solve, *args, **kwargs):
     """_loop_outcome, with the messages of the warnings it raised."""
     with warnings.catch_warnings(record=True) as caught:
@@ -604,7 +610,7 @@ def test_one_d_families_match_reference(name, max_steps):
     make, h2, status = ONE_D_FAMILIES[name]
     inst = make()
     assert inst.h2_proven is (h2 == "proven")
-    assert type(step_kernels(inst.cover, inst.phi, inst.x0).enter(inst.x0)) is float
+    assert _runs_on_floats(inst)
     slope = inst.cover.psi.linear_coeffs[0]
     p = AlphaCoveringProblem(u=inst.cover, v=inst.phi, alpha=slope, beta=0.5 * slope)
     ours = _warned(coincidence_solve, inst, residual_tol=1e-10, max_steps=max_steps)
@@ -652,8 +658,7 @@ def test_psi_forms_match_reference(psi, undersized, make):
     inst = ProblemInstance(phi=certified.phi, cover=certified.cover, majorants=pair,
                            x0=certified.x0)
     float_path = make is scalar_quadratic
-    assert (type(step_kernels(inst.cover, inst.phi, inst.x0).enter(inst.x0)) is float) \
-        is float_path
+    assert _runs_on_floats(inst) is float_path
     ours = _warned(coincidence_solve, inst, residual_tol=1e-10)
     assert ours == _warned(reference_coincidence_solve, inst, residual_tol=1e-10)
     status, detail, _, tau_star, rows = ours[0][2:]
