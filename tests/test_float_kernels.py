@@ -258,9 +258,11 @@ def _one_step(inst):
 
 @pytest.mark.parametrize("name", FLOAT_CASES)
 def test_one_d_shipped_maps_run_on_floats(name):
-    trace, called = _one_step(FLOAT_CASES[name]())
+    inst = FLOAT_CASES[name]()
+    trace, called = _one_step(inst)
     assert called == set()
     assert [type(p) for p in trace.points] == [float, float]
+    assert type(inst.phi.float_form()(0.25)) is float
 
 
 @pytest.mark.parametrize("name", ARRAY_CASES)
