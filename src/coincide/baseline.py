@@ -78,9 +78,15 @@ class AlphaCoveringProblem:
 
         There the analytic Lipschitz constant of Phi is 2 a tau_*; the
         covering constant is b. The two coincide exactly when D = 0. u is the
-        problem's own covering, the one its coincidence instance uses.
+        problem's own covering, the one its coincidence instance uses, and
+        tau_* is `q.tau_star()`, the one the coincidence solve uses. Raises
+        NotContractive when there is no crossing (a D just below 0): then no
+        ball carries a Lipschitz constant below b.
         """
-        tau_star = q.tau_star()
+        try:
+            tau_star = q.tau_star()
+        except NoCrossing as err:
+            raise NotContractive(f"no crossing tau_*: {err}") from err
         return cls(
             u=q.cover,
             v=QuadraticMap(q.bilinear, q.offset, domain_radius=tau_star),

@@ -5,11 +5,17 @@ The smallest crossing tau_* of psi(tau) = phi(tau) bounds how far the vector
 iteration can drift, and the scalar recurrence psi(tau_{j+1}) = phi(tau_j)
 hands out the per-step radius budgets.
 
-Root finding is a left-to-right bracket scan over a fixed grid followed by
-bisection. Bisection runs to float adjacency, so results are far tighter than
-the guaranteed ROOT_TOL; tangential crossings (the degenerate case where
-psi - phi touches zero without a sign change) are resolved by refining grid
-maxima with a golden-section pass.
+Where the pair's structure is known, tau_* has a closed form: for a linear
+psi (slope > 0) against a degree-2 polynomial phi (leading coefficient > 0),
+which `ScalarFn.linear` and `ScalarFn.polynomial` record, it is the smaller
+root of psi - phi in the cancellation-free form, exact at D = 0 (see
+`smallest_crossing`). Any other pair is found by a left-to-right bracket scan
+over a fixed grid followed by bisection. Bisection runs to float adjacency,
+so results are far tighter than the guaranteed ROOT_TOL; tangential
+crossings (the degenerate case where psi - phi touches zero without a sign
+change) are resolved by refining grid maxima with a golden-section pass, one
+per flat run of maxima. It stops within about sqrt(ROOT_TOL) of a tangent
+point, on either side.
 
 The scan grid and the validation grid are each evaluated in one call,
 `ScalarFn.on_grid`. The linear, polynomial and shifted functions the library
@@ -75,6 +81,10 @@ class ScalarFn:
     # evaluates slope * t + intercept inline. Not a constructor argument, so
     # a function built any other way never claims to be linear.
     linear_coeffs: Optional[tuple] = field(default=None, init=False, repr=False)
+    # The ascending coefficients, set only by `polynomial`; `smallest_crossing`
+    # reads them for its closed form. Not a constructor argument, for the
+    # same reason as linear_coeffs.
+    poly_coeffs: Optional[tuple] = field(default=None, init=False, repr=False)
     # Set only by `linear`, `polynomial` and `shifted`, whose fn takes a
     # float64 array as well as a float and does the same operations
     # elementwise; `on_grid` then calls fn once on the array.
@@ -140,6 +150,7 @@ class ScalarFn:
 
         # partial, not a lambda: one Python frame less per call.
         out = ScalarFn(fn=functools.partial(horner, cs), deriv=functools.partial(horner, ds))
+        out.poly_coeffs = tuple(cs)
         out.vectorized = True
         return out
 
@@ -297,13 +308,76 @@ def _golden_max(g, lo: float, hi: float, iters: int = 120):
 
 
 def smallest_crossing(pair: MajorantPair) -> float:
+    """The crossing tau_* of psi and phi in the window.
+
+    For a linear psi with slope > 0 against phi = polynomial([c0, c1, c2])
+    with c2 > 0, psi - phi = -(c2 t^2 - B t + C) with B = slope - c1 and
+    C = c0 - intercept, and tau_* is its smaller root, taken without
+    cancellation: 2C / (B + sqrt(D)) for B > 0, (B - sqrt(D)) / (2 c2)
+    otherwise, where D = B^2 - 4 c2 C. For the quadratic builder's pair that
+    is 2c / (b + sqrt(b^2 - 4ac)). The root is returned when it lies in
+    (tau0, tau0 + horizon] and |psi - phi| <= root_tolerance there; it makes
+    two ScalarFn calls and no grid. Every other pair (D < 0, a root outside
+    the window or failing the test, any other shape, plain callables) is
+    scanned by `_scan_crossing`: the least tau with
+    |psi(tau) - phi(tau)| <= root_tolerance(tau).
+
+    Raises NoCrossing when psi - phi stays negative over the whole window.
+    """
+    root = _quadratic_root(pair)
+    return _scan_crossing(pair) if root is None else root
+
+
+def _quadratic_root(pair: MajorantPair) -> Optional[float]:
+    """The closed-form tau_* of `smallest_crossing`, or None where it does not apply."""
+    lin, poly = pair.psi.linear_coeffs, pair.phi.poly_coeffs
+    if lin is None or poly is None or len(poly) != 3 or not (poly[2] > 0.0 and lin[0] > 0.0):
+        return None
+    (slope, intercept), (c0, c1, c2) = lin, poly
+    b, c = slope - c1, c0 - intercept
+    d = b * b - 4.0 * c2 * c
+    if not d >= 0.0:  # D < 0, or NaN
+        return None
+    root = 2.0 * c / (b + math.sqrt(d)) if b > 0.0 else (b - math.sqrt(d)) / (2.0 * c2)
+    if (pair.tau0 < root <= pair.tau_end
+            and abs(pair.psi(root) - pair.phi(root)) <= root_tolerance(root)):
+        return root
+    return None
+
+
+def _plateau_heads(gs: np.ndarray, ks: list) -> list:
+    """The grid maxima ks that the scan refines: one per plateau.
+
+    A candidate is skipped when the grid values from the last refined
+    candidate up to it span at most ROOT_TOL_REL: a flat stretch, whose
+    values may differ in the last bits, is refined once, not once per point.
+    A NaN or infinite value ends the stretch.
+    """
+    if len(ks) < 2:
+        return ks
+    # Extremes of gs over [ks[i], ks[i + 1]), the values between two candidates.
+    lows = np.minimum.reduceat(gs, ks).tolist()
+    highs = np.maximum.reduceat(gs, ks).tolist()
+    heads = []
+    for k, seg_lo, seg_hi in zip(ks, lows, highs):
+        v = float(gs[k])
+        if heads and max(hi, v) - min(lo, v) <= ROOT_TOL_REL:
+            lo, hi = min(lo, seg_lo), max(hi, seg_hi)
+        else:
+            heads.append(k)
+            lo, hi = seg_lo, seg_hi
+    return heads
+
+
+def _scan_crossing(pair: MajorantPair) -> float:
     """Least tau in the window with |psi(tau) - phi(tau)| <= root_tolerance(tau).
 
     Scans SCAN_POINTS grid cells left to right for a sign change of
     psi - phi, then bisects. Grid maxima to the left of the first sign change
     are refined so that tangential crossings (psi - phi touching zero from
     below) and narrow bumps skipped by the grid are still found, and the
-    smallest solution wins.
+    smallest solution wins; a flat run of maxima is refined once (see
+    `_plateau_heads`).
 
     Raises NoCrossing when psi - phi stays negative over the whole window.
     """
@@ -336,7 +410,7 @@ def smallest_crossing(pair: MajorantPair) -> float:
     peaks = gs[1:stop] >= gs[:stop - 1]
     m = min(stop, n - 1)
     peaks[:m - 1] &= gs[1:m] >= gs[2:m + 1]
-    for k in (np.flatnonzero(peaks) + 1).tolist():
+    for k in _plateau_heads(gs, (np.flatnonzero(peaks) + 1).tolist()):
         a = float(taus[k - 1])
         b = float(taus[k + 1]) if k + 1 < n else float(taus[k])
         t_peak, g_peak = _golden_max(g, a, b)

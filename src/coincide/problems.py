@@ -4,9 +4,10 @@ The quadratic operator equation A(x,x) + Bx + C = 0 splits into the smooth
 part Phi(x) = A(x,x) + C against the linear covering Psi(x) = -Bx, majorized
 by psi(tau) = b*tau and phi(tau) = a*tau^2 + c. Solvability is governed by
 the discriminant D = b^2 - 4ac >= 0, and the smallest crossing is
-tau_* = (b - sqrt(D)) / (2a). The fixed-point reduction (Psi = identity,
-psi(tau) = tau) turns the solver into classical majorant-controlled
-successive substitution.
+tau_* = (b - sqrt(D)) / (2a), which `smallest_crossing` takes as
+2c / (b + sqrt(D)) and `QuadraticProblem.tau_star` reads. The fixed-point
+reduction (Psi = identity, psi(tau) = tau) turns the solver into classical
+majorant-controlled successive substitution.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .linalg import (
     shaped_vector,
     smallest_singular_value,
 )
-from .majorant import DEFAULT_HORIZON, MajorantPair, ScalarFn
+from .majorant import DEFAULT_HORIZON, MajorantPair, ScalarFn, smallest_crossing
 from .solver import AffineMap, ProblemInstance, SmoothMap
 
 
@@ -245,12 +246,15 @@ class QuadraticProblem:
         return self.bilinear.dim_y
 
     def tau_star(self) -> float:
-        """(b - sqrt(D)) / (2a); raises NegativeDiscriminant when D < 0."""
-        d = self.discriminant
-        if d < -_DISCRIMINANT_TOL * max(1.0, self.b * self.b):
-            raise NegativeDiscriminant(
-                f"D = b^2 - 4ac = {d} < 0: the quadratic equation has no certified solution")
-        return (self.b - math.sqrt(max(d, 0.0))) / (2.0 * self.a)
+        """smallest_crossing(instance.majorants): the tau_* that its solve uses.
+
+        For D >= 0 that is 2c / (b + sqrt(D)), the smaller root of
+        a tau^2 - b tau + c without cancellation; a D just below 0, which the
+        builder accepts as rounding, is scanned. Raises what building the
+        instance raises (NegativeDiscriminant when D < 0 beyond rounding), and
+        NoCrossing when the scan finds no crossing.
+        """
+        return smallest_crossing(self.instance.majorants)
 
     def equation_residual(self, x) -> float:
         """||A(x,x) + Bx + C|| in the l2 norm; the solution certificate."""
@@ -285,7 +289,10 @@ def build_quadratic_instance(q: QuadraticProblem) -> ProblemInstance:
     x0 = 0 and tau0 = 0, ||Phi'(x)|| = ||2 A(x, .)|| <= 2 S ||x|| <= 2 a tau
     = phi'(tau) on ||x|| <= tau. The comparison has no slack.
     """
-    q.tau_star()  # refuses D < 0
+    d = q.discriminant
+    if d < -_DISCRIMINANT_TOL * max(1.0, q.b * q.b):
+        raise NegativeDiscriminant(
+            f"D = b^2 - 4ac = {d} < 0: the quadratic equation has no certified solution")
     horizon = q.b / q.a
     if not (0.0 < horizon < math.inf):
         raise ValueError(f"the scan window b/a = {horizon} must be finite and positive")

@@ -1,15 +1,21 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from crossing_reference import reference_smallest_crossing
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coincide import majorant
 from coincide.config import build_problem, config_from_dict
 from coincide.errors import BracketFailure, NoCrossing
 from coincide.majorant import (
     MajorantPair,
     ScalarFn,
+    _quadratic_root,
+    _scan_crossing,
     next_tau,
     root_tolerance,
     smallest_crossing,
@@ -211,17 +217,21 @@ def as_plain_callable(f: ScalarFn) -> ScalarFn:
     return ScalarFn(fn=f.fn, deriv=f.deriv)
 
 
-def crossing_outcome(psi, phi, tau0, horizon):
-    """Bits of tau_*, or the type and message of the first error raised."""
+def crossing_outcome(psi, phi, tau0, horizon, crossing=_scan_crossing):
+    """Bits of crossing(pair), or the type and message of the first error raised.
+
+    The scan by default: a quadratic pair of library functions takes the
+    closed form in smallest_crossing, and its plain-callable copy is scanned.
+    """
     try:
         pair = MajorantPair(psi=psi, phi=phi, tau0=tau0, horizon=horizon)
-        return ("tau_star", smallest_crossing(pair).hex())
+        return ("tau_star", crossing(pair).hex())
     except (ValueError, NoCrossing) as err:
         return (type(err).__name__, str(err))
 
 
-@settings(max_examples=80, deadline=None)
-@given(
+# A linear psi against a polynomial phi on a window.
+LINEAR_POLYNOMIAL_PAIRS = dict(
     slope=st.floats(min_value=0.05, max_value=4.0),
     intercept=st.sampled_from([0.0, 0.0, 0.25, -0.5]),
     # Mostly increasing phi (a negative higher coefficient is rare), so most
@@ -232,6 +242,10 @@ def crossing_outcome(psi, phi, tau0, horizon):
     tau0=st.sampled_from([0.0, 0.0, 0.5, -1.0]),
     horizon=st.floats(min_value=0.1, max_value=10.0),
 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(**LINEAR_POLYNOMIAL_PAIRS)
 # D = 0 tangency, on and off the grid.
 @example(slope=2.0, intercept=0.0, coeffs=[1.0, 0.0, 1.0], tau0=0.0, horizon=2.0)
 @example(slope=2.0, intercept=0.0, coeffs=[1.0, 0.0, 1.0], tau0=0.0, horizon=2.3)
@@ -244,6 +258,22 @@ def crossing_outcome(psi, phi, tau0, horizon):
 def test_grid_and_pointwise_paths_agree(slope, intercept, coeffs, tau0, horizon):
     assert_paths_agree(ScalarFn.linear(slope, intercept), ScalarFn.polynomial(coeffs),
                        tau0, horizon)
+
+
+# Fewer examples than above: the reference refines every grid maximum of a
+# flat pair, about 0.8 s each, and the strategy draws equal slopes often.
+@settings(max_examples=25, deadline=None)
+@given(**LINEAR_POLYNOMIAL_PAIRS)
+@example(slope=2.0, intercept=0.0, coeffs=[1.0, 0.0, 1.0], tau0=0.0, horizon=2.3)
+@example(slope=2.0, intercept=0.0, coeffs=[1.0 - 1e-12, 0.0, 1.0], tau0=0.0, horizon=2.3)
+# Flat: psi - phi is -0.5 up to the last bit on every grid point, and nearly so.
+@example(slope=0.1, intercept=0.0, coeffs=[0.5, 0.1], tau0=0.0, horizon=0.1)
+@example(slope=0.5, intercept=0.25, coeffs=[0.75, 0.5, 1e-14], tau0=-1.0, horizon=2.0)
+def test_scan_keeps_the_bits_of_the_reference_scan(slope, intercept, coeffs, tau0, horizon):
+    # Refining a flat run of grid maxima once keeps the bits of refining each.
+    psi, phi = ScalarFn.linear(slope, intercept), ScalarFn.polynomial(coeffs)
+    assert crossing_outcome(psi, phi, tau0, horizon) == \
+        crossing_outcome(psi, phi, tau0, horizon, reference_smallest_crossing)
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,14 +343,45 @@ def test_on_grid_calls_a_library_function_once_and_any_other_per_point():
     assert calls == [()] * grid.size
 
 
-def test_flat_stretch_of_psi_minus_phi_refines_every_grid_maximum():
+@pytest.fixture
+def golden_calls(monkeypatch):
+    """The (lo, hi) of each golden-section refinement of a grid maximum."""
+    calls = []
+    golden = majorant._golden_max
+
+    def counted(g, lo, hi):
+        calls.append((lo, hi))
+        return golden(g, lo, hi)
+
+    monkeypatch.setattr(majorant, "_golden_max", counted)
+    return calls
+
+
+def test_flat_stretch_of_psi_minus_phi_is_refined_once(golden_calls):
     # psi - phi is -1 up to 0.001 and -1e-13 (a touch within tolerance) after:
-    # on the flat stretches every grid point is a maximum, and the first one
-    # whose cell reaches past 0.001 is the crossing.
+    # on the flat stretches every grid point is a maximum. Each stretch is
+    # refined at its first one, and the first of the second stretch, whose
+    # cell reaches past 0.001, is the crossing, with the bits that refining
+    # every maximum gives.
     pair = MajorantPair(
         psi=ScalarFn(fn=lambda t: 2.0 * t + (1.0 - 1e-13 if t >= 0.001 else 0.0)),
         phi=ScalarFn.linear(2.0, 1.0), tau0=0.0, horizon=1.0)
-    assert 0.0009 <= smallest_crossing(pair) <= 0.0013
+    found = smallest_crossing(pair)
+    assert 0.0009 <= found <= 0.0013
+    assert len(golden_calls) == 2
+    assert found.hex() == reference_smallest_crossing(pair).hex()
+
+
+def test_a_parallel_pair_is_refined_once(golden_calls):
+    # psi - phi is -0.5 or its float neighbour at every grid point: all of it
+    # is one flat run, so one refinement (the reference makes 5,096).
+    pair = MajorantPair(psi=ScalarFn.linear(0.1), phi=ScalarFn.linear(0.1, 0.5),
+                        tau0=0.0, horizon=0.1)
+    message = ("psi - phi < 0 on all of [0.0, 0.1] (max -5.000000e-01); "
+               "majorant hypotheses fail")
+    with pytest.raises(NoCrossing, match=f"^{re.escape(message)}$"):
+        smallest_crossing(pair)
+    assert len(golden_calls) == 1
 
 
 def test_narrow_bump_between_grid_points_is_found():
@@ -378,3 +439,96 @@ def test_linear_psi_next_tau_calls_only_phi(scalar_calls):
     tau = next_tau(pair, 0.1, tau_star)
     assert 0.1 < tau < tau_star
     assert scalar_calls[0] == 1
+
+
+def exact_quadratic(a: float, b: float, c: float):
+    """a t^2 - b t + c in exact rational arithmetic at the float t."""
+    return lambda t: Fraction(a) * Fraction(t) ** 2 - Fraction(b) * Fraction(t) + Fraction(c)
+
+
+class TestClosedFormCrossing:
+    @pytest.mark.parametrize("a, b, c, expected", [
+        (2.0 ** 10, 2.0, 2.0 ** -10, 2.0 ** -10),
+        (1.0, 2.0, 1.0, 1.0),
+    ])
+    def test_d_zero_is_the_tangent_point(self, a, b, c, expected):
+        # The scan stops about 6e-9 relative below it, on the unsafe side.
+        assert smallest_crossing(quad_pair(a, b, c)) == expected
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-12])
+    def test_a_small_offset_is_within_one_ulp_of_the_root(self, c):
+        # (b - sqrt(D)) / (2a) reads 5.000000413701855e-11 at c = 1e-10.
+        a, b = 1.0, 2.0
+        tau = smallest_crossing(quad_pair(a, b, c))
+        p = exact_quadratic(a, b, c)
+        # p falls through zero at its smaller root 2c / (b + sqrt(D)).
+        assert p(math.nextafter(tau, -math.inf)) >= 0 >= p(math.nextafter(tau, math.inf))
+        assert tau == 2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))
+
+    def test_a_gap_within_the_root_tolerance_is_not_a_crossing(self):
+        # |psi(0) - phi(0)| = 1e-12 passes the scan's root test at tau0; the
+        # root is about 5e-13 further.
+        pair = quad_pair(1.0, 2.0, 1e-12)
+        assert _scan_crossing(pair) == 0.0
+        assert smallest_crossing(pair) == 5.00000000000125e-13
+
+    def test_a_quadratic_pair_makes_two_calls_and_no_grid(self, scalar_calls, monkeypatch):
+        pair = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75)).majorants
+        scalar_calls[0] = 0
+
+        def no_grid(self, ts):
+            raise AssertionError("on_grid called")
+
+        monkeypatch.setattr(ScalarFn, "on_grid", no_grid)
+        assert smallest_crossing(pair) == 0.5
+        assert scalar_calls[0] == 2  # psi(tau_*) and phi(tau_*) for the root test
+
+    @pytest.mark.parametrize("psi, phi, tau0", [
+        # A cubic, a linear phi and plain callables are scanned.
+        (ScalarFn.linear(2.0), ScalarFn.polynomial([0.3, 0.0, 0.0, 1.0]), 0.0),
+        (ScalarFn.linear(1.0), ScalarFn.linear(0.5, 0.5), 0.0),
+        (as_plain_callable(ScalarFn.linear(2.0)),
+         ScalarFn.polynomial([0.75, 0.0, 1.0]), 0.0),
+        (ScalarFn.linear(2.0), as_plain_callable(ScalarFn.polynomial([0.75, 0.0, 1.0])), 0.0),
+        # D < 0: no root.
+        (ScalarFn.linear(1.0), ScalarFn.polynomial([2.0, 0.0, 1.0]), 0.0),
+        # Both roots, 0.5 and 1.5, lie left of the window.
+        (ScalarFn.linear(2.0), ScalarFn.polynomial([0.75, 0.0, 1.0]), 2.0),
+        # psi - phi >= 0 at tau0 (root 0): the scan returns tau0.
+        (ScalarFn.linear(2.0), ScalarFn.polynomial([0.0, 0.0, 1.0]), 0.0),
+    ])
+    def test_other_pairs_are_scanned(self, psi, phi, tau0):
+        pair = MajorantPair(psi=psi, phi=phi, tau0=tau0, horizon=2.0)
+        assert _quadratic_root(pair) is None
+        assert crossing_outcome(psi, phi, tau0, 2.0, smallest_crossing) == \
+            crossing_outcome(psi, phi, tau0, 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(min_value=0.2, max_value=3.0),
+    b=st.floats(min_value=0.5, max_value=4.0),
+    margin=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e-9),
+                     st.floats(min_value=0.0, max_value=1.0)),
+    reach=st.floats(min_value=0.5, max_value=2.0),
+)
+@example(a=1.0, b=2.0, margin=0.0, reach=1.0)
+def test_closed_form_and_scan_agree_within_the_root_tolerance(a, b, margin, reach):
+    c = b * b * (1.0 - margin) / (4.0 * a)
+    pair = quad_pair(a, b, c, horizon=reach * b / a)
+    closed = _quadratic_root(pair)
+    if closed is None:  # D < 0 by rounding, or the root past the window: scanned
+        return
+    scan = _scan_crossing(pair)
+
+    def g(t):
+        return pair.psi(t) - pair.phi(t)
+
+    # Both pass the root test. Near D = 0 psi - phi is flat, and the scan
+    # stops where it first meets the test: within sqrt(tol / a) of the
+    # tangent point. A transversal crossing is bisected to float adjacency.
+    assert abs(g(closed)) <= root_tolerance(closed)
+    assert abs(g(scan)) <= root_tolerance(scan)
+    assert abs(closed - scan) <= math.sqrt(root_tolerance(closed) / a)
+    if margin >= 1e-4:
+        assert abs(closed - scan) <= root_tolerance(closed)

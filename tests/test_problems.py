@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coincide.baseline import AlphaCoveringProblem
+from coincide.config import build_problem, gallery_config, gallery_names
 from coincide.errors import DimensionMismatch, NegativeDiscriminant
 from coincide.linalg import finite_diff_jacobian, norm
-from coincide.majorant import DEFAULT_HORIZON, ScalarFn
+from coincide.majorant import DEFAULT_HORIZON, ScalarFn, smallest_crossing
 from coincide.problems import (
     BilinearMap,
     PolynomialMap,
@@ -149,6 +151,16 @@ def test_quadratic_evaluate_makes_one_einsum(monkeypatch):
     assert calls[0] == 1
 
 
+# The gallery's quadratics and seeded random ones, at and near D = 0 too.
+QUADRATICS = {
+    **{name: lambda name=name: build_problem(gallery_config(name)).quadratic
+       for name in gallery_names() if gallery_config(name).kind == "quadratic"},
+    **{f"random-{dx}x{dy}-margin-{margin}-seed-{seed}":
+       lambda dx=dx, dy=dy, margin=margin, seed=seed: random_quadratic(dx, dy, margin, seed)
+       for seed in (1, 7919) for dx, dy in ((1, 1), (3, 2)) for margin in (0.0, 1e-6, 0.5)},
+}
+
+
 class TestBuildQuadraticInstance:
     def test_transversal_crossing_and_solution(self):
         q = scalar_quadratic(1.0, 2.0, 0.75)
@@ -173,6 +185,16 @@ class TestBuildQuadraticInstance:
             build_quadratic_instance(q)
         with pytest.raises(NegativeDiscriminant, match=message):
             q.tau_star()
+
+    @pytest.mark.parametrize("name", QUADRATICS)
+    def test_tau_star_has_one_owner(self, name):
+        # The solve, the baseline's beta and tau_star() read one float.
+        q = QUADRATICS[name]()
+        tau_star = q.tau_star()
+        assert tau_star.hex() == smallest_crossing(q.instance.majorants).hex()
+        assert AlphaCoveringProblem.from_quadratic(q).beta == 2.0 * q.a * tau_star
+        _, trace = coincidence_solve(q.instance, max_steps=3)
+        assert trace.tau_star.hex() == tau_star.hex()
 
     def test_instances_share_the_problems_covering(self):
         q = random_quadratic(3, 2, 0.5, seed=8)
