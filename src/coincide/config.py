@@ -7,8 +7,8 @@ literals Infinity and NaN are refused, and so is a number literal that
 overflows binary64, such as 1e400. A number field holds a JSON number: a
 string ("inf", "1.0"), a boolean or null there is refused, so no spelling
 gets round the literal checks. Arrays are checked by the dtype numpy gives
-them, which lets a boolean mixed in among numbers pass as 0 or 1, and
-refuses an integer beyond 64 bits.
+them, which refuses an integer beyond 64 bits, and their entries are walked
+for a boolean, which numpy reads among numbers as 0 or 1.
 """
 
 from __future__ import annotations

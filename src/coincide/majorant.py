@@ -5,33 +5,35 @@ The smallest crossing tau_* of psi(tau) = phi(tau) bounds how far the vector
 iteration can drift, and the scalar recurrence psi(tau_{j+1}) = phi(tau_j)
 hands out the per-step radius budgets.
 
-Where the pair's structure is known, tau_* has a closed form: for a linear
-psi (slope > 0) against a degree-2 polynomial phi (leading coefficient > 0),
-which `ScalarFn.linear` and `ScalarFn.polynomial` record, it is the smaller
-root of psi - phi in the cancellation-free form, exact at D = 0 (see
-`smallest_crossing`). Any other pair is found by a left-to-right bracket scan
-over a fixed grid followed by bisection. Bisection runs to float adjacency,
-so results are far tighter than the guaranteed ROOT_TOL; tangential
-crossings (the degenerate case where psi - phi touches zero without a sign
-change) are resolved by refining grid maxima with a golden-section pass, one
-per flat run of maxima. It stops within about sqrt(ROOT_TOL) of a tangent
-point, on either side.
+Every majorant the library builds is a polynomial. `ScalarFn.polynomial`
+records its ascending coefficients in `coeffs`, `ScalarFn.linear(s, i)` is
+`polynomial([i, s])`, and the `shifted` of a polynomial is the polynomial
+with c0 + offset; a function made from any other callable has no
+coefficients. For a linear psi (slope > 0) against a phi of degree at most 2,
+tau_* has a closed form: the smaller root of psi - phi in the
+cancellation-free form, exact at D = 0 (see `smallest_crossing`). Any other
+pair is found by a left-to-right bracket scan over a fixed grid followed by
+bisection. Bisection runs to float adjacency, so results are far tighter
+than the guaranteed ROOT_TOL; tangential crossings (the degenerate case
+where psi - phi touches zero without a sign change) are resolved by
+refining grid maxima with a golden-section pass, one per flat run of maxima.
+It stops within about sqrt(ROOT_TOL) of a tangent point, on either side.
 
 The scan grid and the validation grid are each evaluated in one call,
-`ScalarFn.on_grid`. The linear, polynomial and shifted functions the library
-builds are in-place arithmetic that takes a float or a float64 array, so
-`on_grid` calls them once and every grid value has the scalar call's bits;
-any other function is called point by point. The sign change and the
-candidate maxima come from array comparisons; the scalar golden-section and
-bisection passes run only on the cells they select.
+`ScalarFn.on_grid`. A polynomial's Horner form is in-place arithmetic that
+takes a float or a float64 array, so `on_grid` calls it once and every grid
+value has the scalar call's bits; any other function is called point by
+point. The sign change and the candidate maxima come from array
+comparisons; the scalar golden-section and bisection passes run only on the
+cells they select.
 
 `budget_stepper(pair, tau_star)` does the set-up of the budget recurrence
 once per pair and returns step(tau_j) -> (tau_{j+1}, increment): the
 increment psi(tau_{j+1}) - psi(tau_j) is the defect the solver may admit
 next, and `next_tau` and `tau_sequence` keep tau_{j+1}. A step returns the
 float that bisection to float adjacency returns, but finds it in O(1) for a
-linear psi. Every builder makes psi with `ScalarFn.linear`, which records
-(slope, intercept); for such a psi a step evaluates psi inline as
+linear psi. Every builder makes psi with `ScalarFn.linear`; for a psi with
+coefficients (intercept, slope) a step evaluates psi inline as
 slope * t + intercept, the float operations psi(t) performs, and makes one
 ScalarFn call (phi(tau_j)) unless it bisects. A bisection runs on
 h(t) = psi(t) - target for every psi. For slope > 0 every rounding in h is
@@ -77,25 +79,17 @@ class ScalarFn:
 
     fn: Callable[[float], float]
     deriv: Optional[Callable[[float], float]] = None
-    # (slope, intercept), set only by `linear`; `budget_stepper` then
-    # evaluates slope * t + intercept inline. Not a constructor argument, so
-    # a function built any other way never claims to be linear.
-    linear_coeffs: Optional[tuple] = field(default=None, init=False, repr=False)
-    # The ascending coefficients, set only by `polynomial`; `smallest_crossing`
-    # reads them for its closed form. Not a constructor argument, for the
-    # same reason as linear_coeffs.
-    poly_coeffs: Optional[tuple] = field(default=None, init=False, repr=False)
-    # Set only by `linear`, `polynomial` and `shifted`, whose fn takes a
-    # float64 array as well as a float and does the same operations
-    # elementwise; `on_grid` then calls fn once on the array.
-    vectorized: bool = field(default=False, init=False, repr=False)
+    # The ascending coefficients (c0, c1, ...), set only by `polynomial`, whose
+    # fn takes a float64 array as well as a float. Not a constructor argument,
+    # so a function built any other way never claims to be a polynomial.
+    coeffs: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __call__(self, tau: float) -> float:
         return float(self.fn(tau))
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
         """Values at every point of the float64 array ts."""
-        if not self.vectorized:
+        if self.coeffs is None:
             return np.array([self(t) for t in ts.tolist()], dtype=float)
         # Overflow gives inf as in scalar float arithmetic, without a warning.
         with np.errstate(all="ignore"):
@@ -107,52 +101,44 @@ class ScalarFn:
         return float(self.deriv(tau))
 
     def shifted(self, offset: float) -> "ScalarFn":
-        """t -> self(t) + offset, with self's derivative."""
-        base = self.fn if self.vectorized else self
+        """t -> self(t) + offset, with self's derivative; of a polynomial,
+        the polynomial with c0 + offset."""
+        if self.coeffs is not None:
+            c0, *rest = self.coeffs or (0.0,)
+            return ScalarFn.polynomial([c0 + offset, *rest])
+        return ScalarFn(fn=lambda t: self(t) + offset, deriv=self.deriv)
 
-        def fn(t):
-            out = base(t)
-            out += offset
-            return out
-
-        out = ScalarFn(fn=fn, deriv=self.deriv)
-        out.vectorized = self.vectorized
-        return out
-
-    # In place (`out = t * slope; out += intercept`), so an array t makes one
-    # array: `slope * t + intercept` made on_grid up to 2x slower.
     @staticmethod
     def linear(slope: float, intercept: float = 0.0) -> "ScalarFn":
-        def fn(t):
-            out = t * slope
-            out += intercept
-            return out
-
-        out = ScalarFn(fn=fn, deriv=lambda t: slope)
-        out.linear_coeffs = (slope, intercept)
-        out.vectorized = True
-        return out
+        return ScalarFn.polynomial([intercept, slope])
 
     @staticmethod
     def polynomial(coeffs) -> "ScalarFn":
         """Polynomial with ascending coefficients [c0, c1, c2, ...]."""
-        cs = [float(c) for c in coeffs]
-        ds = [i * c for i, c in enumerate(cs)][1:] or [0.0]
-
-        def horner(values, t):
-            # The first `acc *= t` makes the float 0.0 an array when t is
-            # one; no coefficients make zeros of t's shape.
-            acc = 0.0 if values else np.zeros_like(t, dtype=float)
-            for c in reversed(values):
-                acc *= t
-                acc += c
-            return acc
-
-        # partial, not a lambda: one Python frame less per call.
-        out = ScalarFn(fn=functools.partial(horner, cs), deriv=functools.partial(horner, ds))
-        out.poly_coeffs = tuple(cs)
-        out.vectorized = True
+        cs = tuple(map(float, coeffs))
+        ds = tuple(i * c for i, c in enumerate(cs))[1:]
+        out = ScalarFn(fn=_horner_form(cs), deriv=_horner_form(ds))
+        out.coeffs = cs
         return out
+
+
+def _horner_form(cs: tuple):
+    """t -> c0 + t * (c1 + ... + t * cn) for a float or a float64 array t; a
+    partial, not a lambda, for one Python frame less per call. A constant is
+    evaluated as 0.0 * t + c0, which has t's shape."""
+    cs = cs + (0.0,) * (2 - len(cs))
+    return functools.partial(_horner, cs[-1], cs[-2], cs[-3::-1])
+
+
+def _horner(lead: float, second: float, rest: tuple, t):
+    """Horner's rule, in place. It starts at t * cn + c(n-1), not at
+    0.0 * t + cn (cn for finite t): the same bits, two array passes fewer."""
+    acc = t * lead
+    acc += second
+    for c in rest:
+        acc *= t
+        acc += c
+    return acc
 
 
 @dataclass
@@ -310,12 +296,14 @@ def _golden_max(g, lo: float, hi: float, iters: int = 120):
 def smallest_crossing(pair: MajorantPair) -> float:
     """The crossing tau_* of psi and phi in the window.
 
-    For a linear psi with slope > 0 against phi = polynomial([c0, c1, c2])
-    with c2 > 0, psi - phi = -(c2 t^2 - B t + C) with B = slope - c1 and
-    C = c0 - intercept, and tau_* is its smaller root, taken without
-    cancellation: 2C / (B + sqrt(D)) for B > 0, (B - sqrt(D)) / (2 c2)
-    otherwise, where D = B^2 - 4 c2 C. For the quadratic builder's pair that
-    is 2c / (b + sqrt(b^2 - 4ac)). The root is returned when it lies in
+    For a linear psi with slope > 0 against a phi of degree at most 2,
+    coefficients [c0, c1, c2] (zero-padded) with c2 >= 0, psi - phi =
+    -(c2 t^2 - B t + C) with B = slope - c1 and C = c0 - intercept, and
+    tau_* is its smaller root, taken without cancellation: 2C / (B + sqrt(D))
+    for B > 0, (B - sqrt(D)) / (2 c2) otherwise, where D = B^2 - 4 c2 C. For
+    the quadratic builder's pair that is 2c / (b + sqrt(b^2 - 4ac)); a
+    linear phi (c2 = 0) needs B > 0 and gives C / B, as for the Kantorovich
+    pair gap / (1 - lip). The root is returned when it lies in
     (tau0, tau0 + horizon] and |psi - phi| <= root_tolerance there; it makes
     two ScalarFn calls and no grid. Every other pair (D < 0, a root outside
     the window or failing the test, any other shape, plain callables) is
@@ -330,13 +318,14 @@ def smallest_crossing(pair: MajorantPair) -> float:
 
 def _quadratic_root(pair: MajorantPair) -> Optional[float]:
     """The closed-form tau_* of `smallest_crossing`, or None where it does not apply."""
-    lin, poly = pair.psi.linear_coeffs, pair.phi.poly_coeffs
-    if lin is None or poly is None or len(poly) != 3 or not (poly[2] > 0.0 and lin[0] > 0.0):
+    lin, poly = pair.psi.coeffs, pair.phi.coeffs
+    if lin is None or poly is None or len(lin) != 2 or len(poly) > 3:
         return None
-    (slope, intercept), (c0, c1, c2) = lin, poly
+    (intercept, slope), (c0, c1, c2) = lin, (poly + (0.0, 0.0, 0.0))[:3]
     b, c = slope - c1, c0 - intercept
     d = b * b - 4.0 * c2 * c
-    if not d >= 0.0:  # D < 0, or NaN
+    # D >= 0, not NaN; c2 == 0 needs b > 0, and gives 2C / (2B) = C / B below.
+    if not (slope > 0.0 and d >= 0.0 and (c2 > 0.0 or (c2 == 0.0 and b > 0.0))):
         return None
     root = 2.0 * c / (b + math.sqrt(d)) if b > 0.0 else (b - math.sqrt(d)) / (2.0 * c2)
     if (pair.tau0 < root <= pair.tau_end
@@ -443,9 +432,9 @@ def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], tup
     """
     psi, phi = pair.psi, pair.phi
     abs_star = abs(tau_star)
-    linear = psi.linear_coeffs is not None
+    linear = psi.coeffs is not None and len(psi.coeffs) == 2
     if linear:
-        slope, intercept = psi.linear_coeffs
+        intercept, slope = psi.coeffs
         walks = 0.0 < slope < math.inf
         psi_star = slope * tau_star + intercept
     else:

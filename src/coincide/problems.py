@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
 
 from .covering import IdentityCovering, LinearSurjectiveCovering
-from .errors import DimensionMismatch, NegativeDiscriminant, NonFiniteValue
+from .errors import DimensionMismatch, NegativeDiscriminant, NoCrossing, NonFiniteValue
 from .linalg import (
     NormTag,
     as_matrix,
@@ -250,9 +251,9 @@ class QuadraticProblem:
 
         For D >= 0 that is 2c / (b + sqrt(D)), the smaller root of
         a tau^2 - b tau + c without cancellation; a D just below 0, which the
-        builder accepts as rounding, is scanned. Raises what building the
-        instance raises (NegativeDiscriminant when D < 0 beyond rounding), and
-        NoCrossing when the scan finds no crossing.
+        builder accepts as rounding when the scan finds a crossing, is
+        scanned. Raises what building the instance raises
+        (NegativeDiscriminant when D < 0 is not rounding).
         """
         return smallest_crossing(self.instance.majorants)
 
@@ -281,23 +282,32 @@ def scalar_quadratic(a: float, b: float, c: float) -> QuadraticProblem:
 def build_quadratic_instance(q: QuadraticProblem) -> ProblemInstance:
     """Assemble the coincidence problem for a quadratic operator equation.
 
-    Refuses D < 0 (no solution is certified). The scan window is b/a, which
-    always contains the crossing tau_* <= b / (2a); a window that is not
-    finite and positive raises ValueError.
+    Refuses D < 0 (no solution is certified) as NegativeDiscriminant. A D
+    just below 0, within _DISCRIMINANT_TOL * b^2, counts as rounding only
+    when `smallest_crossing` finds a crossing, so no accepted problem fails
+    as one without. The scan window is b/a, which always contains the
+    crossing tau_* <= b / (2a); a window that is not finite and positive
+    raises ValueError.
 
     H2 is proven, not sampled, when a >= spectral_overestimate(A): with
     x0 = 0 and tau0 = 0, ||Phi'(x)|| = ||2 A(x, .)|| <= 2 S ||x|| <= 2 a tau
     = phi'(tau) on ||x|| <= tau. The comparison has no slack.
     """
     d = q.discriminant
+    refused = NegativeDiscriminant(
+        f"D = b^2 - 4ac = {d} < 0: the quadratic equation has no certified solution")
     if d < -_DISCRIMINANT_TOL * max(1.0, q.b * q.b):
-        raise NegativeDiscriminant(
-            f"D = b^2 - 4ac = {d} < 0: the quadratic equation has no certified solution")
+        raise refused
     horizon = q.b / q.a
     if not (0.0 < horizon < math.inf):
         raise ValueError(f"the scan window b/a = {horizon} must be finite and positive")
     pair = MajorantPair(psi=q.cover.psi, phi=ScalarFn.polynomial([q.c, 0.0, q.a]),
                         tau0=0.0, horizon=horizon)
+    if d < 0.0:
+        try:
+            smallest_crossing(pair)
+        except NoCrossing:
+            raise refused from None
     inst = ProblemInstance(phi=QuadraticMap(q.bilinear, q.offset, domain_radius=horizon),
                            cover=q.cover, majorants=pair, x0=np.zeros(q.dim_x))
     inst.h2_proven = q.a >= q.bilinear.overestimate
@@ -315,7 +325,7 @@ def build_kantorovich_instance(f: SmoothMap, lip_majorant: ScalarFn, x0,
     or DEFAULT_HORIZON when that is infinite.
 
     H2 is proven, not sampled, when f is an AffineMap with finite W and
-    lip_majorant is linear with slope lip: the Jacobian is W everywhere and
+    lip_majorant is a degree-1 polynomial with slope lip: the Jacobian is W everywhere and
     phi' is lip, so H2 holds iff operator_norm(W) <= lip. The comparison has
     no slack; the sampled check norms copies of W, which operator_norm gives
     the same bits, so a proof implies a clean sample.
@@ -332,9 +342,10 @@ def build_kantorovich_instance(f: SmoothMap, lip_majorant: ScalarFn, x0,
     cover = IdentityCovering(x0.size, norm_tag)
     pair = MajorantPair(psi=cover.psi, phi=phi, tau0=0.0, horizon=horizon)
     inst = ProblemInstance(phi=f, cover=cover, majorants=pair, x0=x0)
-    if (isinstance(f, AffineMap) and lip_majorant.linear_coeffs is not None
+    lip = lip_majorant.coeffs
+    if (isinstance(f, AffineMap) and lip is not None and len(lip) == 2
             and np.all(np.isfinite(f.W))):
-        inst.h2_proven = operator_norm(f.W, norm_tag, norm_tag) <= lip_majorant.linear_coeffs[0]
+        inst.h2_proven = operator_norm(f.W, norm_tag, norm_tag) <= lip[1]
     return inst
 
 
@@ -356,11 +367,11 @@ def build_polynomial_instance(phi_poly: list, majorant_poly: list, psi_slope: fl
                         tau0=tau0, horizon=horizon)
     inst = ProblemInstance(phi=phi_map, cover=cover, majorants=pair, x0=np.array([x0]))
     if x0 == 0.0 and tau0 == 0.0:
-        inst.h2_proven = _polynomial_h2_proven(phi_poly, majorant_poly, pair, norms)
+        inst.h2_proven = _polynomial_h2_proven(phi_map.poly, pair, norms)
     return inst
 
 
-def _polynomial_h2_proven(phi_poly, majorant_poly, pair: MajorantPair, norms) -> bool:
+def _polynomial_h2_proven(p: ScalarFn, pair: MajorantPair, norms) -> bool:
     """H2 for Phi = p against phi = m on |x| <= tau, with x0 = tau0 = 0.
 
     It holds when every majorant coefficient m_k (k >= 1) is >= 0 and at
@@ -375,10 +386,8 @@ def _polynomial_h2_proven(phi_poly, majorant_poly, pair: MajorantPair, norms) ->
     """
     if norms[0] != norms[1]:
         return False
-    width = max(len(phi_poly), len(majorant_poly))
-    ps = phi_poly[1:] + [0.0] * (width - len(phi_poly))
-    ms = majorant_poly[1:] + [0.0] * (width - len(majorant_poly))
-    return (all(0.0 <= m and abs(p) <= m for p, m in zip(ps, ms))
+    pairs = zip_longest(p.coeffs[1:], pair.phi.coeffs[1:], fillvalue=0.0)
+    return (all(0.0 <= m and abs(p_k) <= m for p_k, m in pairs)
             and math.isfinite(pair.phi.derivative(pair.tau_end)))
 
 

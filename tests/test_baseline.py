@@ -6,14 +6,13 @@ import pytest
 import coincide
 from coincide import baseline
 from coincide.baseline import (
-    STATUS_NO_CROSSING,
     AlphaCoveringProblem,
     alpha_iterate,
     compare_methods,
     estimate_lipschitz,
 )
 from coincide.covering import IdentityCovering, LinearSurjectiveCovering
-from coincide.errors import NotContractive
+from coincide.errors import NegativeDiscriminant, NotContractive
 from coincide.problems import QuadraticMap, scalar_quadratic
 from coincide.solver import STATUS_CONVERGED, AffineMap
 from conftest import planar_quadratic
@@ -90,15 +89,12 @@ class TestCompareMethods:
         assert report.majorant_trace.final.deviation <= (
             report.majorant_trace.tau_star + 1e-8)
 
-    def test_a_d_just_below_zero_without_crossing_fails_both_rows(self):
+    def test_a_d_just_below_zero_without_crossing_is_refused(self):
         # D = 100 - 4 (25 + 1e-11) < 0 is within the rounding the builder
         # accepts, but psi - phi stays below the root tolerance: there is no
-        # tau_*, so the baseline has no ball to contract on either.
-        report = compare_methods(scalar_quadratic(1.0, 10.0, 25.0 + 1e-11))
-        assert report.run_for("majorant").status == STATUS_NO_CROSSING
-        base = report.run_for("baseline")
-        assert base.status == "not_contractive" and not base.applicable
-        assert base.detail.startswith("no crossing tau_*: psi - phi < 0 on all of")
+        # tau_*, so the problem is refused before either scheme runs.
+        with pytest.raises(NegativeDiscriminant, match=r"D = b\^2 - 4ac = -4\.0"):
+            compare_methods(scalar_quadratic(1.0, 10.0, 25.0 + 1e-11))
 
     def test_zero_offset_converges_immediately_for_both(self):
         report = compare_methods(scalar_quadratic(1.0, 2.0, 0.0))

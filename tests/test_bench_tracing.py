@@ -31,3 +31,10 @@ def test_every_span_target_resolves():
             assert meth in vars(getattr(module, cls_name)), f"{module_name}.{attr}"
         else:
             assert callable(getattr(module, attr)), f"{module_name}.{attr}"
+
+
+def test_the_evaluation_counter_finds_scalar_call():
+    # The tracer counts psi/phi evaluations by replacing the __call__ in
+    # ScalarFn's own __dict__; without it a traced run fails at install.
+    assert 'ScalarFn.__dict__["__call__"]' in TRACING.read_text()
+    assert "__call__" in vars(coincide.majorant.ScalarFn)

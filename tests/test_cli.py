@@ -94,6 +94,19 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "NegativeDiscriminant" in capsys.readouterr().err
 
+    def test_a_d_just_below_zero_without_crossing_is_one_named_line(self, tmp_path, capsys):
+        # D = 100 - 4 (25 + 1e-11) passes the builder's rounding tolerance,
+        # but psi - phi has no crossing: refused, not failed as `crossing`.
+        c = 25.0 + 1e-11
+        cfg = write_json(tmp_path / "below.json", {
+            "kind": "quadratic", "method": "compare",
+            "quadratic": {"tensor": [[[1.0]]], "matrix": [[10.0]], "offset": [c],
+                          "a": 1.0, "b": 10.0, "c": c}})
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("NegativeDiscriminant: D = b^2 - 4ac = -4.0")
+        assert err.count("\n") == 1
+
     def test_capped_degenerate_run_exits_two_with_certificate(self, tmp_path):
         cfg = write_json(tmp_path / "zero.json", scalar_config(1.0))
         out = tmp_path / "out"

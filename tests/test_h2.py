@@ -452,8 +452,11 @@ def test_affine_proof_needs_an_affine_map_and_a_linear_profile():
     x0 = np.zeros(1)
     f = AffineMap(W, [0.5], domain_center=x0, domain_radius=8.0)
     assert build_kantorovich_instance(f, ScalarFn.linear(0.5), x0).h2_proven
-    # The same phi' = 0.5, but not declared linear.
-    assert not build_kantorovich_instance(f, ScalarFn.polynomial([0.0, 0.5]), x0).h2_proven
+    # linear(0.5) is polynomial([0.0, 0.5]): every degree-1 profile is linear.
+    assert build_kantorovich_instance(f, ScalarFn.polynomial([0.0, 0.5]), x0).h2_proven
+    # The same phi' = 0.5 from a plain callable, which declares no degree.
+    profile = ScalarFn(fn=lambda t: 0.5 * t, deriv=lambda t: 0.5)
+    assert not build_kantorovich_instance(f, profile, x0).h2_proven
     same_map = CallableMap(f=f.evaluate, jac=f.jacobian, domain_center=x0, domain_radius=8.0)
     assert not build_kantorovich_instance(same_map, ScalarFn.linear(0.5), x0).h2_proven
 

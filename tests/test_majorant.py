@@ -213,7 +213,7 @@ def test_crossing_matches_quadratic_formula(a, b, margin):
 
 
 def as_plain_callable(f: ScalarFn) -> ScalarFn:
-    """The same function, not marked vectorized, so on_grid calls it point by point."""
+    """The same function with no coefficients, so on_grid calls it point by point."""
     return ScalarFn(fn=f.fn, deriv=f.deriv)
 
 
@@ -310,9 +310,35 @@ def test_on_grid_has_the_bits_of_the_scalar_call(slope, intercept, coeffs, ts):
     shifted = build_kantorovich_instance(
         AffineMap([[0.5]], [intercept], domain_center=[0.0]),
         ScalarFn.linear(0.25 + abs(slope)), [0.0]).majorants.phi
-    for f in (ScalarFn.linear(slope, intercept), ScalarFn.polynomial(coeffs), shifted):
+    for f in (ScalarFn.linear(slope, intercept), ScalarFn.polynomial([intercept, slope]),
+              ScalarFn.polynomial(coeffs), shifted):
         pointwise = np.array([f(t) for t in ts])
         assert f.on_grid(grid).tobytes() == pointwise.tobytes()
+
+
+def test_the_shift_of_a_polynomial_is_a_polynomial():
+    shifted = ScalarFn.polynomial([1.0, 2.0, 3.0]).shifted(0.5)
+    assert shifted.coeffs == (1.5, 2.0, 3.0)
+    assert shifted.derivative(2.0) == 14.0
+    assert ScalarFn.polynomial([]).shifted(0.5).coeffs == (0.5,)
+    plain = ScalarFn(fn=lambda t: 2.0 * t, deriv=lambda t: 2.0).shifted(0.5)
+    assert plain.coeffs is None
+    assert (plain(1.0), plain.derivative(1.0)) == (2.5, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lip=st.floats(min_value=1e-6, max_value=1e6),
+       gap=st.floats(min_value=0.0, max_value=1e6),
+       ts=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=20))
+def test_the_kantorovich_shift_is_linear_plus_the_gap(lip, gap, ts):
+    # build_kantorovich_instance shifts linear(lip) by gap - linear(lip)(0.0),
+    # which is gap. Each value has the bits of (t * lip + 0.0) + gap, the
+    # profile's value plus the offset.
+    phi = ScalarFn.linear(lip).shifted(gap)
+    assert phi(0.0) == gap
+    assert phi.coeffs == (gap, lip)
+    for t in ts:
+        assert phi(t).hex() == ((t * lip + 0.0) + gap).hex()
 
 
 def counting(f: ScalarFn, calls: list) -> ScalarFn:
@@ -465,28 +491,46 @@ class TestClosedFormCrossing:
         assert p(math.nextafter(tau, -math.inf)) >= 0 >= p(math.nextafter(tau, math.inf))
         assert tau == 2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c))
 
-    def test_a_gap_within_the_root_tolerance_is_not_a_crossing(self):
-        # |psi(0) - phi(0)| = 1e-12 passes the scan's root test at tau0; the
-        # root is about 5e-13 further.
-        pair = quad_pair(1.0, 2.0, 1e-12)
+    @pytest.mark.parametrize("build, root", [
+        (lambda: quad_pair(1.0, 2.0, 1e-12), 5.00000000000125e-13),
+        # The Kantorovich pair with gap 1e-13 and lip 0.5: gap / (1 - lip).
+        (lambda: build_kantorovich_instance(
+            AffineMap([[0.5]], [1e-13], domain_center=[0.0], domain_radius=8.0),
+            ScalarFn.linear(0.5), [0.0]).majorants, 2e-13),
+    ], ids=["quadratic", "kantorovich"])
+    def test_a_gap_within_the_root_tolerance_is_not_a_crossing(self, build, root):
+        # |psi(0) - phi(0)| passes the scan's root test at tau0; the root is
+        # further.
+        pair = build()
         assert _scan_crossing(pair) == 0.0
-        assert smallest_crossing(pair) == 5.00000000000125e-13
+        assert smallest_crossing(pair) == root
 
-    def test_a_quadratic_pair_makes_two_calls_and_no_grid(self, scalar_calls, monkeypatch):
-        pair = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75)).majorants
+    @pytest.mark.parametrize("build, tau_star", [
+        (lambda: build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75)).majorants, 0.5),
+        # psi = tau against phi = 0.5 + 0.5 tau: tau_* = C / B = 0.5 / 0.5.
+        (lambda: MajorantPair(psi=ScalarFn.linear(1.0), phi=ScalarFn.linear(0.5, 0.5),
+                              tau0=0.0, horizon=2.0), 1.0),
+        # gap = ||f(x0) - x0|| = 0.5 and lip = 0.5: tau_* = gap / (1 - lip).
+        (lambda: build_kantorovich_instance(
+            AffineMap([[0.5]], [0.5], domain_center=[0.0], domain_radius=8.0),
+            ScalarFn.linear(0.5), [0.0]).majorants, 1.0),
+    ], ids=["quadratic", "linear", "kantorovich"])
+    def test_a_closed_form_pair_makes_two_calls_and_no_grid(self, build, tau_star,
+                                                            scalar_calls, monkeypatch):
+        pair = build()
         scalar_calls[0] = 0
 
         def no_grid(self, ts):
             raise AssertionError("on_grid called")
 
         monkeypatch.setattr(ScalarFn, "on_grid", no_grid)
-        assert smallest_crossing(pair) == 0.5
+        assert smallest_crossing(pair) == tau_star
         assert scalar_calls[0] == 2  # psi(tau_*) and phi(tau_*) for the root test
 
     @pytest.mark.parametrize("psi, phi, tau0", [
-        # A cubic, a linear phi and plain callables are scanned.
+        # A cubic, a parallel linear phi (B = 0) and plain callables are scanned.
         (ScalarFn.linear(2.0), ScalarFn.polynomial([0.3, 0.0, 0.0, 1.0]), 0.0),
-        (ScalarFn.linear(1.0), ScalarFn.linear(0.5, 0.5), 0.0),
+        (ScalarFn.linear(1.0), ScalarFn.linear(1.0, 0.5), 0.0),
         (as_plain_callable(ScalarFn.linear(2.0)),
          ScalarFn.polynomial([0.75, 0.0, 1.0]), 0.0),
         (ScalarFn.linear(2.0), as_plain_callable(ScalarFn.polynomial([0.75, 0.0, 1.0])), 0.0),

@@ -186,6 +186,18 @@ class TestBuildQuadraticInstance:
         with pytest.raises(NegativeDiscriminant, match=message):
             q.tau_star()
 
+    def test_a_d_just_below_zero_is_rounding_only_where_the_pair_crosses(self):
+        # Both D are within the builder's rounding tolerance. psi - phi peaks
+        # at -1e-14 for the first, within the root tolerance of its vertex,
+        # and at -1e-11 for the second, which has no crossing.
+        touching = scalar_quadratic(1.0, 2.0, 1.0 + 1e-14)
+        assert touching.discriminant < 0.0
+        assert touching.tau_star() == pytest.approx(1.0, abs=1e-6)
+        apart = scalar_quadratic(1.0, 10.0, 25.0 + 1e-11)
+        message = r"^D = b\^2 - 4ac = -4\.0\d+e-11 < 0: the quadratic equation has no"
+        with pytest.raises(NegativeDiscriminant, match=message):
+            build_quadratic_instance(apart)
+
     @pytest.mark.parametrize("name", QUADRATICS)
     def test_tau_star_has_one_owner(self, name):
         # The solve, the baseline's beta and tau_star() read one float.

@@ -89,10 +89,10 @@ def _ours(pair, tau_j, tau_star):
 
 
 def _pair(slope, intercept, target, linear=True):
-    """psi = slope * t + intercept (flagged linear, or as a polynomial that is
-    not), and a phi whose value is `target` everywhere."""
+    """psi = slope * t + intercept (a linear polynomial, or a plain callable
+    with the same bits), and a phi whose value is `target` everywhere."""
     psi = (ScalarFn.linear(slope, intercept) if linear
-           else ScalarFn.polynomial([intercept, slope]))
+           else ScalarFn(fn=lambda t: t * slope + intercept))
     return SimpleNamespace(psi=psi, phi=ScalarFn(fn=lambda t: target))
 
 
@@ -611,7 +611,7 @@ def test_one_d_families_match_reference(name, max_steps):
     inst = make()
     assert inst.h2_proven is (h2 == "proven")
     assert _runs_on_floats(inst)
-    slope = inst.cover.psi.linear_coeffs[0]
+    slope = inst.cover.psi.coeffs[1]
     p = AlphaCoveringProblem(u=inst.cover, v=inst.phi, alpha=slope, beta=0.5 * slope)
     ours = _warned(coincidence_solve, inst, residual_tol=1e-10, max_steps=max_steps)
     assert ours == _warned(reference_coincidence_solve, inst, residual_tol=1e-10,
@@ -634,11 +634,11 @@ def _assert_steps_match(pair, tau_star, taus):
         assert float.hex(increment) == float.hex(pair.psi(tau_next) - pair.psi(tau_j))
 
 
-# psi = 2 tau in three forms the stepper does not take inline as floats: a
-# polynomial (not flagged linear, so each step bisects and calls psi), and a
-# linear psi with a float64 or an int slope.
+# psi = 2 tau in three forms: a plain callable (no coefficients, so each step
+# bisects and calls psi), and a linear psi with a float64 or an int slope,
+# which `polynomial` stores as floats.
 PSI_FORMS = {
-    "polynomial": lambda: ScalarFn.polynomial([0.0, 2.0]),
+    "callable": lambda: ScalarFn(fn=lambda t: t * 2.0 + 0.0),
     "float64-slope": lambda: ScalarFn.linear(np.float64(2.0)),
     "int-slope": lambda: ScalarFn.linear(2),
 }
@@ -752,8 +752,8 @@ def test_one_stepper_steps_a_tau_sequence_as_fresh_calls_do(q, linear):
     # next_tau call and the bisecting oracle give at the same tau_j.
     pair = build_quadratic_instance(q).majorants
     if not linear:
-        slope, intercept = pair.psi.linear_coeffs
-        pair = MajorantPair(psi=ScalarFn.polynomial([intercept, slope]), phi=pair.phi,
+        intercept, slope = pair.psi.coeffs
+        pair = MajorantPair(psi=ScalarFn(fn=lambda t: t * slope + intercept), phi=pair.phi,
                             tau0=pair.tau0, horizon=pair.horizon)
     seq = tau_sequence(pair, max_steps=700, tail_tol=0.0)
     assert len(seq) > 1
