@@ -9,23 +9,37 @@ Every majorant the library builds is a polynomial. `ScalarFn.polynomial`
 records its ascending coefficients in `coeffs`, `ScalarFn.linear(s, i)` is
 `polynomial([i, s])`, and the `shifted` of a polynomial is the polynomial
 with c0 + offset; a function made from any other callable has no
-coefficients. For a linear psi (slope > 0) against a phi of degree at most 2,
-tau_* has a closed form: the smaller root of psi - phi in the
-cancellation-free form, exact at D = 0 (see `smallest_crossing`). Any other
-pair is found by a left-to-right bracket scan over a fixed grid followed by
-bisection. Bisection runs to float adjacency, so results are far tighter
-than the guaranteed ROOT_TOL; tangential crossings (the degenerate case
-where psi - phi touches zero without a sign change) are resolved by
-refining grid maxima with a golden-section pass, one per flat run of maxima.
-It stops within about sqrt(ROOT_TOL) of a tangent point, on either side.
+coefficients.
 
-The scan grid and the validation grid are each evaluated in one call,
-`ScalarFn.on_grid`. A polynomial's Horner form is in-place arithmetic that
-takes a float or a float64 array, so `on_grid` calls it once and every grid
-value has the scalar call's bits; any other function is called point by
-point. The sign change and the candidate maxima come from array
-comparisons; the scalar golden-section and bisection passes run only on the
-cells they select.
+Two polynomials are decided from their coefficients, with no grid:
+
+- The crossing. For a linear psi (slope > 0) against a phi of degree at most
+  2, tau_* has a closed form: the smaller root of psi - phi in the
+  cancellation-free form, exact at D = 0. Any other polynomial pair is
+  isolated: the real roots of g' = psi' - phi' (closed form up to degree 2,
+  and above it the same recursion on g'') split the window into pieces on
+  which g = psi - phi is monotone. The first piece whose end values bracket
+  0 holds tau_*, found by Newton steps on the coefficients and a walk of a
+  few ulps on psi - phi itself to where its sign changes. A critical point
+  where g rises to within root_tolerance of 0 is a tangency and is tau_*
+  as it is.
+- The validation. psi and phi must be strictly increasing: a polynomial is,
+  on the window, when its derivative is positive on each piece between the
+  derivative's own roots. The sign is read at the middle of each piece and
+  at each extremum of the derivative, and counts only when it exceeds the
+  float error bound of that evaluation.
+
+Plain callables, and polynomial pairs where a value overflows or a sign is
+within rounding of 0, go to the grids. The crossing is then a left-to-right
+bracket scan over SCAN_POINTS cells followed by bisection to float
+adjacency; tangential crossings (psi - phi touching zero without a sign
+change) are resolved by refining grid maxima with a golden-section pass,
+one per flat run of maxima, which stops within about sqrt(ROOT_TOL) of a
+tangent point, on either side. The validation compares VALIDATION_POINTS
+grid values. Each grid is evaluated in one call, `ScalarFn.on_grid`: a
+polynomial's Horner form is in-place arithmetic that takes a float or a
+float64 array, so every grid value has the scalar call's bits; any other
+function is called point by point.
 
 `budget_stepper(pair, tau_star)` does the set-up of the budget recurrence
 once per pair and returns step(tau_j) -> (tau_{j+1}, increment): the
@@ -53,7 +67,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, Optional
 
 import numpy as np
@@ -116,8 +132,7 @@ class ScalarFn:
     def polynomial(coeffs) -> "ScalarFn":
         """Polynomial with ascending coefficients [c0, c1, c2, ...]."""
         cs = tuple(map(float, coeffs))
-        ds = tuple(i * c for i, c in enumerate(cs))[1:]
-        out = ScalarFn(fn=_horner_form(cs), deriv=_horner_form(ds))
+        out = ScalarFn(fn=_horner_form(cs), deriv=_horner_form(_derivative(cs)))
         out.coeffs = cs
         return out
 
@@ -139,6 +154,111 @@ def _horner(lead: float, second: float, rest: tuple, t):
         acc *= t
         acc += c
     return acc
+
+
+def _derivative(cs: tuple) -> tuple:
+    """Ascending coefficients of the derivative."""
+    return tuple(i * c for i, c in enumerate(cs))[1:]
+
+
+def _real_roots(cs: tuple, lo: float, hi: float) -> Optional[list]:
+    """The real roots in (lo, hi), ascending, of the polynomial with ascending
+    coefficients cs; None when a value on the way is not finite.
+
+    Degrees 1 and 2 are closed forms, degree 2 without cancellation. A higher
+    degree splits [lo, hi] at the roots of its derivative, by the same
+    recursion, and runs `_newton` on each piece whose end values differ in
+    sign. A zero polynomial has no roots.
+    """
+    n = len(cs)
+    while n and cs[n - 1] == 0.0:
+        n -= 1
+    if n <= 3:
+        c0, c1, c2 = cs[:n] + (0.0,) * (3 - n)
+        d = c1 * c1 - 4.0 * c2 * c0
+        if c2 == 0.0:
+            roots = [-c0 / c1] if c1 else []
+        elif d < 0.0:
+            roots = []
+        else:
+            q = -0.5 * (c1 + math.copysign(math.sqrt(d), c1))
+            roots = [q / c2, c0 / q] if q else [0.0]
+    else:
+        ds = _derivative(cs[:n])
+        crit = _real_roots(ds, lo, hi)
+        if crit is None:
+            return None
+        p, dp = _horner_form(cs[:n]), _horner_form(ds)
+        ts = [lo, *crit, hi]
+        vs = [p(t) for t in ts]
+        if not all(map(math.isfinite, vs)):
+            return None
+        roots = [t for t, v in zip(crit, vs[1:-1]) if v == 0.0]
+        roots += [_newton(p, dp, a, b, va < 0.0)
+                  for a, b, va, vb in zip(ts, ts[1:], vs, vs[1:])
+                  if va != 0.0 and vb != 0.0 and (va < 0.0) != (vb < 0.0)]
+    if not all(map(math.isfinite, roots)):
+        return None
+    return sorted(t for t in roots if lo < t < hi)
+
+
+def _newton(p, dp, a: float, b: float, rising: bool) -> float:
+    """A root of p in [a, b], where p(a) < 0 < p(b) if rising and p(a) > 0 >
+    p(b) otherwise. Newton steps from the midpoint keep the bracket; a step
+    that would leave it is a bisection step. Ends at a zero of p, where a
+    step does not move, or where the bracket is two adjacent floats.
+    """
+    t = 0.5 * (a + b)
+    while a < t < b:
+        v = p(t)
+        if v == 0.0:
+            break
+        if (v < 0.0) == rising:
+            a = t
+        else:
+            b = t
+        d = dp(t)
+        step = t - v / d if d else a
+        if not a < step < b:
+            step = 0.5 * (a + b)
+        if step == t:
+            break
+        t = step
+    return t
+
+
+def _first_descent(f: "ScalarFn", lo: float, hi: float) -> Optional[float]:
+    """Where the polynomial f stops being strictly increasing on [lo, hi]:
+    the left end of the first piece between the roots of f' on which f' < 0,
+    lo for a constant, inf when f is strictly increasing.
+
+    The sign of f' is read at the middle of each piece and at each extremum
+    of f' (a root of f''), so that two roots of f' too close to tell apart
+    cannot hide a dip between them. None when that is not decided: f is no
+    polynomial, a value may overflow on the window, or f' at one of those
+    points is within Horner's float error bound of 0, (2 n + 2) eps times
+    the Horner sum of the n absolute coefficients of f'.
+    """
+    if f.coeffs is None or not math.isfinite(
+            _horner_form(tuple(map(abs, f.coeffs)))(max(1.0, abs(lo), abs(hi)))):
+        return None
+    ds = _derivative(f.coeffs)
+    if not any(ds[1:]):  # a constant f'
+        return math.inf if ds and ds[0] > 0.0 else lo
+    roots, extrema = _real_roots(ds, lo, hi), _real_roots(_derivative(ds), lo, hi)
+    if roots is None or extrema is None:
+        return None
+    dp, bound = _horner_form(ds), _horner_form(tuple(map(abs, ds)))
+    rel = (2 * len(ds) + 2) * sys.float_info.epsilon
+    starts = [lo, *roots]
+    middles = [0.5 * (a + b) for a, b in zip(starts, [*roots, hi])]
+    for m in sorted(middles + extrema):
+        v = dp(m)
+        if not abs(v) > rel * bound(abs(m)):
+            return None
+        if v < 0.0:
+            return max(a for a in starts if a <= m)
+    return math.inf
 
 
 @dataclass
@@ -169,8 +289,16 @@ class MajorantPair:
         return self.phi(self.tau0) - self.psi(self.tau0)
 
     def validate(self) -> None:
+        """Raise ValueError unless psi and phi are finite at tau0, phi(tau0) >=
+        psi(tau0) - root_tolerance(tau0), and both are strictly increasing on
+        the window, naming the first tau where one of them is not.
+
+        Two polynomials are decided from their coefficients (see
+        `_first_descent`), with two ScalarFn calls and no grid. Any other
+        pair, or one that is not decided, is checked at VALIDATION_POINTS grid
+        points, each finite and above the one before.
+        """
         lo, hi = self.tau0, self.tau_end
-        step = (hi - lo) / VALIDATION_POINTS
         prev_psi = self.psi(lo)
         prev_phi = self.phi(lo)
         if not (math.isfinite(prev_psi) and math.isfinite(prev_phi)):
@@ -179,6 +307,14 @@ class MajorantPair:
             raise ValueError(
                 f"phi(tau0)={prev_phi} < psi(tau0)={prev_psi}: initial gap is negative"
             )
+        descents = (_first_descent(self.psi, lo, hi), _first_descent(self.phi, lo, hi))
+        if None not in descents:
+            t = min(descents)
+            if t < math.inf:
+                name = "psi" if descents[0] <= descents[1] else "phi"
+                raise ValueError(f"{name} is not strictly increasing near tau={t}")
+            return
+        step = (hi - lo) / VALIDATION_POINTS
         ts = lo + np.arange(1.0, VALIDATION_POINTS + 1) * step
         ps = np.concatenate(([prev_psi], self.psi.on_grid(ts)))
         ph = np.concatenate(([prev_phi], self.phi.on_grid(ts)))
@@ -294,7 +430,8 @@ def _golden_max(g, lo: float, hi: float, iters: int = 120):
 
 
 def smallest_crossing(pair: MajorantPair) -> float:
-    """The crossing tau_* of psi and phi in the window.
+    """The crossing tau_* of psi and phi in the window: the least root of
+    psi - phi in (tau0, tau0 + horizon], or tau0 when psi(tau0) >= phi(tau0).
 
     For a linear psi with slope > 0 against a phi of degree at most 2,
     coefficients [c0, c1, c2] (zero-padded) with c2 >= 0, psi - phi =
@@ -305,15 +442,89 @@ def smallest_crossing(pair: MajorantPair) -> float:
     linear phi (c2 = 0) needs B > 0 and gives C / B, as for the Kantorovich
     pair gap / (1 - lip). The root is returned when it lies in
     (tau0, tau0 + horizon] and |psi - phi| <= root_tolerance there; it makes
-    two ScalarFn calls and no grid. Every other pair (D < 0, a root outside
-    the window or failing the test, any other shape, plain callables) is
-    scanned by `_scan_crossing`: the least tau with
-    |psi(tau) - phi(tau)| <= root_tolerance(tau).
+    two ScalarFn calls and no grid.
+
+    Every other pair of polynomials is isolated by `_isolated_crossing`, with
+    no grid. A start gap within root_tolerance(tau0) is tau_* only when
+    psi - phi does not change sign after tau0. Plain callables, and the polynomial
+    pairs that it does not decide, are scanned by `_scan_crossing`: the least
+    tau with |psi(tau) - phi(tau)| <= root_tolerance(tau).
 
     Raises NoCrossing when psi - phi stays negative over the whole window.
     """
     root = _quadratic_root(pair)
+    if root is None:
+        root = _isolated_crossing(pair)
     return _scan_crossing(pair) if root is None else root
+
+
+def _isolated_crossing(pair: MajorantPair) -> Optional[float]:
+    """`smallest_crossing` of two polynomials from the roots of g' = psi' -
+    phi', or None when psi or phi has no coefficients, a value is not finite,
+    or psi - phi is not within root_tolerance of 0 near the root found.
+
+    g = psi - phi is read in coefficient form: one Horner pass over the
+    differences of the coefficients. The critical points split the window
+    into pieces on which g is monotone, and g is read at tau0, at each
+    critical point in turn and at the window's end. The first point where
+    g >= 0 closes the bracket of tau_*, which `_polished_root` finds. A
+    g(tau0) within root_tolerance of 0 makes tau0 tau_* unless such a
+    bracket follows. Otherwise a critical point where g has risen to within
+    root_tolerance of 0 is a tangency, and tau_* as it is.
+    """
+    if pair.psi.coeffs is None or pair.phi.coeffs is None:
+        return None
+    lo, hi = pair.tau0, pair.tau_end
+    gc = tuple(p - q for p, q in zip_longest(pair.psi.coeffs, pair.phi.coeffs, fillvalue=0.0))
+    dgc = _derivative(gc)
+    crit = _real_roots(dgc, lo, hi)
+    g = _horner_form(gc)
+    seen = [g(lo)]
+    if crit is None or not math.isfinite(seen[0]):
+        return None
+    if seen[0] >= 0.0:
+        return lo
+    # A start within the tolerance is tau_* unless g changes sign after it.
+    at_start = seen[0] >= -root_tolerance(lo)
+    for a, t in zip([lo, *crit], [*crit, hi]):
+        v = g(t)
+        if not math.isfinite(v):
+            return None
+        # A tangency, or the window's end where g has risen to just below 0.
+        if (not at_start and v > seen[-1] and abs(v) <= root_tolerance(t)
+                and (v < 0.0 or t != hi)):
+            return t
+        if v >= 0.0:
+            return _polished_root(pair, _newton(g, _horner_form(dgc), a, t, True))
+        seen.append(v)
+    if at_start:
+        return lo
+    raise NoCrossing(
+        f"psi - phi < 0 on all of [{lo}, {hi}] "
+        f"(max {max(seen):.6e}); majorant hypotheses fail"
+    )
+
+
+def _polished_root(pair: MajorantPair, t: float) -> Optional[float]:
+    """The float near t where psi - phi changes sign, as `_bisect` ends: the
+    end of the adjacent pair with the smaller |psi - phi|, or the float where
+    it is 0. t is a root of the coefficient form; a walk of at most
+    _WALK_ULPS ulps from it finds the pair. A walk that does not settle
+    keeps t if it passes the root test, and gives None otherwise.
+    """
+    v = pair.psi(t) - pair.phi(t)
+    start, up = (t, v), v < 0.0
+    toward = math.inf if up else -math.inf
+    for _ in range(_WALK_ULPS):
+        if v == 0.0:
+            return t
+        u = math.nextafter(t, toward)
+        w = pair.psi(u) - pair.phi(u)
+        if (w < 0.0) != up:
+            return u if abs(w) < abs(v) or (abs(w) == abs(v) and up) else t
+        t, v = u, w
+    t, v = start
+    return t if abs(v) <= root_tolerance(t) else None
 
 
 def _quadratic_root(pair: MajorantPair) -> Optional[float]:

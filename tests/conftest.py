@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from coincide.config import build_problem, gallery_config, gallery_names
 from coincide.linalg import norm
+from coincide.majorant import ScalarFn
 from coincide.problems import BilinearMap, QuadraticProblem
 from coincide.solver import IterateTrace, ProblemInstance
 
@@ -30,6 +33,27 @@ def planar_quadratic(a: float, b: float, c: float) -> QuadraticProblem:
 @pytest.fixture(scope="session")
 def gallery():
     return {name: build_gallery(name) for name in gallery_names()}
+
+
+@pytest.fixture
+def scalar_ops(monkeypatch) -> Counter:
+    """Counts the evaluations of psi and phi: "call" for each ScalarFn.__call__
+    (one value) and "on_grid" for each ScalarFn.on_grid (one grid, whose
+    values a plain callable computes by calls)."""
+    ops = Counter()
+    call, on_grid = ScalarFn.__call__, ScalarFn.on_grid
+
+    def counted_call(self, tau):
+        ops["call"] += 1
+        return call(self, tau)
+
+    def counted_on_grid(self, ts):
+        ops["on_grid"] += 1
+        return on_grid(self, ts)
+
+    monkeypatch.setattr(ScalarFn, "__call__", counted_call)
+    monkeypatch.setattr(ScalarFn, "on_grid", counted_on_grid)
+    return ops
 
 
 def assert_trace_invariants(inst: ProblemInstance, trace: IterateTrace,

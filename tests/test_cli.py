@@ -124,17 +124,25 @@ class TestSolveCommand:
         assert float(last[1]) == pytest.approx(taus[100], abs=1e-12)
         assert float(last[2]) <= float(last[1]) + 1e-8
 
-    def test_an_offset_within_the_root_tolerance_is_solved_to_the_root(self, tmp_path):
-        # |psi(0) - phi(0)| = c = 1e-12 is within the root tolerance at tau0,
-        # but the root 2c / (b + sqrt(D)) is about 5e-13 away and the
-        # residual 1e-12 is above residual_tol: one step, not a certificate at x0.
-        cfg = write_json(tmp_path / "tiny.json", scalar_config(1e-12, residual_tol=1e-15))
+    @pytest.mark.parametrize("config, tau_star", [
+        (scalar_config(1e-12, residual_tol=1e-15), "5.00000000000125e-13"),
+        ({"kind": "custom-scalar", "residual_tol": 1e-15, "custom_scalar": {
+            "phi_poly": [1e-12, 0, 0, 1], "majorant_poly": [1e-12, 0, 0, 1],
+            "psi_slope": 2, "horizon": 1}}, "4.9999999999999999e-13"),
+    ], ids=["quadratic", "cubic"])
+    def test_an_offset_within_the_root_tolerance_is_solved_to_the_root(self, tmp_path,
+                                                                        config, tau_star):
+        # |psi(0) - phi(0)| = 1e-12 is within the root tolerance at tau0, but
+        # psi - phi has a root about 5e-13 away (2c / (b + sqrt(D)) for the
+        # quadratic) and the residual 1e-12 is above residual_tol: one step,
+        # not a certificate at x0.
+        cfg = write_json(tmp_path / "tiny.json", config)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         summary = (tmp_path / "out" / "summary.txt").read_text()
         fields = dict(line.split(": ", 1) for line in summary.strip().splitlines())
         assert fields["status"] == "converged"
         assert fields["steps"] == "1"
-        assert fields["tau_star"] == "5.00000000000125e-13"
+        assert fields["tau_star"] == tau_star
         assert float(fields["residual"]) <= 1e-15
         assert "detail" not in fields
 

@@ -437,9 +437,12 @@ def test_each_build_proves_once(monkeypatch):
     lambda: built("custom-scalar", cubic_section(tau0=-0.0625)),
     lambda: built("custom-scalar", cubic_section(), (L2, LINF)),
     lambda: built("custom-scalar", with_coefficient(cubic_section(), "phi_poly", 4, 1e-9)),
-    lambda: built("custom-scalar", with_coefficient(cubic_section(), "majorant_poly", 1, -1e-9)),
+    # A negative coefficient in a majorant that still increases: 1e-9 - 2e-9 tau
+    # + 3.75 tau^2 > 0. A negative slope alone would make it dip after tau0.
+    lambda: built("custom-scalar", with_coefficient(with_coefficient(
+        cubic_section(), "majorant_poly", 1, 1e-9), "majorant_poly", 2, -1e-9)),
 ], ids=["affine-ulp-short", "affine-linf-short", "cubic-x0", "cubic-tiny-x0", "cubic-tau0",
-        "cubic-mixed-tags", "cubic-degree-above-majorant", "cubic-negative-majorant-slope"])
+        "cubic-mixed-tags", "cubic-degree-above-majorant", "cubic-negative-majorant-coefficient"])
 def test_unproven_instances_are_sampled(make, jacobians):
     inst = make()
     assert not inst.h2_proven

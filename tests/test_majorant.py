@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -271,8 +272,12 @@ def test_grid_and_pointwise_paths_agree(slope, intercept, coeffs, tau0, horizon)
 @example(slope=0.5, intercept=0.25, coeffs=[0.75, 0.5, 1e-14], tau0=-1.0, horizon=2.0)
 def test_scan_keeps_the_bits_of_the_reference_scan(slope, intercept, coeffs, tau0, horizon):
     # Refining a flat run of grid maxima once keeps the bits of refining each.
+    # smallest_crossing scans the plain-callable copy, so its scan is checked too.
     psi, phi = ScalarFn.linear(slope, intercept), ScalarFn.polynomial(coeffs)
     assert crossing_outcome(psi, phi, tau0, horizon) == \
+        crossing_outcome(psi, phi, tau0, horizon, reference_smallest_crossing)
+    psi, phi = as_plain_callable(psi), as_plain_callable(phi)
+    assert crossing_outcome(psi, phi, tau0, horizon, smallest_crossing) == \
         crossing_outcome(psi, phi, tau0, horizon, reference_smallest_crossing)
 
 
@@ -292,9 +297,21 @@ def test_grid_and_pointwise_paths_agree_near_tangency(a, b, margin, reach):
 
 
 def assert_paths_agree(psi, phi, tau0, horizon):
-    vectorised = crossing_outcome(psi, phi, tau0, horizon)
+    """The scan of the polynomials (one on_grid call each) and of their
+    plain-callable copies (point by point) agree. Both scan one pair,
+    validated on the grid as plain callables: polynomials are validated from
+    their coefficients."""
     pointwise = crossing_outcome(as_plain_callable(psi), as_plain_callable(phi),
                                  tau0, horizon)
+    if pointwise[0] == "ValueError":
+        return
+    pair = MajorantPair(psi=as_plain_callable(psi), phi=as_plain_callable(phi),
+                        tau0=tau0, horizon=horizon)
+    pair.psi, pair.phi = psi, phi
+    try:
+        vectorised = ("tau_star", _scan_crossing(pair).hex())
+    except NoCrossing as err:
+        vectorised = ("NoCrossing", str(err))
     assert vectorised == pointwise
 
 
@@ -400,34 +417,23 @@ def test_flat_stretch_of_psi_minus_phi_is_refined_once(golden_calls):
 
 def test_a_parallel_pair_is_refined_once(golden_calls):
     # psi - phi is -0.5 or its float neighbour at every grid point: all of it
-    # is one flat run, so one refinement (the reference makes 5,096).
-    pair = MajorantPair(psi=ScalarFn.linear(0.1), phi=ScalarFn.linear(0.1, 0.5),
-                        tau0=0.0, horizon=0.1)
+    # is one flat run, so the scan of the plain callables refines once (the
+    # reference makes 5,096). The polynomials are isolated, with no grid.
+    psi, phi = ScalarFn.linear(0.1), ScalarFn.linear(0.1, 0.5)
     message = ("psi - phi < 0 on all of [0.0, 0.1] (max -5.000000e-01); "
                "majorant hypotheses fail")
-    with pytest.raises(NoCrossing, match=f"^{re.escape(message)}$"):
-        smallest_crossing(pair)
-    assert len(golden_calls) == 1
+    for pair_psi, pair_phi, refinements in ((psi, phi, 0), (as_plain_callable(psi),
+                                                            as_plain_callable(phi), 1)):
+        pair = MajorantPair(psi=pair_psi, phi=pair_phi, tau0=0.0, horizon=0.1)
+        with pytest.raises(NoCrossing, match=f"^{re.escape(message)}$"):
+            smallest_crossing(pair)
+        assert len(golden_calls) == refinements
 
 
 def test_narrow_bump_between_grid_points_is_found():
     # Roots of 1e-12 - (tau - 1)^2 are 1 -+ 1e-6; no grid point sees g > 0.
     pair = quad_pair(1.0, 2.0, 1.0 - 1e-12, horizon=2.3)
     assert smallest_crossing(pair) == pytest.approx(1.0 - 1e-6, abs=1e-9)
-
-
-@pytest.fixture
-def scalar_calls(monkeypatch):
-    """Counts ScalarFn.__call__, the per-point evaluations of psi and phi."""
-    calls = [0]
-    call = ScalarFn.__call__
-
-    def counted(self, tau):
-        calls[0] += 1
-        return call(self, tau)
-
-    monkeypatch.setattr(ScalarFn, "__call__", counted)
-    return calls
 
 
 CUSTOM_SCALAR = {
@@ -449,22 +455,30 @@ CUSTOM_SCALAR = {
     lambda: build_problem(config_from_dict(CUSTOM_SCALAR)).instance,
 ], ids=["quadratic", "quadratic-d-zero", "random-quadratic", "kantorovich",
         "kantorovich-unbounded", "custom-scalar"])
-def test_pair_checks_and_crossing_make_few_scalar_calls(scalar_calls, build):
-    # The grids go through on_grid; only the refinement of the selected
-    # cells calls psi and phi point by point (the pointwise path makes about 22,000).
-    smallest_crossing(build().majorants)
-    assert 0 < scalar_calls[0] <= 200
+def test_pair_checks_and_crossing_read_no_grid(scalar_ops, build):
+    # Polynomials are decided from their coefficients (the grids read 1,000
+    # and 10,001 values of psi and of phi). validate calls psi and phi at
+    # tau0. The closed form calls them at tau_*, and so does the cubic: it
+    # reads psi - phi in coefficient form, and its walk calls psi and phi at
+    # the float its Newton steps end on, where psi - phi is 0.
+    pair = build().majorants
+    scalar_ops.clear()
+    pair.validate()
+    assert dict(scalar_ops) == {"call": 2}
+    scalar_ops.clear()
+    smallest_crossing(pair)
+    assert dict(scalar_ops) == {"call": 2}
 
 
-def test_linear_psi_next_tau_calls_only_phi(scalar_calls):
+def test_linear_psi_next_tau_calls_only_phi(scalar_ops):
     # psi is linear, so the step evaluates it inline and walks to the root:
     # the one ScalarFn call is phi(tau_j). Bisecting psi(t) - target makes 55.
     pair = quad_pair(1.0, 2.0, 0.75)
     tau_star = smallest_crossing(pair)
-    scalar_calls[0] = 0
+    scalar_ops.clear()
     tau = next_tau(pair, 0.1, tau_star)
     assert 0.1 < tau < tau_star
-    assert scalar_calls[0] == 1
+    assert dict(scalar_ops) == {"call": 1}
 
 
 def exact_quadratic(a: float, b: float, c: float):
@@ -516,32 +530,29 @@ class TestClosedFormCrossing:
             ScalarFn.linear(0.5), [0.0]).majorants, 1.0),
     ], ids=["quadratic", "linear", "kantorovich"])
     def test_a_closed_form_pair_makes_two_calls_and_no_grid(self, build, tau_star,
-                                                            scalar_calls, monkeypatch):
+                                                            scalar_ops):
         pair = build()
-        scalar_calls[0] = 0
-
-        def no_grid(self, ts):
-            raise AssertionError("on_grid called")
-
-        monkeypatch.setattr(ScalarFn, "on_grid", no_grid)
+        scalar_ops.clear()
         assert smallest_crossing(pair) == tau_star
-        assert scalar_calls[0] == 2  # psi(tau_*) and phi(tau_*) for the root test
+        # psi(tau_*) and phi(tau_*) for the root test
+        assert dict(scalar_ops) == {"call": 2}
 
     @pytest.mark.parametrize("psi, phi, tau0", [
-        # A cubic, a parallel linear phi (B = 0) and plain callables are scanned.
+        # Pairs the closed form does not take. Polynomials are isolated (a
+        # cubic, a parallel linear phi with B = 0, D < 0, roots left of the
+        # window, a root at tau0) and plain callables are scanned: all find
+        # the scan's crossing.
         (ScalarFn.linear(2.0), ScalarFn.polynomial([0.3, 0.0, 0.0, 1.0]), 0.0),
         (ScalarFn.linear(1.0), ScalarFn.linear(1.0, 0.5), 0.0),
         (as_plain_callable(ScalarFn.linear(2.0)),
          ScalarFn.polynomial([0.75, 0.0, 1.0]), 0.0),
         (ScalarFn.linear(2.0), as_plain_callable(ScalarFn.polynomial([0.75, 0.0, 1.0])), 0.0),
-        # D < 0: no root.
         (ScalarFn.linear(1.0), ScalarFn.polynomial([2.0, 0.0, 1.0]), 0.0),
         # Both roots, 0.5 and 1.5, lie left of the window.
         (ScalarFn.linear(2.0), ScalarFn.polynomial([0.75, 0.0, 1.0]), 2.0),
-        # psi - phi >= 0 at tau0 (root 0): the scan returns tau0.
         (ScalarFn.linear(2.0), ScalarFn.polynomial([0.0, 0.0, 1.0]), 0.0),
     ])
-    def test_other_pairs_are_scanned(self, psi, phi, tau0):
+    def test_other_pairs_agree_with_the_scan(self, psi, phi, tau0):
         pair = MajorantPair(psi=psi, phi=phi, tau0=tau0, horizon=2.0)
         assert _quadratic_root(pair) is None
         assert crossing_outcome(psi, phi, tau0, 2.0, smallest_crossing) == \
@@ -576,3 +587,121 @@ def test_closed_form_and_scan_agree_within_the_root_tolerance(a, b, margin, reac
     assert abs(closed - scan) <= math.sqrt(root_tolerance(closed) / a)
     if margin >= 1e-4:
         assert abs(closed - scan) <= root_tolerance(closed)
+
+
+def polynomial_pair(psi, phi, tau0=0.0, horizon=2.0) -> MajorantPair:
+    return MajorantPair(psi=ScalarFn.polynomial(psi), phi=ScalarFn.polynomial(phi),
+                        tau0=tau0, horizon=horizon)
+
+
+class TestPolynomialPairs:
+    def test_a_tangent_cubic_crosses_at_the_tangent_point(self):
+        # psi - phi = -(2/3)(tau - 1)^2 (tau + 2) touches 0 at tau = 1; the
+        # scan stops at 0.9999999938964843, 6.1e-9 short of it.
+        assert smallest_crossing(polynomial_pair([0.0, 2.0], [4 / 3, 0.0, 0.0, 2 / 3])) == 1.0
+
+    def test_a_dip_between_grid_points_is_refused(self):
+        # phi' = 3 tau^2 - 3e-6 < 0 on (0, 1e-3): phi(5e-4) < phi(0) = 0.1,
+        # inside the first cell of the 1,000-point grid, which accepts it.
+        with pytest.raises(ValueError,
+                           match=r"^phi is not strictly increasing near tau=0\.0$"):
+            polynomial_pair([0.0, 2.0], [0.1, -3e-6, 0.0, 1.0], horizon=10.0)
+
+    def test_a_phi_flat_in_floats_is_strictly_increasing(self):
+        # 1 + 1e-20 tau^3 rounds to 1.0 on all of the window, which the grid
+        # refused; its derivative is positive there.
+        assert smallest_crossing(polynomial_pair([0.0, 2.0], [1.0, 0.0, 0.0, 1e-20])) == 0.5
+
+    @pytest.mark.parametrize("psi, phi, message", [
+        # A constant phi, and a psi that turns down inside the window.
+        ([0.0, 2.0], [1.0], "phi is not strictly increasing near tau=0.0"),
+        ([0.0, 2.0, -1.0], [1.0, 1.0], "psi is not strictly increasing near tau=1.0"),
+        # Both descend from tau0: psi is named first, as on the grid.
+        ([0.0, -1.0], [1.0, -1.0], "psi is not strictly increasing near tau=0.0"),
+    ])
+    def test_the_first_descent_is_named(self, psi, phi, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            polynomial_pair(psi, phi)
+
+    def test_a_quartic_is_isolated_by_the_recursion(self, scalar_ops):
+        # phi = 0.25 + tau^4 against psi = 2 tau: g' = 2 - 4 tau^3 is a cubic
+        # whose root 2^(-1/3) comes by the recursion on g''; the crossing is
+        # the smaller root of 0.25 - 2 tau + tau^4, near 0.1251.
+        pair = polynomial_pair([0.0, 2.0], [0.25, 0.0, 0.0, 0.0, 1.0])
+        scalar_ops.clear()
+        tau = smallest_crossing(pair)
+        assert scalar_ops["on_grid"] == 0
+        assert abs(pair.psi(tau) - pair.phi(tau)) <= root_tolerance(tau)
+        assert tau == pytest.approx(_scan_crossing(pair), abs=root_tolerance(tau))
+
+    def test_undecided_pairs_go_to_the_grids(self, scalar_ops):
+        # The roots of phi' = 2e200 tau + 3e200 tau^2 and of g' overflow in
+        # D = c1^2 - 4 c2 c0: undecided, so validated and scanned on the grids.
+        pair = polynomial_pair([0.0, 2.0], [0.5, 0.0, 1e200, 1e200])
+        assert scalar_ops["on_grid"] == 2  # the validation grid, for psi and phi
+        scalar_ops.clear()
+        with pytest.raises(NoCrossing):
+            smallest_crossing(pair)
+        assert scalar_ops["on_grid"] == 2  # the scan grid
+        # Values that may overflow on the window: the grid finds where.
+        with pytest.raises(ValueError, match=r"^majorant functions must be finite at tau=565\.0$"):
+            polynomial_pair([0.0, 2.0], [0.5, 1e300, 0.0, 1e300], horizon=1e3)
+
+
+def psi_minus_phi_roots(pair: MajorantPair) -> list:
+    """Critical points of psi - phi in the window, from the coefficients."""
+    gc = [p - q for p, q in zip_longest(pair.psi.coeffs, pair.phi.coeffs, fillvalue=0.0)]
+    return majorant._real_roots(majorant._derivative(tuple(gc)), pair.tau0, pair.tau_end)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    slope=st.floats(min_value=0.05, max_value=4.0),
+    intercept=st.sampled_from([0.0, 0.25, -0.5]),
+    coeffs=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=4),
+    tau0=st.sampled_from([0.0, 0.0, 0.5, -1.0]),
+    horizon=st.floats(min_value=0.1, max_value=10.0),
+)
+@example(slope=2.0, intercept=0.0, coeffs=[4 / 3, 0.0, 0.0, 2 / 3], tau0=0.0, horizon=2.0)
+@example(slope=2.0, intercept=0.0, coeffs=[1e-12, 0.0, 0.0, 1.0], tau0=0.0, horizon=1.0)
+# A start within the tolerance, and no sign change after it: tau0, not the
+# window's end, where psi - phi has risen back to -3e-201. A wider window
+# holds the sign change at 3e-201.
+@example(slope=1.0, intercept=0.0, coeffs=[2.9878755756556734e-201, 0.0, 0.0, 1.0],
+         tau0=-1.0, horizon=1.0)
+@example(slope=1.0, intercept=0.0, coeffs=[2.9878755756556734e-201, 0.0, 0.0, 1.0],
+         tau0=-1.0, horizon=2.0)
+# A bump of 5e-13 above 0 at the critical point, within the tolerance.
+@example(slope=2.0, intercept=0.0, coeffs=[4 / 3 - 5e-13, 0.0, 0.0, 2 / 3], tau0=0.0,
+         horizon=2.0)
+def test_isolated_crossing_meets_the_root_test_and_the_scan(slope, intercept, coeffs,
+                                                            tau0, horizon):
+    psi, phi = ScalarFn.linear(slope, intercept), ScalarFn.polynomial(coeffs)
+    try:
+        pair = MajorantPair(psi=psi, phi=phi, tau0=tau0, horizon=horizon)
+    except ValueError:
+        return
+    scanned = MajorantPair(psi=psi, phi=phi, tau0=tau0, horizon=horizon)
+    scanned.psi, scanned.phi = as_plain_callable(psi), as_plain_callable(phi)
+    outcomes = []
+    for p in (pair, scanned):
+        try:
+            outcomes.append(smallest_crossing(p))
+        except NoCrossing as err:
+            outcomes.append(str(err))
+    isolated, scan = outcomes
+    if isinstance(scan, str):
+        assert isinstance(isolated, str)
+        return
+    tol = root_tolerance(isolated)
+    assert abs(pair.psi(isolated) - pair.phi(isolated)) <= tol
+    if scan == tau0 and isolated > tau0:
+        # A start within the tolerance: the scan stops there, and the
+        # isolation goes on to the sign change after it.
+        assert isolated not in psi_minus_phi_roots(pair)
+    elif abs(isolated - scan) > tol:
+        # A tangency: the isolation returns the critical point, and the scan
+        # stops within about sqrt(ROOT_TOL) of it on the left, or bisects the
+        # left flank of a bump that rises above 0 by at most the tolerance.
+        assert isolated in psi_minus_phi_roots(pair)
+        assert scan - isolated <= math.sqrt(tol)
