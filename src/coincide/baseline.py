@@ -5,8 +5,8 @@ beta/alpha whenever the Lipschitz constant beta of v sits strictly below the
 covering constant alpha of u. On the degenerate quadratic instances
 (discriminant zero) beta equals alpha and the scheme is inapplicable, while
 the majorant-controlled solver still certifies a solution; compare_methods
-reports both side by side. alpha_iterate steps by the solver's
-covering_stepper and ends through IterateTrace.end, as coincidence_solve does.
+reports both side by side. alpha_iterate runs the solver's covering_loop and
+ends through IterateTrace.end, as coincidence_solve does.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from .linalg import NormTag, as_vector, norm, random_direction
 from .solver import (
     DEFAULT_MAX_STEPS,
     DEFAULT_RESIDUAL_TOL,
-    STATUS_CONVERGED,
-    STATUS_MAX_STEPS,
     IterateTrace,
     SmoothMap,
     coincidence_solve,
-    covering_stepper,
+    covering_loop,
     rate_estimate,
 )
 from .problems import QuadraticMap, QuadraticProblem
@@ -101,23 +99,15 @@ def alpha_iterate(p: AlphaCoveringProblem, x0, tol: float,
 
     Raises NotContractive unless beta < alpha. Step norms contract with ratio
     at most beta/alpha; the trace's tau column accumulates the budgets, so the
-    same certificate bounds as the majorant trace apply. It steps by the
-    covering_stepper of coincidence_solve, so a 1-d problem runs on floats,
-    and ends through IterateTrace.end; x_star is a fresh float64 ndarray.
+    same certificate bounds as the majorant trace apply. It runs the
+    solver's `covering_loop`, as coincidence_solve does, so a 1-d problem
+    runs on floats; x_star is a fresh float64 ndarray.
     """
     if not p.applicable:
         raise NotContractive(
             f"beta = {p.beta} >= alpha = {p.alpha}: the linear-rate scheme does not apply")
-    trace, step = covering_stepper(p.u, p.v, as_vector(x0), 0.0, float("nan"))
-    residual = trace.rows[0][-1]
-    tau = 0.0
-    for _ in range(max_steps):
-        if residual <= tol:
-            return trace.end(STATUS_CONVERGED)
-        budget = residual / p.alpha
-        tau += budget
-        residual = step(budget, tau)
-    return trace.end(STATUS_MAX_STEPS)
+    return covering_loop(p.u, p.v, as_vector(x0), 0.0, float("nan"), tol, max_steps,
+                         alpha=p.alpha)
 
 
 @dataclass

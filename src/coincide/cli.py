@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -104,10 +105,23 @@ def _fmt_vec(v) -> str:
 _TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g"
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write each line and a newline to path as UTF-8, the bytes and errors
+    of `Path.write_text` on POSIX: one encode, and os.write on one file
+    descriptor until every byte is written."""
+    data = memoryview(("\n".join(lines) + "\n").encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def write_trace_csv(trace: IterateTrace, path: Path) -> None:
     lines = [TRACE_HEADER]
     lines += map(_TRACE_ROW.__mod__, trace.rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def _rate_lines(trace: IterateTrace) -> list[str]:
@@ -133,7 +147,7 @@ def write_summary(trace: IterateTrace, x_star, path: Path,
         lines.append(f"detail: {trace.detail}")
     if extra:
         lines += extra
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def _exit_code(status: str, detail: str) -> int:
@@ -258,7 +272,7 @@ def cmd_compare(args) -> int:
     for run in report.runs:
         lines.append(f"{run.method},{run.steps},{run.status},{run.rate_regime},"
                      f"{_fmt(run.rate_value)}")
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(out / "comparison.csv", lines)
     if report.majorant_trace is not None:
         write_trace_csv(report.majorant_trace, out / "trace_majorant.csv")
     if report.baseline_trace is not None:

@@ -179,11 +179,28 @@ def _finite_int(literal: str) -> int:
     return int(literal)
 
 
+# A literal overflows binary64 only with an exponent of 3 or more digits or
+# with 210 or more digits in a row: with digits read as 0, E as e and the
+# signs dropped, a text that holds neither shape holds no such literal.
+_NUMBER_SHAPES = bytes.maketrans(b"0123456789E", b"0000000000e")
+_OVERFLOW_SHAPES = (b"e000", b"0" * 210)
+
+
+def _decode(text: str):
+    """json.loads of a config text, refusing every non-finite number; the
+    per-number hooks run only when a literal may overflow. The C scanner's
+    numbers are the hooks' own: `float` and `int` of the literal."""
+    shapes = text.encode().translate(_NUMBER_SHAPES, b"+-")
+    if any(shape in shapes for shape in _OVERFLOW_SHAPES):
+        return json.loads(text, parse_constant=_reject_constant,
+                          parse_float=_finite_float, parse_int=_finite_int)
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def load_config(path) -> ProblemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=_reject_constant,
-                             parse_float=_finite_float, parse_int=_finite_int)
+            data = _decode(fh.read())
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except ValueError as err:  # malformed JSON, bad encoding, or a non-finite literal

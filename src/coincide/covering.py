@@ -12,9 +12,9 @@ the step of the solver's `covering_stepper` checks that the iterate it returns
 is finite. The step hands over the defect y - Psi(x') it has already formed
 for its residual, so a covering that needs it does not evaluate Psi(x') again.
 
-A 1-d shipped covering also gives `float_forms`: evaluate and solve_within
-on Python floats, with the bits and the errors the array methods give on
-one-entry vectors. The solver runs 1-d solves on them.
+A 1-d shipped covering also gives `float_factors`, from which the solver's
+1-d loop computes evaluate and solve_within inline on Python floats, with
+the bits and the errors the array methods give on one-entry vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, RankDeficient
-from .linalg import (RANK_TOL, NormTag, as_matrix, as_vector, float_norm, norm,
+from .linalg import (RANK_TOL, NormTag, as_matrix, as_vector, norm,
                      random_direction, shaped_vector)
 from .majorant import ScalarFn
 
@@ -37,9 +37,8 @@ AUDIT_TOL = 1e-8
 class CoveringMap:
     """Interface: evaluate Psi, invert it within a budget, expose its modulus psi.
 
-    A covering of R onto R may also give `float_forms()`: (evaluate,
-    correct) on Python floats, with the bits and errors of evaluate and of
-    solve_within on one-entry vectors; correct is always handed the defect.
+    A shipped covering of R onto R also gives `float_factors()`, which the
+    solver's float loop reads; see the shipped classes.
     """
 
     psi: ScalarFn
@@ -57,10 +56,6 @@ class CoveringMap:
         bits the covering's own evaluation would give; None means compute it.
         """
         raise NotImplementedError
-
-
-def _same(x):
-    return x
 
 
 class IdentityCovering(CoveringMap):
@@ -89,18 +84,10 @@ class IdentityCovering(CoveringMap):
             raise self._over_budget(step, budget)
         return y
 
-    def float_forms(self):
-        if self.dimension != 1:
-            return None
-        step_norm = float_norm(self.norm_x)
-
-        def correct(x_prime, y, budget, defect):
-            step = step_norm(y - x_prime)
-            if step > budget + BUDGET_TOL:
-                raise self._over_budget(step, budget)
-            return y
-
-        return _same, correct
+    def float_factors(self):
+        """(None, None) for dimension 1, None otherwise: Psi(x) is x, and
+        solve_within returns y, which moves |y - x'| from x'."""
+        return (None, None) if self.dimension == 1 else None
 
     @staticmethod
     def _over_budget(step: float, budget: float) -> BudgetExceeded:
@@ -169,26 +156,14 @@ class LinearSurjectiveCovering(CoveringMap):
             raise self._over_budget(step, budget)
         return x_prime + delta
 
-    def float_forms(self):
-        # For a 1x1 B, `-(B.dot(x))` is -(b * x) and `pinv.dot(-defect)` is
-        # p * -defect, signed zeros included; `B @ x`, which a B in neither
-        # C nor F order takes, adds b * x to +0 and so has other zeros.
+    def float_factors(self):
+        """(b, p) of a 1x1 B = [[b]] with pseudo-inverse [[p]]: Psi(x) is
+        -(b * x) and the correction p * -defect, signed zeros included, as
+        `B.dot(x)` and `pinv.dot(-defect)` give them. None for a larger B, or
+        one in neither C nor F order, whose `B @ x` adds b * x to +0."""
         if self.B.shape != (1, 1) or not self._dot_is_matmul:
             return None
-        b, p = float(self.B[0, 0]), float(self._pinv[0, 0])
-        step_norm = float_norm(self.norm_x)
-
-        def evaluate(x):
-            return -(b * x)
-
-        def correct(x_prime, y, budget, defect):
-            delta = p * -defect
-            step = step_norm(delta)
-            if step > budget + BUDGET_TOL:
-                raise self._over_budget(step, budget)
-            return x_prime + delta
-
-        return evaluate, correct
+        return float(self.B[0, 0]), float(self._pinv[0, 0])
 
     def _over_budget(self, step: float, budget: float) -> BudgetExceeded:
         return BudgetExceeded(

@@ -14,8 +14,9 @@ scalar.
 
 The l2 `norm` is `math.sqrt(x.dot(x))` with `x = v.ravel(order="K")`, the
 arithmetic `np.linalg.norm` performs for a real array of any shape (numpy
-2.4), without its dispatch. `float_norm` gives `norm` of a one-entry vector
-as a function of that entry, a Python float, with the same bits.
+2.4), without its dispatch. Of a one-entry vector [v] it is sqrt(v * v)
+(not abs(v): v * v overflows and underflows) for l2 and abs(v) for linf,
+which is how the solver's float loop takes it.
 """
 
 from __future__ import annotations
@@ -78,21 +79,6 @@ def norm(v, tag: NormTag = NormTag.L2) -> float:
         return math.sqrt(x.dot(x))
     if tag == _LINF:
         return float(abs(v).max()) if v.size else 0.0
-    raise ValueError(f"unknown norm tag {tag!r}")
-
-
-def _l2_of_one(v: float) -> float:
-    # x.dot(x) of one entry is v * v, overflow to inf and underflow to 0 alike.
-    return math.sqrt(v * v)
-
-
-def float_norm(tag: NormTag) -> Callable[[float], float]:
-    """v -> norm([v], tag) on a Python float v, with its bits: sqrt(v * v)
-    for l2 (not abs(v): v * v overflows and underflows), abs(v) for linf."""
-    if tag == _L2:
-        return _l2_of_one
-    if tag == _LINF:
-        return abs
     raise ValueError(f"unknown norm tag {tag!r}")
 
 

@@ -49,8 +49,10 @@ float that bisection to float adjacency returns, but finds it in O(1) for a
 linear psi. Every builder makes psi with `ScalarFn.linear`; for a psi with
 coefficients (intercept, slope) a step evaluates psi inline as
 slope * t + intercept, the float operations psi(t) performs, and makes one
-ScalarFn call (phi(tau_j)) unless it bisects. A bisection runs on
-h(t) = psi(t) - target for every psi. For slope > 0 every rounding in h is
+ScalarFn call, phi(tau_j), even when it bisects. A bisection runs on
+h(t) = psi(t) - target, inline for such a psi. The solver's loop writes the
+walking step out itself (`walk_constants`). For slope > 0 every rounding in
+h is
 monotone, so h is non-decreasing on the floats. Bisection therefore ends at
 the one adjacent pair with h(lo) < 0 < h(hi) (returning the end with the
 smaller |h|, hi on a tie), or at the float where h is 0 if exactly one float
@@ -638,18 +640,19 @@ def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], tup
     BracketFailure when phi(tau_j) lies outside it by more than the slack.
     tau_{j+1} is the float bisection to float adjacency gives, and a stall
     (tau_{j+1} = tau_j) has increment 0.0. For a linear psi a step makes one
-    ScalarFn call, phi(tau_j), and walks to that float (see the module
-    docstring). What depends only on the pair and tau_star is read here, once.
+    ScalarFn call, phi(tau_j), and walks or bisects to that float (see the
+    module docstring). What depends only on the pair and tau_star is read
+    here, once.
     """
     psi, phi = pair.psi, pair.phi
     abs_star = abs(tau_star)
     linear = psi.coeffs is not None and len(psi.coeffs) == 2
     if linear:
         intercept, slope = psi.coeffs
-        walks = 0.0 < slope < math.inf
         psi_star = slope * tau_star + intercept
     else:
-        walks, psi_star = False, psi(tau_star)
+        psi_star = psi(tau_star)
+    walks = walk_constants(pair, tau_star) is not None
 
     def step(tau_j: float) -> tuple:
         target = phi(tau_j)
@@ -670,7 +673,7 @@ def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], tup
             )
         if h_hi <= 0.0:
             return tau_star, psi_star - psi_j
-        if walks and h_lo < 0.0 < h_hi and max(abs(tau_j), abs_star) < _MIDPOINT_SAFE:
+        if walks and h_lo < 0.0 < h_hi and abs(tau_j) < _MIDPOINT_SAFE:
             t = (target - intercept) / slope
             if not t > tau_j:
                 t = math.nextafter(tau_j, math.inf)
@@ -679,10 +682,25 @@ def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], tup
             root = _walk_to_root(slope, intercept, target, t)
             if root is not None:
                 return root, slope * root + intercept - psi_j
-        root = _bisect(lambda t: psi(t) - target, tau_j, tau_star, h_lo, h_hi)
-        return root, psi(root) - psi_j
+        # A linear psi(t) inline: its float operations, and no ScalarFn call.
+        at = (lambda t: slope * t + intercept) if linear else psi
+        root = _bisect(lambda t: at(t) - target, tau_j, tau_star, h_lo, h_hi)
+        return root, at(root) - psi_j
 
     return step
+
+
+def walk_constants(pair: MajorantPair, tau_star: float) -> Optional[tuple]:
+    """(slope, intercept, psi(tau_star)) of a linear psi whose
+    `budget_stepper` steps walk from a |tau_j| < _MIDPOINT_SAFE (0 < slope <
+    inf, |tau_star| < _MIDPOINT_SAFE), with the stepper's floats; else None."""
+    coeffs = pair.psi.coeffs
+    if coeffs is None or len(coeffs) != 2:
+        return None
+    intercept, slope = coeffs
+    if not (0.0 < slope < math.inf and abs(tau_star) < _MIDPOINT_SAFE):
+        return None
+    return slope, intercept, slope * tau_star + intercept
 
 
 def next_tau(pair: MajorantPair, tau_j: float, tau_star: float) -> float:

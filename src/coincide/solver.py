@@ -11,24 +11,25 @@ certifies the step bounds
 so the returned point always carries a distance certificate, even on early
 termination.
 
-Both this iteration and the alpha-covering baseline step by one
-`covering_stepper`, which opens the trace, picks the kernels once per solve
-(evaluate Phi, evaluate Psi, correct within the budget, and the X and Y
-norms) and owns the iterate; each solve ends through `IterateTrace.end`,
-which returns the last stored point. A 1-d solve runs on Python floats,
-where numpy's per-call dispatch on one-entry arrays would cost more than the
-arithmetic, when its map is a `QuadraticMap`, an `AffineMap` or a
-`PolynomialMap` and its covering a `LinearSurjectiveCovering` or an
-`IdentityCovering` (exactly those classes). Every other solve runs on
-the array methods. The float forms keep the array methods' bits and checks:
+Both this iteration and the alpha-covering baseline run `covering_loop`,
+which writes a budget step that walks to its root out inline. A 1-d solve
+runs there as one loop on Python floats, where numpy's per-call dispatch on
+one-entry arrays would cost more than the arithmetic, when its map is a
+`QuadraticMap`, an `AffineMap` or a `PolynomialMap`, its covering a
+`LinearSurjectiveCovering` or an `IdentityCovering` (exactly those classes)
+and its norms l2 or linf: x, Phi(x), the defect, tau and the rows stay in
+locals, and a step calls only the map's float form, phi(tau_j) and the walk.
+Every other solve steps by `covering_stepper` on the array methods. Each
+solve ends through `IterateTrace.end`, which returns the last stored point.
+The float path keeps the array methods' bits and checks:
 
 - the 1x1x1 einsum is 0.0 + (A * u) * u and the 1x1 `W @ x` is 0.0 + w * x:
   a sum that starts at +0 turns a -0 product into +0;
 - the covering's `B.dot(x)` and `pinv.dot(v)` are bare products, keeping -0;
 - the l2 norm of one entry is sqrt(v * v), which overflows and underflows
   where abs(v) does not; the linf norm is abs(v);
-- BudgetExceeded, both NonFiniteValue tests and the STEP_TOL test of H2 fire
-  at the same step.
+- BudgetExceeded, BracketFailure, both NonFiniteValue tests and the STEP_TOL
+  test of H2 fire at the same step, with the same messages.
 
 A trace stores each row as a plain tuple in trace.csv's column order and
 each x_j as the loop holds it (a Python float on the float path); its
@@ -46,18 +47,25 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientData, NonFiniteValue
-from .covering import CoveringMap
+from .covering import BUDGET_TOL, CoveringMap
 from .linalg import (
     NormTag,
     as_vector,
     finite_diff_jacobian,
-    float_norm,
     norm,
     operator_norm,
     random_direction,
     shaped_vector,
 )
-from .majorant import MajorantPair, budget_stepper, smallest_crossing, validate_h2_start
+from .majorant import (
+    _MIDPOINT_SAFE,
+    MajorantPair,
+    _walk_to_root,
+    budget_stepper,
+    smallest_crossing,
+    validate_h2_start,
+    walk_constants,
+)
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_STEPS = "max_steps"
@@ -69,6 +77,8 @@ TAIL_STOP = 1e-14
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_MAX_STEPS = 100_000
+
+_EPS = float(np.finfo(float).eps)  # polyfit's unit of rcond
 
 # Sampled H2 derivative check: draws per solve, and the relative slack on phi'.
 H2_SAMPLES = 100
@@ -277,7 +287,7 @@ def _own_float_form(obj, name: str):
 
 def covering_stepper(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray,
                      tau0: float, tau_star: float) -> tuple[IterateTrace, Callable]:
-    """Open a trace at x0 and return (trace, step).
+    """Open a trace at x0 and return (trace, step), on the array methods.
 
     step(budget, tau_next) solves Psi(x_next) = Phi(x) within budget from
     the current x, records the row at tau_next and returns its residual. It
@@ -287,53 +297,172 @@ def covering_stepper(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray,
     in floats (tau + budget) - tau need not be budget. step propagates
     BudgetExceeded; it raises NonFiniteValue, before recording the row, when
     the step norm (an inf or NaN in x, Phi(x) or the covering's answer) or
-    the new residual (Phi or Psi overflowed at x_next) is inf or NaN.
-
-    The float forms run when x0 has shape (1,) and the covering's and the
-    map's own classes give them (each does only for a 1-d map), else the
-    array methods. The trace stores the float itself on the float path and a
-    copy on the array path, so a map that reuses its output buffer cannot
-    alias stored points.
+    the new residual (Phi or Psi overflowed at x_next) is inf or NaN. The
+    trace stores a copy of each point, so a map that reuses its output
+    buffer cannot alias stored points.
     """
     tag_x, tag_y = cover.norm_x, cover.norm_y
-    forms = phi_form = None
-    if x0.shape == (1,):
-        forms = _own_float_form(cover, "float_forms")
-        phi_form = _own_float_form(phi, "float_form")
-    if forms is not None and phi_form is not None:
-        (psi, correct), evaluate = forms, phi_form
-        norm_x, norm_y = float_norm(tag_x), float_norm(tag_y)
-        enter, keep = (lambda v: float(v[0])), float
-    else:
-        evaluate, psi, correct = phi.evaluate, cover.evaluate, cover.solve_within
-        norm_x, norm_y = (lambda v: norm(v, tag_x)), (lambda v: norm(v, tag_y))
-        enter = keep = np.ndarray.copy
-
-    x = enter(x0)
+    evaluate, psi, correct = phi.evaluate, cover.evaluate, cover.solve_within
+    x = x0.copy()
     phi_x = evaluate(x)
     defect = phi_x - psi(x)
-    trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, norm_y(defect))], points=[keep(x)],
+    trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, norm(defect, tag_y))], points=[x.copy()],
                          tau0=tau0, tau_star=tau_star)
-    rows, points, origin = trace.rows, trace.points, enter(x0)
+    rows, points, origin = trace.rows, trace.points, x0.copy()
 
     def step(budget: float, tau_next: float) -> float:
         nonlocal x, phi_x, defect
         k = len(rows)
         x_next = correct(x, phi_x, budget, defect)
-        size = norm_x(x_next - x)
+        size = norm(x_next - x, tag_x)
         if not math.isfinite(size):
             raise NonFiniteValue(f"iterate {k} is not finite (step norm {size})")
         phi_x = evaluate(x_next)
         defect = phi_x - psi(x_next)
-        residual = norm_y(defect)
+        residual = norm(defect, tag_y)
         if not math.isfinite(residual):
             raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
-        rows.append((k, tau_next, norm_x(x_next - origin), size, residual))
-        points.append(keep(x_next))
+        rows.append((k, tau_next, norm(x_next - origin, tag_x), size, residual))
+        points.append(x_next.copy())
         x = x_next
         return residual
 
     return trace, step
+
+
+def _float_kernels(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray) -> Optional[tuple]:
+    """(evaluate, (b, p)) when a solve from x0 runs on Python floats, else
+    None: x0 has shape (1,), both norms are l2 or linf, and the map's own
+    class gives `float_form` (evaluate) and the covering's `float_factors`."""
+    tags = (NormTag.L2, NormTag.LINF)
+    if x0.shape != (1,) or cover.norm_x not in tags or cover.norm_y not in tags:
+        return None
+    evaluate = _own_float_form(phi, "float_form")
+    factors = _own_float_form(cover, "float_factors")
+    return None if evaluate is None or factors is None else (evaluate, factors)
+
+
+def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, tau0: float,
+                  tau_star: float, residual_tol: float, max_steps: int, *,
+                  h2_stop: Optional[Callable] = None, pair: Optional[MajorantPair] = None,
+                  alpha: float = math.nan) -> tuple[np.ndarray, IterateTrace]:
+    """The loop of `coincidence_solve` (pair given) or of `alpha_iterate`
+    (alpha given). h2_stop(residual), called on the start's residual, gives
+    the detail of an H2 stop before the first step, or None.
+
+    A budget step that walks (`walk_constants`) is inline; any other goes to
+    `budget_stepper`, which calls phi(tau_j) again. A solve `_float_kernels`
+    admits keeps x, Phi(x), the defect and the norms in floats and the
+    covering's Psi and correction inline, with the rows, points and errors
+    of `covering_stepper`'s step, which every other solve calls.
+    """
+    sqrt, isfinite, nextafter, inf = math.sqrt, math.isfinite, math.nextafter, math.inf
+    kernels = _float_kernels(cover, phi, x0)
+    if kernels is None:
+        trace, step = covering_stepper(cover, phi, x0, tau0, tau_star)
+        residual = trace.rows[0][-1]
+    else:
+        # Psi(x) is -(b * x), or x for the identity covering (b is None).
+        step, (evaluate, (b, p)) = None, kernels
+        l2_x, l2_y = cover.norm_x == NormTag.L2, cover.norm_y == NormTag.L2
+        x = origin = float(x0[0])
+        phi_x = evaluate(x)
+        defect = phi_x - (x if b is None else -(b * x))
+        residual = sqrt(defect * defect) if l2_y else abs(defect)
+        trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, residual)], points=[x],
+                             tau0=tau0, tau_star=tau_star)
+    rows, points, end = trace.rows, trace.points, trace.end
+    detail = None if h2_stop is None else h2_stop(residual)
+    if detail is not None:
+        return end(STATUS_HYPOTHESIS, detail)
+    if pair is not None:
+        next_budget, phi_tau = budget_stepper(pair, tau_star), pair.phi
+        walk = walk_constants(pair, tau_star)
+        if walk is not None:
+            slope, intercept, psi_star = walk
+
+    tau = tau0
+    for j in range(max_steps):
+        if residual <= residual_tol:
+            return end(STATUS_CONVERGED)
+        if pair is None:
+            budget = residual / alpha
+            tau_next = tau + budget
+        else:
+            if tau_star - tau <= TAIL_STOP:
+                return end(STATUS_CONVERGED, "tau tail exhausted")
+            root = None
+            if walk is not None and abs(tau) < _MIDPOINT_SAFE:
+                target = phi_tau(tau)
+                psi_j = slope * tau + intercept
+                # Strictly inside the bracket no BracketFailure can fire.
+                if psi_j - target < 0.0 < psi_star - target:
+                    t = (target - intercept) / slope
+                    if not t > tau:
+                        t = nextafter(tau, inf)
+                    elif not t < tau_star:
+                        t = nextafter(tau_star, -inf)
+                    root = _walk_to_root(slope, intercept, target, t)
+            if root is None:
+                tau_next, increment = next_budget(tau)
+            else:
+                tau_next, increment = root, slope * root + intercept - psi_j
+            if tau_next <= tau:
+                return end(STATUS_MAX_STEPS, "tau sequence stalled at float resolution")
+            if residual > increment + STEP_TOL:
+                return end(STATUS_HYPOTHESIS, f"H2: defect {residual:.6e} exceeds "
+                                              f"admissible increment {increment:.6e} at step {j}")
+            budget = tau_next - tau
+        tau = tau_next
+        if step is not None:
+            residual = step(budget, tau)
+            continue
+
+        k = j + 1
+        if b is None:  # y itself, which moves y - x = defect
+            delta, x_next = defect, phi_x
+        else:
+            delta = p * -defect
+            x_next = x + delta
+        move = sqrt(delta * delta) if l2_x else abs(delta)
+        if move > budget + BUDGET_TOL:
+            raise cover._over_budget(move, budget)
+        v = x_next - x
+        size = sqrt(v * v) if l2_x else abs(v)
+        if not isfinite(size):
+            raise NonFiniteValue(f"iterate {k} is not finite (step norm {size})")
+        phi_x = evaluate(x_next)
+        defect = phi_x - (x_next if b is None else -(b * x_next))
+        residual = sqrt(defect * defect) if l2_y else abs(defect)
+        if not isfinite(residual):
+            raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
+        v = x_next - origin
+        rows.append((k, tau, sqrt(v * v) if l2_x else abs(v), size, residual))
+        points.append(x_next)
+        x = x_next
+
+    return end(STATUS_MAX_STEPS)
+
+
+def _h2_stop(inst: ProblemInstance, tau_star: float, h2_check: str,
+             residual: float) -> Optional[str]:
+    """The detail of a solve that stops on H2 before its first step, given
+    the start's residual, else None; a violated sample in "warn" mode warns."""
+    pair = inst.majorants
+    if not validate_h2_start(pair, residual):
+        return (f"H2: initial defect {residual:.6e} exceeds "
+                f"phi(tau0)-psi(tau0) = {pair.gap_at_start():.6e}")
+    if not inst.h2_proven:
+        report = validate_h2_derivative(inst, H2_SAMPLES, tau_hi=tau_star)
+        if not report.clean:
+            msg = (f"H2: sampled derivative bound violated {report.violations}/"
+                   f"{report.samples} times (max excess {report.max_excess:.3e})")
+            if h2_check == "strict":
+                return msg
+            # One stable line, "coincide:0: RuntimeWarning: H2: ...", once per message.
+            warnings.warn_explicit(msg, RuntimeWarning, "coincide", 0, module=__name__,
+                                   registry=globals().setdefault("__warningregistry__", {}))
+    return None
 
 
 def coincidence_solve(inst: ProblemInstance,
@@ -365,43 +494,9 @@ def coincidence_solve(inst: ProblemInstance,
         raise ValueError("h2_check must be 'warn' or 'strict'")
     pair = inst.majorants
     tau_star = smallest_crossing(pair)
-    tau = pair.tau0
-    trace, step = covering_stepper(inst.cover, inst.phi, inst.x0, tau, tau_star)
-    residual = trace.rows[0][-1]
-
-    if not validate_h2_start(pair, residual):
-        return trace.end(STATUS_HYPOTHESIS, f"H2: initial defect {residual:.6e} exceeds "
-                                            f"phi(tau0)-psi(tau0) = {pair.gap_at_start():.6e}")
-
-    if not inst.h2_proven:
-        report = validate_h2_derivative(inst, H2_SAMPLES, tau_hi=tau_star)
-        if not report.clean:
-            msg = (f"H2: sampled derivative bound violated {report.violations}/"
-                   f"{report.samples} times (max excess {report.max_excess:.3e})")
-            if h2_check == "strict":
-                return trace.end(STATUS_HYPOTHESIS, msg)
-            # One stable line, "coincide:0: RuntimeWarning: H2: ...", once per message.
-            warnings.warn_explicit(msg, RuntimeWarning, "coincide", 0, module=__name__,
-                                   registry=globals().setdefault("__warningregistry__", {}))
-
-    next_budget = budget_stepper(pair, tau_star)
-    for j in range(max_steps):
-        if residual <= residual_tol:
-            return trace.end(STATUS_CONVERGED)
-        if tau_star - tau <= TAIL_STOP:
-            return trace.end(STATUS_CONVERGED, "tau tail exhausted")
-
-        tau_next, increment = next_budget(tau)
-        if tau_next <= tau:
-            return trace.end(STATUS_MAX_STEPS, "tau sequence stalled at float resolution")
-        if residual > increment + STEP_TOL:
-            return trace.end(STATUS_HYPOTHESIS, f"H2: defect {residual:.6e} exceeds "
-                                                f"admissible increment {increment:.6e} at step {j}")
-
-        residual = step(tau_next - tau, tau_next)
-        tau = tau_next
-
-    return trace.end(STATUS_MAX_STEPS)
+    return covering_loop(inst.cover, inst.phi, inst.x0, pair.tau0, tau_star, residual_tol,
+                         max_steps, pair=pair,
+                         h2_stop=lambda residual: _h2_stop(inst, tau_star, h2_check, residual))
 
 
 def rate_estimate(trace: IterateTrace) -> tuple[str, float]:
@@ -411,18 +506,19 @@ def rate_estimate(trace: IterateTrace) -> tuple[str, float]:
     and against log j (power law; returns the exponent) over the last half of
     the recorded steps, and keeps the better least-squares fit.
     """
-    steps = [(r[0], r[3]) for r in trace.rows[1:]]
-    if len(steps) < 20:
-        raise InsufficientData(f"need >= 20 recorded steps, have {len(steps)}")
-    tail = steps[len(steps) // 2:]
-    tail = [(j, s) for j, s in tail if s > 0.0 and math.isfinite(s)]
-    if len(tail) < 5:
+    n = len(trace.rows) - 1
+    if n < 20:
+        raise InsufficientData(f"need >= 20 recorded steps, have {n}")
+    tail = trace.rows[1 + n // 2:]
+    steps = np.array([r[3] for r in tail])
+    keep = (steps > 0.0) & np.isfinite(steps)
+    if np.count_nonzero(keep) < 5:
         raise InsufficientData("tail of trace has too few nonzero steps")
-    js = np.array([j for j, _ in tail], dtype=float)
-    logs = np.log([s for _, s in tail])
+    js = np.array([r[0] for r in tail], dtype=float)[keep]
+    logs = np.log(steps[keep])
 
     def fit(xs):
-        slope, intercept = np.polyfit(xs, logs, 1)
+        slope, intercept = _line_fit(xs, logs)
         sse = float(np.sum((slope * xs + intercept - logs) ** 2))
         return slope, sse
 
@@ -431,6 +527,20 @@ def rate_estimate(trace: IterateTrace) -> tuple[str, float]:
     if sse_geo <= sse_pow:
         return "geometric", float(np.exp(slope_geo))
     return "sublinear", float(slope_pow)
+
+
+def _line_fit(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """`np.polyfit(xs, ys, 1)` of float64 vectors, bit for bit and with its
+    RankWarning, by its steps without its checks: the Vandermonde matrix
+    with unit columns, lstsq with rcond = len(xs) * eps, and the unscale."""
+    lhs = np.vander(xs + 0.0, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    c, _, rank, _ = np.linalg.lstsq(lhs, ys + 0.0, len(xs) * _EPS)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
+                      stacklevel=2)
+    return c / scale
 
 
 def check_jacobian(smooth: SmoothMap, samples: int = 100, seed: int = 0,

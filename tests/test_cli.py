@@ -11,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coincide
 from coincide import cli, config as config_module, errors
-from coincide.cli import main
+from coincide.cli import _write_lines, main
 from coincide.config import (
     ConfigError,
     config_from_dict,
@@ -621,6 +623,33 @@ class TestUnusableOut:
         assert len(err) == 1 and err[0].startswith("output error: "), err
         assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
+    @pytest.mark.parametrize("command,name", [
+        (["solve", "--config", "{ok}"], "trace.csv"),
+        (["solve", "--config", "{ok}"], "summary.txt"),
+        (["compare", "--config", "{ok}"], "comparison.csv"),
+    ])
+    def test_an_output_file_that_is_a_directory_is_one_output_error(self, tmp_path, capfd,
+                                                                     command, name):
+        # The line write_text's open gave: the errno, its text and the path.
+        ok = write_json(tmp_path / "ok.json", scalar_config(0.75))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        argv = [arg.format(ok=ok) for arg in command]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capfd.readouterr().err.strip().splitlines()
+        assert err == [f"output error: [Errno 21] Is a directory: '{out / name}'"]
+
+
+def test_written_files_have_the_bytes_of_write_text(tmp_path):
+    lines = ["status: converged", "detail: \u03c4 tail \u2265 0", "", "a\tb"]
+    want = tmp_path / "want.txt"
+    want.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(tmp_path / "got.txt", lines)
+    assert (tmp_path / "got.txt").read_bytes() == want.read_bytes()
+    # An existing file is truncated, not appended to.
+    _write_lines(want, ["x"])
+    assert want.read_bytes() == b"x\n"
+
 
 GENERATE = {"dim_x": 3, "dim_y": 2, "margin": 0.5, "seed": 1}
 
@@ -687,6 +716,59 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err == (
             f"config error: config {bad} is not valid JSON: non-finite number {literal}\n")
         assert not (out / "trace.csv").exists()
+
+    @staticmethod
+    def _decoded(decode, text):
+        """("ok", repr of the value: -0.0, int and float told apart) or ("raise", message)."""
+        try:
+            return "ok", repr(decode(text))
+        except ValueError as err:
+            return "raise", str(err)
+
+    @staticmethod
+    def _hooked(text):
+        return json.loads(text, parse_constant=config_module._reject_constant,
+                          parse_float=config_module._finite_float,
+                          parse_int=config_module._finite_int)
+
+    @pytest.mark.parametrize("text,want,hooked", [
+        ('{"a": 1e400}', "raise", True),
+        ('{"a": 1E+400}', "raise", True),
+        ('{"a": -1e0400}', "raise", True),
+        ('{"a": %s}' % ("4" * 400), "raise", True),
+        ('{"a": 1e-400}', "{'a': 0.0}", True),             # underflows on both paths
+        ('{"label": "1e400", "a": 2.5}', "{'label': '1e400', 'a': 2.5}", True),
+        ('{"a": [1e30, -0.0, 7, 99E+99, %s]}' % ("9" * 209), None, False),
+    ])
+    def test_decode_gives_the_hooked_result(self, monkeypatch, text, want, hooked):
+        calls = []
+        finite_float = config_module._finite_float
+
+        def counted(literal):
+            calls.append(literal)
+            return finite_float(literal)
+
+        monkeypatch.setattr(config_module, "_finite_float", counted)
+        got = self._decoded(config_module._decode, text)
+        assert bool(calls) is hooked
+        assert got == self._decoded(self._hooked, text)
+        if want == "raise":
+            assert got[0] == "raise"
+        elif want is not None:
+            assert got == ("ok", want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sign=st.sampled_from(["", "-"]), digits=st.integers(1, 330),
+           lead=st.integers(1, 9), fraction=st.sampled_from(["", ".5", ".000", "." + "9" * 30]),
+           exponent=st.sampled_from(["", "e", "E", "e+", "e-", "E-", "E+"]),
+           power=st.integers(0, 500), zeros=st.integers(0, 2))
+    def test_decode_of_any_literal_is_the_hooked_decode(self, sign, digits, lead, fraction,
+                                                        exponent, power, zeros):
+        literal = sign + str(lead) + "3" * (digits - 1) + fraction
+        if exponent:
+            literal += exponent + "0" * zeros + str(power)
+        text = '{"x": [%s, 1.5]}' % literal
+        assert self._decoded(config_module._decode, text) == self._decoded(self._hooked, text)
 
     def test_overflowing_literals_in_a_batch_spare_the_sibling(self, tmp_path, capfd):
         bad = [overflowing_config(tmp_path / f"{kind}.json", kind, "1e400")

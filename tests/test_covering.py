@@ -238,33 +238,27 @@ def test_a_step_handed_its_defect_evaluates_nothing_in_the_solve(monkeypatch):
 
 
 def test_a_float_step_handed_its_defect_evaluates_nothing_in_the_correction(monkeypatch):
-    # The 1-d problem: the solve runs on the covering's float forms.
-    evaluations = []  # True for a Psi evaluation inside the correction
-    inside = []
-    float_forms = LinearSurjectiveCovering.float_forms
+    # The 1-d problem: the solve's loop computes Psi and the correction
+    # inline from the covering's float factors, read once; it calls none of
+    # the covering's methods, so nothing evaluates Psi inside a correction.
+    calls = []
+    factors = LinearSurjectiveCovering.float_factors
 
-    def counted_forms(self):
-        evaluate, correct = float_forms(self)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-        def counted_evaluate(x):
-            evaluations.append(bool(inside))
-            return evaluate(x)
-
-        def scoped_correct(*args):
-            inside.append(True)
-            try:
-                return correct(*args)
-            finally:
-                inside.pop()
-
-        return counted_evaluate, scoped_correct
-
-    monkeypatch.setattr(LinearSurjectiveCovering, "float_forms", counted_forms)
+    for name in ("evaluate", "solve_within", "_over_budget"):
+        monkeypatch.setattr(LinearSurjectiveCovering, name,
+                            counted(name, getattr(LinearSurjectiveCovering, name)))
+    monkeypatch.setattr(LinearSurjectiveCovering, "float_factors",
+                        counted("float_factors", factors))
     inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
     _, trace = coincidence_solve(inst, residual_tol=1e-10)
     assert trace.status == "converged" and trace.steps > 10
-    assert evaluations.count(True) == 0
-    assert evaluations.count(False) == trace.steps + 1  # the residuals
+    assert calls == ["float_factors"]
 
 
 @settings(max_examples=200, deadline=None)

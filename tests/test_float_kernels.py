@@ -1,13 +1,17 @@
 """The float forms of the 1-d maps, coverings and norms against their array
-methods, bit for bit, and the rule that picks them.
+methods, bit for bit, the rule that picks them, and the float loop of a 1-d
+solve against the array methods' loop.
 
-A 1-d solve runs its steps on the float forms; they must give the bits the
-array methods give on one-entry vectors, signed zeros, subnormals, squares
-that overflow, infinities and NaNs included, and raise the same errors.
+A 1-d solve runs as one loop on Python floats; its map's float form, its
+inline covering step and norms must give the bits the array methods give on
+one-entry vectors, signed zeros, subnormals, squares that overflow,
+infinities and NaNs included, and raise the same errors.
 """
 
+import copy
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from coincide.baseline import AlphaCoveringProblem, alpha_iterate
 from coincide.config import build_problem, gallery_config
 from coincide.covering import IdentityCovering, LinearSurjectiveCovering
 from coincide.errors import CoincidenceError
-from coincide.linalg import NormTag, float_norm, norm
+from coincide.linalg import NormTag, norm
 from coincide.majorant import ScalarFn
 from coincide.problems import (
     BilinearMap,
@@ -29,7 +33,13 @@ from coincide.problems import (
     build_quadratic_instance,
     scalar_quadratic,
 )
-from coincide.solver import AffineMap, CallableMap, coincidence_solve, covering_stepper
+from coincide.solver import (
+    AffineMap,
+    CallableMap,
+    as_point,
+    _float_kernels,
+    coincidence_solve,
+)
 from conftest import planar_quadratic
 
 TAGS = [NormTag.L2, NormTag.LINF]
@@ -81,15 +91,21 @@ def _same(array_fn, float_fn, *points):
 @example(v=5e-324, tag=NormTag.LINF)
 @example(v=math.nan, tag=NormTag.LINF)
 def test_float_norm_has_the_bits_of_norm(v, tag):
+    # The float loop's norm of one entry: sqrt(v * v) for l2, abs(v) for linf.
     with np.errstate(all="ignore"):
         want = norm(np.array([v]), tag)
-    got = float_norm(tag)(v)
+    got = math.sqrt(v * v) if tag == NormTag.L2 else abs(v)
     assert type(got) is float and _bits(got) == _bits(want)
 
 
 def test_float_norm_refuses_an_unknown_tag():
+    # The float loop takes l2 and linf only; under any other tag the solve
+    # runs on the array methods, whose norm refuses it.
+    inst = _quadratic_instance()
+    inst.cover.norm_y = "l1"
+    assert _float_kernels(inst.cover, inst.phi, inst.x0) is None
     with pytest.raises(ValueError, match="unknown norm tag"):
-        float_norm("l1")
+        coincidence_solve(inst)
 
 
 @settings(max_examples=300, deadline=None)
@@ -141,52 +157,32 @@ nonzero = _values(finite=True).filter(lambda v: v != 0.0 and abs(v) < 1e300
                                       and abs(v) > 1e-300)
 
 
-@settings(max_examples=300, deadline=None)
-@given(b=nonzero, tags=st.tuples(st.sampled_from(TAGS), st.sampled_from(TAGS)),
-       constant=st.sampled_from([0.5, 1.0, 4.0]), x=_values())
-@example(b=2.0, tags=(NormTag.L2, NormTag.L2), constant=1.0, x=-0.0)
-@example(b=-2.0, tags=(NormTag.LINF, NormTag.LINF), constant=1.0, x=0.0)
-def test_linear_covering_evaluate_float_form(b, tags, constant, x):
-    cover = _linear_cover(b, *tags, constant)
-    evaluate, _ = cover.float_forms()
-    _same(cover.evaluate, evaluate, x)
-
-
-@settings(max_examples=400, deadline=None)
-@given(b=nonzero, tags=st.tuples(st.sampled_from(TAGS), st.sampled_from(TAGS)),
-       constant=st.sampled_from([0.5, 1.0, 4.0]), x_prime=_values(), y=_values(),
-       budget=st.one_of(st.sampled_from([0.0, 1e-9, math.inf]), st.floats(0.0, 1e3)),
-       handed=st.booleans())
-@example(b=2.0, tags=(NormTag.L2, NormTag.L2), constant=1.0, x_prime=0.0, y=0.0,
-         budget=1.0, handed=True)          # a +0 defect: p * -defect is -0
-@example(b=-2.0, tags=(NormTag.LINF, NormTag.L2), constant=1.0, x_prime=-0.0, y=-0.0,
-         budget=0.0, handed=False)
-@example(b=2.0, tags=(NormTag.L2, NormTag.L2), constant=4.0, x_prime=0.0, y=1.0,
-         budget=0.1, handed=True)          # over budget
-def test_linear_covering_correction_float_form(b, tags, constant, x_prime, y, budget,
-                                               handed):
-    # The step hands over the defect y - Psi(x'); any defect must agree too.
-    cover = _linear_cover(b, *tags, constant)
-    evaluate, correct = cover.float_forms()
-    with np.errstate(all="ignore"):
-        defect = y - evaluate(x_prime) if handed else y
-    _same(lambda *v: cover.solve_within(v[0], v[1], budget, v[2]),
-          lambda *v: correct(v[0], v[1], budget, v[2]), x_prime, y, defect)
+def test_linear_covering_float_factors():
+    # -(b * x) and p * -defect are `B.dot(x)` and `pinv.dot(-defect)` of a 1x1
+    # B in C or F order; any other B has none.
+    cover = LinearSurjectiveCovering([[-4.0]])
+    assert cover.float_factors() == (-4.0, -0.25)
+    assert all(type(v) is float for v in cover.float_factors())
+    assert LinearSurjectiveCovering(np.eye(2)).float_factors() is None
+    assert LinearSurjectiveCovering(_strided_one_by_one()).float_factors() is None
 
 
 @settings(max_examples=300, deadline=None)
-@given(tag=st.sampled_from(TAGS), x_prime=_values(), y=_values(),
-       budget=st.one_of(st.sampled_from([0.0, 1e-9, math.inf]), st.floats(0.0, 1e3)))
-@example(tag=NormTag.L2, x_prime=-0.0, y=0.0, budget=0.0)
-@example(tag=NormTag.L2, x_prime=0.0, y=2.0, budget=1.0)   # over budget
-def test_identity_covering_float_forms(tag, x_prime, y, budget):
+@given(tag=st.sampled_from(TAGS), x_prime=_values(finite=True), w=_values(),
+       d=_values(finite=True), alpha=st.sampled_from([0.25, 1.0, 4.0]))
+@example(tag=NormTag.L2, x_prime=-0.0, w=0.0, d=0.0, alpha=1.0)
+@example(tag=NormTag.L2, x_prime=0.0, w=1.0, d=2.0, alpha=4.0)   # over budget
+def test_identity_covering_float_forms(tag, x_prime, w, d, alpha):
+    # Psi(x) = x and a correction to y itself: one baseline step of the
+    # float loop against the array methods, errors included.
     cover = IdentityCovering(1, tag)
-    evaluate, correct = cover.float_forms()
-    _same(cover.evaluate, evaluate, x_prime)
-    with np.errstate(all="ignore"):
-        defect = y - evaluate(x_prime)
-    _same(lambda *v: cover.solve_within(v[0], v[1], budget, v[2]),
-          lambda *v: correct(v[0], v[1], budget, v[2]), x_prime, y, defect)
+    assert cover.float_factors() == (None, None)
+    assert IdentityCovering(2).float_factors() is None
+    phi = AffineMap([[w]], [d])
+    ours = _run(alpha_iterate, AlphaCoveringProblem(u=cover, v=phi, alpha=alpha, beta=0.0),
+                [x_prime], 0.0, 1)
+    twin = AlphaCoveringProblem(u=_on_arrays(cover), v=_on_arrays(phi), alpha=alpha, beta=0.0)
+    assert ours == _run(alpha_iterate, twin, [x_prime], 0.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +233,10 @@ ARRAY_CASES = {
 
 
 def _one_step(inst):
-    """The trace of one covering step from inst.x0, and the array methods of
-    inst's map and covering that opening it and the step called. Each of them
-    is stubbed on the instance to map x to zeros, so any x0 can step."""
+    """The trace of one step of `alpha_iterate` (alpha 1) on inst's map and
+    covering from inst.x0, and the array methods of them that the step
+    called. Each of them is stubbed on the instance to map x to zeros, so any
+    x0 can step."""
     called = set()
 
     def stub(name):
@@ -251,8 +248,9 @@ def _one_step(inst):
     inst.phi.evaluate = stub("phi.evaluate")
     inst.cover.evaluate = stub("cover.evaluate")
     inst.cover.solve_within = stub("cover.solve_within")
-    trace, step = covering_stepper(inst.cover, inst.phi, inst.x0, 0.0, 1.0)
-    step(1.0, 1.0)
+    p = AlphaCoveringProblem(u=inst.cover, v=inst.phi, alpha=1.0, beta=0.0)
+    _, trace = alpha_iterate(p, inst.x0, -1.0, 1)
+    assert trace.steps == 1
     return trace, called
 
 
@@ -326,3 +324,148 @@ def test_one_d_steps_call_no_array_method(name):
 
     assert _array_method_calls(lambda: solve(3)) == _array_method_calls(lambda: solve(300))
     assert steps[3] == 3 and steps[300] > 3
+
+
+# ---------------------------------------------------------------------------
+# The float loop against the array methods, outcome for outcome
+
+
+class _SubAffine(AffineMap):
+    pass
+
+
+class _SubPolynomial(PolynomialMap):
+    pass
+
+
+class _SubIdentity(IdentityCovering):
+    pass
+
+
+ARRAY_TWIN = {QuadraticMap: _SubQuadratic, AffineMap: _SubAffine, PolynomialMap: _SubPolynomial,
+              LinearSurjectiveCovering: _SubLinear, IdentityCovering: _SubIdentity}
+
+
+def _on_arrays(obj):
+    """A copy of obj whose class is a subclass that gives no float form, so
+    that a solve on it runs on the array methods."""
+    twin = copy.copy(obj)
+    twin.__class__ = ARRAY_TWIN[type(obj)]
+    return twin
+
+
+def _run(solve, *args, **kwargs):
+    """("ok", x, rows, points, status, detail), every float as its bits, or
+    ("raise", error type, message)."""
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            x, trace = solve(*args, **kwargs)
+    except CoincidenceError as err:
+        return "raise", type(err).__name__, str(err)
+    points = [[_bits(v) for v in as_point(p)] for p in trace.points]
+    rows = [(r[0], *map(_bits, r[1:])) for r in trace.rows]
+    return "ok", [_bits(v) for v in x], rows, points, trace.status, trace.detail
+
+
+def _twin_instance(inst):
+    twin = copy.copy(inst)
+    twin.phi, twin.cover = _on_arrays(inst.phi), _on_arrays(inst.cover)
+    return twin
+
+
+def _swapped(make, **swap):
+    def build():
+        inst = make()
+        for key, value in swap.items():
+            setattr(inst, key, value)
+        return inst
+    return build
+
+
+def _quadratic():
+    return build_quadratic_instance(scalar_quadratic(1.0, 2.0, 0.75))
+
+
+def _kantorovich():
+    return build_problem(gallery_config("kantorovich-affine")).instance
+
+
+# name: (instance, residual_tol, max_steps, factor on tau_*, outcome)
+LOOP_CASES = {
+    "quadratic-l2": (_quadratic, 1e-10, 100, 1.0, "converged"),
+    "quadratic-linf-l2": (_swapped(_quadratic, cover=LinearSurjectiveCovering(
+        [[2.0]], b=2.0, norm_x=NormTag.LINF, norm_y=NormTag.L2)), 1e-10, 100, 1.0,
+        "converged"),
+    "quadratic-l2-linf": (_swapped(_quadratic, cover=LinearSurjectiveCovering(
+        [[-2.0]], b=2.0, norm_x=NormTag.L2, norm_y=NormTag.LINF)), 1e-10, 100, 1.0,
+        "converged"),
+    "quadratic-capped": (_quadratic, 1e-10, 3, 1.0, "max_steps"),
+    "quadratic-stall": (_quadratic, -1.0, 100, 2.0, "stall"),
+    "quadratic-bracket": (_quadratic, 1e-10, 100, 0.5, "BracketFailure"),
+    "quadratic-over-budget": (_swapped(_quadratic, cover=LinearSurjectiveCovering([[1.0]])),
+                              1e-10, 100, 1.0, "BudgetExceeded"),
+    "affine-overflow": (_swapped(_quadratic, phi=AffineMap([[1e200]], [0.75])), 1e-10, 100,
+                        1.0, "NonFiniteValue"),
+    "cubic-h2-defect": (lambda: build_polynomial_instance(
+        [0.5, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.5], 2.0, 2.0), 1e-10, 100, 1.0,
+        "hypothesis_violation"),
+    "cubic-linf": (lambda: build_polynomial_instance(
+        [0.3, 0.0, 0.0, 1.0], [0.3, 0.0, 0.0, 1.0], 2.0, 1.6, norms=(NormTag.LINF,) * 2),
+        1e-10, 100, 1.0, "converged"),
+    "affine-identity-l2": (_kantorovich, 1e-10, 100, 1.0, "converged"),
+    "affine-identity-linf": (_swapped(_kantorovich, cover=IdentityCovering(1, NormTag.LINF)),
+                             1e-10, 100, 1.0, "converged"),
+}
+
+
+def _outcome_name(run) -> str:
+    if run[0] == "raise":
+        return run[1]
+    return "stall" if run[-1].startswith("tau sequence stalled") else run[-2]
+
+
+@pytest.mark.parametrize("name", LOOP_CASES)
+def test_float_loop_matches_the_array_methods(name, monkeypatch):
+    make, tol, max_steps, factor, outcome = LOOP_CASES[name]
+    crossing = coincide.solver.smallest_crossing
+    monkeypatch.setattr(coincide.solver, "smallest_crossing",
+                        lambda pair: factor * crossing(pair))
+    inst = make()
+    twin = _twin_instance(inst)
+    assert _float_kernels(inst.cover, inst.phi, inst.x0) is not None
+    assert _float_kernels(twin.cover, twin.phi, twin.x0) is None
+    ours = _run(coincidence_solve, inst, residual_tol=tol, max_steps=max_steps)
+    assert ours == _run(coincidence_solve, twin, residual_tol=tol, max_steps=max_steps)
+    assert _outcome_name(ours) == outcome
+    # The baseline's loop, with the covering's own constant as alpha.
+    alpha = inst.cover.psi.coeffs[1]
+    p = AlphaCoveringProblem(u=inst.cover, v=inst.phi, alpha=alpha, beta=0.0)
+    q = AlphaCoveringProblem(u=twin.cover, v=twin.phi, alpha=alpha, beta=0.0)
+    assert _run(alpha_iterate, p, inst.x0, tol, max_steps) == _run(
+        alpha_iterate, q, inst.x0, tol, max_steps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(b=nonzero, tags=st.tuples(st.sampled_from(TAGS), st.sampled_from(TAGS)),
+       constant=st.sampled_from([0.5, 1.0, 4.0]), w=_values(), d=_values(finite=True),
+       x0=_values(finite=True), steps=st.integers(1, 3))
+@example(b=2.0, tags=(NormTag.L2, NormTag.L2), constant=1.0, w=2.0, d=0.0, x0=0.0,
+         steps=2)              # a +0 defect: p * -defect is -0
+@example(b=-2.0, tags=(NormTag.LINF, NormTag.L2), constant=1.0, w=-0.0, d=-0.0, x0=-0.0,
+         steps=1)
+@example(b=2.0, tags=(NormTag.L2, NormTag.L2), constant=4.0, w=0.0, d=1.0, x0=0.0,
+         steps=1)              # over budget
+@example(b=1.0, tags=(NormTag.L2, NormTag.L2), constant=1.0, w=1e200, d=1.0, x0=0.0,
+         steps=3)              # the l2 norm of a finite defect overflows
+def test_float_steps_match_the_array_methods(b, tags, constant, w, d, x0, steps):
+    # One to three baseline steps from special values: the linear covering's
+    # inline Psi, correction and norms against the array methods, errors
+    # included (the identity covering's are in test_identity_covering_float_forms).
+    cover = _linear_cover(b, *tags, constant)
+    phi = AffineMap([[w]], [d])
+    alpha = cover.b  # constant 4 claims more than |b|: the correction is over budget
+    ours = _run(alpha_iterate, AlphaCoveringProblem(u=cover, v=phi, alpha=alpha, beta=0.0),
+                [x0], 0.0, steps)
+    twin = AlphaCoveringProblem(u=_on_arrays(cover), v=_on_arrays(phi), alpha=alpha, beta=0.0)
+    assert ours == _run(alpha_iterate, twin, [x0], 0.0, steps)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_trace_invariants, planar_quadratic
@@ -530,6 +530,39 @@ class TestRateEstimate:
         with np.errstate(all="ignore"):
             assert self._outcome(rate_estimate, trace) == self._outcome(
                 reference_rate_estimate, trace)
+
+    @staticmethod
+    def _fit(fit, xs, ys):
+        """(coefficient bits, warnings as (category, message)) of fit(xs, ys, ...)."""
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            try:
+                coeffs = fit(xs, ys).tobytes()
+            except np.linalg.LinAlgError as err:
+                coeffs = str(err)
+        return coeffs, [(w.category, str(w.message)) for w in caught]
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e3, 1e3)),
+                           min_size=1, max_size=40),
+           repeat=st.booleans())
+    @example(points=[(3.0, 0.0), (3.0, 1.0), (3.0, -2.0)], repeat=False)  # rank 1: warns
+    @example(points=[(-0.0, -0.0), (1.0, 0.5)], repeat=False)
+    @example(points=[(2.0, 1.0)], repeat=False)                            # one point
+    def test_line_fit_is_polyfit_bit_for_bit(self, points, repeat):
+        # Every x the same (repeat) makes the Vandermonde matrix rank 1. An
+        # x column of zeros scales to NaN (0 / 0) in both, and is left out.
+        xs = np.array([points[0][0] if repeat else x for x, _ in points])
+        ys = np.array([y for _, y in points])
+        assume(np.any(xs != 0.0))
+        assert self._fit(solver._line_fit, xs, ys) == self._fit(
+            lambda a, b: np.polyfit(a, b, 1), xs, ys)
+
+    @pytest.mark.parametrize("xs", [[3.0, 3.0, 3.0], [2.0]])
+    def test_line_fit_warns_at_rank_one(self, xs):
+        ys = np.arange(len(xs), dtype=float)
+        _, caught = self._fit(solver._line_fit, np.array(xs), ys)
+        assert caught == [(np.exceptions.RankWarning, "Polyfit may be poorly conditioned")]
 
 
 class TestTraceInvariants:

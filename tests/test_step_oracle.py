@@ -1,12 +1,13 @@
 """The per-step hot paths against the oracle in step_reference.py, bit for bit.
 
-`budget_stepper` (which `next_tau` and the solve step through) evaluates a
-linear psi inline and walks to its root in O(1),
+`budget_stepper` (which `next_tau` steps through, and whose walking step
+the solve's loop inlines) evaluates a linear psi inline, walks to its
+root in O(1) and bisects without a psi call,
 `linalg.norm` takes a 1-d l2 norm as sqrt(x.dot(x)), `QuadraticMap.evaluate`
 makes one contraction instead of two, `write_trace_csv` formats a row in one
-call, both iterations run one shared covering step, and 1-d solves run that
-step on Python floats; none of them may move a bit of a result, a byte of a
-trace or a word of a BracketFailure or BudgetExceeded message.
+call, both iterations run one shared covering step on arrays, and 1-d solves
+run as one loop on Python floats; none of them may move a bit of a result, a
+byte of a trace or a word of a BracketFailure or BudgetExceeded message.
 """
 
 import contextlib
@@ -49,12 +50,12 @@ from coincide.problems import (
     scalar_quadratic,
 )
 from coincide.solver import (
+    AffineMap,
     CallableMap,
     IterateTrace,
     ProblemInstance,
     TraceRecord,
     coincidence_solve,
-    covering_stepper,
 )
 
 from conftest import planar_quadratic
@@ -190,6 +191,33 @@ def test_next_tau_on_zero_plateaus_matches_oracle(slope, t0, below, above):
                                       math.nextafter(t0, math.inf))]
     if slope * tau_j - target < 0.0 < slope * tau_star - target and h.count(0.0) >= 2:
         assert calls  # a plateau inside the bracket is left to the bisection
+
+
+def test_a_linear_psi_bisects_with_no_psi_call():
+    # h = slope * t - target is 0 on t and on its upper neighbour, so the
+    # walk hands over to the bisection, which for a linear psi evaluates
+    # slope * t + intercept inline: the float the ScalarFn bisection gives.
+    slope, target, t = 1.7101270739975631, 0.6297501425511367, 0.3682475718480053
+    assert slope * t - target == slope * math.nextafter(t, math.inf) - target == 0.0
+    outcomes = {}
+    for linear in (True, False):
+        pair = _pair(slope, 0.0, target, linear)
+        calls = []
+        call = ScalarFn.__call__
+
+        def counted(self, tau):
+            if self is pair.psi:
+                calls.append(tau)
+            return call(self, tau)
+
+        with _bisect_calls() as brackets, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ScalarFn, "__call__", counted)
+            got = budget_stepper(pair, 0.5)(0.25)
+        assert brackets == [(0.25, 0.5)]
+        outcomes[linear] = tuple(map(float.hex, got)), len(calls)
+    assert outcomes[True] == (outcomes[False][0], 0)
+    assert outcomes[False][1] > 40
+    assert outcomes[True][0][0] == t.hex()
 
 
 # slope * t is small next to the intercept, so h is flat over many floats
@@ -482,6 +510,22 @@ def _loops_outcomes(inst, p, tol, max_steps):
     ]
 
 
+def test_a_budget_at_the_bracket_end_matches_reference():
+    # phi(tau_j) = 2^20 + tau_j reaches psi(tau_*) = 2^21 exactly at step 54,
+    # where the budget is tau_* itself and no walk may run; tau_* = 2^20 is
+    # too coarse for the tail test to stop the loop before.
+    cover = LinearSurjectiveCovering([[2.0]])
+    pair = MajorantPair(psi=cover.psi, phi=ScalarFn.linear(1.0, 2.0 ** 20),
+                        horizon=2.0 ** 21)
+    inst = ProblemInstance(phi=AffineMap([[0.5]], [1.0]), cover=cover, majorants=pair,
+                           x0=[0.0])
+    ours = _loop_outcome(coincidence_solve, inst, residual_tol=-1.0, max_steps=200)
+    assert ours == _loop_outcome(reference_coincidence_solve, inst, residual_tol=-1.0,
+                                 max_steps=200)
+    assert ours[2:4] == ("converged", "tau tail exhausted")
+    assert ours[-1][-1][1] == (2.0 ** 20).hex() and ours[-1][-2][1] != (2.0 ** 20).hex()
+
+
 def d_zero_quadratic(e, m):
     """a = 2^(e+2m-2), b = 2^m, c = 2^-e: D = b^2 - 4ac is exactly 0."""
     return scalar_quadratic(2.0 ** (e + 2 * m - 2), 2.0 ** m, 2.0 ** -e)
@@ -590,8 +634,10 @@ ONE_D_FAMILIES = {
 
 
 def _runs_on_floats(inst) -> bool:
-    """Whether a solve of inst steps on the float forms: its trace then holds x0 as a float."""
-    trace, _ = covering_stepper(inst.cover, inst.phi, inst.x0, 0.0, 0.0)
+    """Whether a solve of inst runs on the float loop: its trace then holds x0 as a float."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, trace = coincidence_solve(inst, max_steps=0)
     return type(trace.points[0]) is float
 
 
@@ -688,59 +734,70 @@ def test_inflated_covering_constant_fails_alike(q, factor):
 
 
 @contextlib.contextmanager
-def _solve_steppers():
-    """The steppers coincide.solver builds inside the block: one list each,
-    with a (bisections, ScalarFn objects called) entry per call of a step."""
-    steppers, called = [], []
-    build, call = coincide.majorant.budget_stepper, ScalarFn.__call__
+def _solve_loop():
+    """What the loops of coincide.solver do inside the block, from the first
+    `budget_stepper` they build: `steppers`, one list per stepper built, with
+    a (bisections, ScalarFn objects called) entry per call of its step;
+    `walks`, the number of budgets the float loop walked to inline; and
+    `called`, every ScalarFn object called, in or out of a step."""
+    seen = SimpleNamespace(steppers=[], walks=0, called=[])
+    build, call, walk = coincide.majorant.budget_stepper, ScalarFn.__call__, _walk_to_root
 
     def counted_call(self, tau):
-        called.append(self)
+        if seen.steppers:
+            seen.called.append(self)
         return call(self, tau)
+
+    def counted_walk(*args):
+        root = walk(*args)
+        seen.walks += root is not None
+        return root
 
     def counted_build(pair, tau_star):
         step, per_step = build(pair, tau_star), []
-        steppers.append(per_step)
+        seen.steppers.append(per_step)
 
         def scoped(tau_j):
-            before, first = len(calls), len(called)
+            before, first = len(calls), len(seen.called)
             try:
                 return step(tau_j)
             finally:
-                per_step.append((len(calls) - before, called[first:]))
+                per_step.append((len(calls) - before, seen.called[first:]))
 
         return scoped
 
     with _bisect_calls() as calls, pytest.MonkeyPatch.context() as mp:
         mp.setattr(ScalarFn, "__call__", counted_call)
         mp.setattr(coincide.solver, "budget_stepper", counted_build)
-        yield steppers
+        mp.setattr(coincide.solver, "_walk_to_root", counted_walk)
+        yield seen
 
 
 def test_pinned_d_zero_solve_never_bisects_in_next_tau():
     # a = 2^10, b = 2, c = 2^-10 (D = 0, 617 steps): every budget comes from
-    # the walk. The crossing scan may bisect; the solve's stepper may not, and
-    # each of its steps makes one ScalarFn call, phi(tau_j).
+    # the walk, which the float loop makes inline. The crossing may bisect;
+    # the solve's budget steps may not, and each makes one ScalarFn call,
+    # phi(tau_j), so the solve's one stepper is built but never stepped.
     inst = build_quadratic_instance(d_zero_quadratic(10, 1))
-    with _solve_steppers() as steppers:
+    with _solve_loop() as seen:
         _, trace = coincidence_solve(inst, residual_tol=1e-8)
     assert trace.status == "converged" and trace.steps == 617
-    assert len(steppers) == 1
-    per_step = steppers[0]
-    assert len(per_step) == 617 and sum(bisections for bisections, _ in per_step) == 0
-    called = [fn for _, fns in per_step for fn in fns]
-    assert len(called) == 617 and all(fn is inst.majorants.phi for fn in called)
+    assert seen.steppers == [[]] and seen.walks == 617
+    assert len(seen.called) == 617 and all(fn is inst.majorants.phi for fn in seen.called)
 
 
 @pytest.mark.parametrize("name", ["scalar-d-zero", "scalar-d-pos", "matrix-2d",
                                   "kantorovich-affine", "random-quadratic"])
 def test_a_solve_builds_one_stepper(name):
+    # One budget recurrence per solve: each step's budget is an inline walk
+    # or a call of the one stepper's step.
     cfg = gallery_config(name)
-    with _solve_steppers() as steppers:
+    with _solve_loop() as seen:
         _, trace = coincidence_solve(build_problem(cfg).instance, cfg.residual_tol,
                                      cfg.max_steps)
     assert trace.status == "converged"
-    assert [len(per_step) for per_step in steppers] == [trace.steps]
+    assert len(seen.steppers) == 1
+    assert seen.walks + len(seen.steppers[0]) == trace.steps
 
 
 @settings(max_examples=30, deadline=None)
