@@ -16,7 +16,7 @@ or --max-steps) and --jobs at least 1, and JSON Infinity/NaN literals and
 number literals that overflow a double (1e400) are refused. A batch (several
 --config paths) writes each config to OUT/<file stem>, is refused when two
 stems collide, and exits 1 if any config failed, else 2 if any hit its step
-cap, else 0.
+cap, else 0. A usage error exits 1, not argparse's 2, after its usage text.
 All floats are printed with 17 significant digits so reruns are bit-identical.
 """
 
@@ -322,7 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # --help exits 0, a usage error 2, which is EXIT_PARTIAL
+        if stop.code:
+            return EXIT_FAIL  # argparse has printed the usage and the error
+        raise
     handler = {"solve": cmd_solve, "gallery": cmd_gallery, "compare": cmd_compare}
     return _guarded(handler[args.command], args)
 

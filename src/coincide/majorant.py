@@ -44,16 +44,15 @@ function is called point by point.
 `budget_stepper(pair, tau_star)` does the set-up of the budget recurrence
 once per pair and returns step(tau_j) -> (tau_{j+1}, increment): the
 increment psi(tau_{j+1}) - psi(tau_j) is the defect the solver may admit
-next, and `next_tau` and `tau_sequence` keep tau_{j+1}. A step returns the
-float that bisection to float adjacency returns, but finds it in O(1) for a
-linear psi. Every builder makes psi with `ScalarFn.linear`; for a psi with
-coefficients (intercept, slope) a step evaluates psi inline as
-slope * t + intercept, the float operations psi(t) performs, and makes one
-ScalarFn call, phi(tau_j), even when it bisects. A bisection runs on
-h(t) = psi(t) - target, inline for such a psi. The solver's loop writes the
-walking step out itself (`walk_constants`). For slope > 0 every rounding in
-h is
-monotone, so h is non-decreasing on the floats. Bisection therefore ends at
+next, and `next_tau` and `tau_sequence` keep tau_{j+1}. Every budget step,
+the solver's too, is one call of that step. It returns the float that
+bisection to float adjacency returns, but finds it in O(1) for a linear psi.
+Every builder makes psi with `ScalarFn.linear`; for a psi with coefficients
+(intercept, slope) a step evaluates psi inline as slope * t + intercept, the
+float operations psi(t) performs, and makes one ScalarFn call, phi(tau_j),
+even when it bisects. A bisection runs on h(t) = psi(t) - target, inline
+for such a psi. For slope > 0 every rounding in h is monotone, so h is
+non-decreasing on the floats. Bisection therefore ends at
 the one adjacent pair with h(lo) < 0 < h(hi) (returning the end with the
 smaller |h|, hi on a tie), or at the float where h is 0 if exactly one float
 is. `_walk_to_root` starts at (target - intercept) / slope and walks a few
@@ -639,25 +638,22 @@ def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], tup
     The bracket is psi(tau_j) <= phi(tau_j) <= psi(tau_star); a step raises
     BracketFailure when phi(tau_j) lies outside it by more than the slack.
     tau_{j+1} is the float bisection to float adjacency gives, and a stall
-    (tau_{j+1} = tau_j) has increment 0.0. For a linear psi a step makes one
-    ScalarFn call, phi(tau_j), and walks or bisects to that float (see the
-    module docstring). What depends only on the pair and tau_star is read
-    here, once.
+    (tau_{j+1} = tau_j) has increment 0.0. A step makes one phi(tau_j) call,
+    and for a linear psi no other ScalarFn call (see the module docstring).
+    What depends only on the pair and tau_star is read here, once.
     """
     psi, phi = pair.psi, pair.phi
     abs_star = abs(tau_star)
     linear = psi.coeffs is not None and len(psi.coeffs) == 2
     if linear:
         intercept, slope = psi.coeffs
-        psi_star = slope * tau_star + intercept
-    else:
-        psi_star = psi(tau_star)
-    walks = walk_constants(pair, tau_star) is not None
+    # A linear psi(t) inline: its float operations, and no ScalarFn call.
+    at = (lambda t: slope * t + intercept) if linear else psi
+    psi_star = at(tau_star)
 
-    def step(tau_j: float) -> tuple:
-        target = phi(tau_j)
+    def settle(tau_j: float, target: float, psi_j: float) -> tuple:
+        """The step that does not walk, given phi(tau_j) and psi(tau_j)."""
         slack = 10.0 * root_tolerance(max(abs(target), abs_star))
-        psi_j = slope * tau_j + intercept if linear else psi(tau_j)
         h_lo = psi_j - target
         if h_lo > slack:
             raise BracketFailure(
@@ -673,34 +669,30 @@ def budget_stepper(pair: MajorantPair, tau_star: float) -> Callable[[float], tup
             )
         if h_hi <= 0.0:
             return tau_star, psi_star - psi_j
-        if walks and h_lo < 0.0 < h_hi and abs(tau_j) < _MIDPOINT_SAFE:
-            t = (target - intercept) / slope
-            if not t > tau_j:
-                t = math.nextafter(tau_j, math.inf)
-            elif not t < tau_star:
-                t = math.nextafter(tau_star, -math.inf)
-            root = _walk_to_root(slope, intercept, target, t)
-            if root is not None:
-                return root, slope * root + intercept - psi_j
-        # A linear psi(t) inline: its float operations, and no ScalarFn call.
-        at = (lambda t: slope * t + intercept) if linear else psi
         root = _bisect(lambda t: at(t) - target, tau_j, tau_star, h_lo, h_hi)
         return root, at(root) - psi_j
 
+    # A pair whose steps cannot walk.
+    if not (linear and 0.0 < slope < math.inf and abs_star < _MIDPOINT_SAFE):
+        return lambda tau_j: settle(tau_j, phi(tau_j), at(tau_j))
+    walk, nextafter, inf = _walk_to_root, math.nextafter, math.inf
+
+    def step(tau_j: float) -> tuple:
+        target = phi(tau_j)
+        psi_j = slope * tau_j + intercept
+        # Strictly inside the bracket no BracketFailure can fire.
+        if psi_j - target < 0.0 < psi_star - target and abs(tau_j) < _MIDPOINT_SAFE:
+            t = (target - intercept) / slope
+            if not t > tau_j:
+                t = nextafter(tau_j, inf)
+            elif not t < tau_star:
+                t = nextafter(tau_star, -inf)
+            root = walk(slope, intercept, target, t)
+            if root is not None:
+                return root, slope * root + intercept - psi_j
+        return settle(tau_j, target, psi_j)
+
     return step
-
-
-def walk_constants(pair: MajorantPair, tau_star: float) -> Optional[tuple]:
-    """(slope, intercept, psi(tau_star)) of a linear psi whose
-    `budget_stepper` steps walk from a |tau_j| < _MIDPOINT_SAFE (0 < slope <
-    inf, |tau_star| < _MIDPOINT_SAFE), with the stepper's floats; else None."""
-    coeffs = pair.psi.coeffs
-    if coeffs is None or len(coeffs) != 2:
-        return None
-    intercept, slope = coeffs
-    if not (0.0 < slope < math.inf and abs(tau_star) < _MIDPOINT_SAFE):
-        return None
-    return slope, intercept, slope * tau_star + intercept
 
 
 def next_tau(pair: MajorantPair, tau_j: float, tau_star: float) -> float:

@@ -12,13 +12,14 @@ so the returned point always carries a distance certificate, even on early
 termination.
 
 Both this iteration and the alpha-covering baseline run `covering_loop`,
-which writes a budget step that walks to its root out inline. A 1-d solve
-runs there as one loop on Python floats, where numpy's per-call dispatch on
-one-entry arrays would cost more than the arithmetic, when its map is a
-`QuadraticMap`, an `AffineMap` or a `PolynomialMap`, its covering a
-`LinearSurjectiveCovering` or an `IdentityCovering` (exactly those classes)
-and its norms l2 or linf: x, Phi(x), the defect, tau and the rows stay in
-locals, and a step calls only the map's float form, phi(tau_j) and the walk.
+which takes each majorant budget from one call of the step that
+`majorant.budget_stepper` returns. A 1-d solve runs there as one loop on
+Python floats, where numpy's per-call dispatch on one-entry arrays would
+cost more than the arithmetic, when its map is a `QuadraticMap`, an
+`AffineMap` or a `PolynomialMap`, its covering a `LinearSurjectiveCovering`
+or an `IdentityCovering` (exactly those classes) and its norms l2 or linf:
+x, Phi(x), the defect, tau and the rows stay in locals, and a step calls
+only the map's float form and the budget step.
 Every other solve steps by `covering_stepper` on the array methods. Each
 solve ends through `IterateTrace.end`, which returns the last stored point.
 The float path keeps the array methods' bits and checks:
@@ -57,15 +58,7 @@ from .linalg import (
     random_direction,
     shaped_vector,
 )
-from .majorant import (
-    _MIDPOINT_SAFE,
-    MajorantPair,
-    _walk_to_root,
-    budget_stepper,
-    smallest_crossing,
-    validate_h2_start,
-    walk_constants,
-)
+from .majorant import MajorantPair, budget_stepper, smallest_crossing, validate_h2_start
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_STEPS = "max_steps"
@@ -350,13 +343,13 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, tau0: floa
     (alpha given). h2_stop(residual), called on the start's residual, gives
     the detail of an H2 stop before the first step, or None.
 
-    A budget step that walks (`walk_constants`) is inline; any other goes to
-    `budget_stepper`, which calls phi(tau_j) again. A solve `_float_kernels`
-    admits keeps x, Phi(x), the defect and the norms in floats and the
-    covering's Psi and correction inline, with the rows, points and errors
-    of `covering_stepper`'s step, which every other solve calls.
+    Each majorant budget is one call of the `budget_stepper` step, followed
+    by the stall and H2 tests. A solve `_float_kernels` admits keeps x,
+    Phi(x), the defect and the norms in floats and the covering's Psi and
+    correction inline, with the rows, points and errors of
+    `covering_stepper`'s step, which every other solve calls.
     """
-    sqrt, isfinite, nextafter, inf = math.sqrt, math.isfinite, math.nextafter, math.inf
+    sqrt, isfinite = math.sqrt, math.isfinite
     kernels = _float_kernels(cover, phi, x0)
     if kernels is None:
         trace, step = covering_stepper(cover, phi, x0, tau0, tau_star)
@@ -376,10 +369,7 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, tau0: floa
     if detail is not None:
         return end(STATUS_HYPOTHESIS, detail)
     if pair is not None:
-        next_budget, phi_tau = budget_stepper(pair, tau_star), pair.phi
-        walk = walk_constants(pair, tau_star)
-        if walk is not None:
-            slope, intercept, psi_star = walk
+        next_budget = budget_stepper(pair, tau_star)
 
     tau = tau0
     for j in range(max_steps):
@@ -391,22 +381,7 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, tau0: floa
         else:
             if tau_star - tau <= TAIL_STOP:
                 return end(STATUS_CONVERGED, "tau tail exhausted")
-            root = None
-            if walk is not None and abs(tau) < _MIDPOINT_SAFE:
-                target = phi_tau(tau)
-                psi_j = slope * tau + intercept
-                # Strictly inside the bracket no BracketFailure can fire.
-                if psi_j - target < 0.0 < psi_star - target:
-                    t = (target - intercept) / slope
-                    if not t > tau:
-                        t = nextafter(tau, inf)
-                    elif not t < tau_star:
-                        t = nextafter(tau_star, -inf)
-                    root = _walk_to_root(slope, intercept, target, t)
-            if root is None:
-                tau_next, increment = next_budget(tau)
-            else:
-                tau_next, increment = root, slope * root + intercept - psi_j
+            tau_next, increment = next_budget(tau)
             if tau_next <= tau:
                 return end(STATUS_MAX_STEPS, "tau sequence stalled at float resolution")
             if residual > increment + STEP_TOL:

@@ -735,6 +735,7 @@ class TestNonFiniteInputs:
         ('{"a": 1e400}', "raise", True),
         ('{"a": 1E+400}', "raise", True),
         ('{"a": -1e0400}', "raise", True),
+        ('1e400', "raise", True),                           # the exponent ends the text
         ('{"a": %s}' % ("4" * 400), "raise", True),
         ('{"a": 1e-400}', "{'a': 0.0}", True),             # underflows on both paths
         ('{"label": "1e400", "a": 2.5}', "{'label': '1e400', 'a': 2.5}", True),
@@ -962,6 +963,24 @@ class TestParser:
         monkeypatch.setattr(cli, "cmd_solve", lambda args: ran.append(args.config) or 0)
         assert main(["solve", "--config", cfg]) == 0
         assert ran == [[cfg]]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--config", "x.json", "--max-steps", "abc"], "invalid int value: 'abc'"),
+        (["solve"], "the following arguments are required: --config"),
+        (["fit"], "invalid choice: 'fit'"),
+    ], ids=["unparsed-value", "no-config", "unknown-subcommand"])
+    def test_a_usage_error_exits_1_with_the_usage_on_stderr(self, capsys, argv, message):
+        # argparse's own code, 2, is the code of a certified partial result.
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: coincide") and message in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["solve", "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: coincide solve")
 
 
 def _child_env() -> dict:

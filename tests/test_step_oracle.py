@@ -1,8 +1,8 @@
 """The per-step hot paths against the oracle in step_reference.py, bit for bit.
 
-`budget_stepper` (which `next_tau` steps through, and whose walking step
-the solve's loop inlines) evaluates a linear psi inline, walks to its
-root in O(1) and bisects without a psi call,
+`budget_stepper` (which `next_tau` and the solve's loop step through)
+evaluates a linear psi inline, walks to its root in O(1) and bisects
+without a psi call,
 `linalg.norm` takes a 1-d l2 norm as sqrt(x.dot(x)), `QuadraticMap.evaluate`
 makes one contraction instead of two, `write_trace_csv` formats a row in one
 call, both iterations run one shared covering step on arrays, and 1-d solves
@@ -738,8 +738,8 @@ def _solve_loop():
     """What the loops of coincide.solver do inside the block, from the first
     `budget_stepper` they build: `steppers`, one list per stepper built, with
     a (bisections, ScalarFn objects called) entry per call of its step;
-    `walks`, the number of budgets the float loop walked to inline; and
-    `called`, every ScalarFn object called, in or out of a step."""
+    `walks`, the number of budgets a step walked to; and `called`, every
+    ScalarFn object called, in or out of a step."""
     seen = SimpleNamespace(steppers=[], walks=0, called=[])
     build, call, walk = coincide.majorant.budget_stepper, ScalarFn.__call__, _walk_to_root
 
@@ -769,35 +769,64 @@ def _solve_loop():
     with _bisect_calls() as calls, pytest.MonkeyPatch.context() as mp:
         mp.setattr(ScalarFn, "__call__", counted_call)
         mp.setattr(coincide.solver, "budget_stepper", counted_build)
-        mp.setattr(coincide.solver, "_walk_to_root", counted_walk)
+        # The stepper binds the walk when it is built.
+        mp.setattr(coincide.majorant, "_walk_to_root", counted_walk)
         yield seen
 
 
 def test_pinned_d_zero_solve_never_bisects_in_next_tau():
     # a = 2^10, b = 2, c = 2^-10 (D = 0, 617 steps): every budget comes from
-    # the walk, which the float loop makes inline. The crossing may bisect;
-    # the solve's budget steps may not, and each makes one ScalarFn call,
-    # phi(tau_j), so the solve's one stepper is built but never stepped.
+    # the walk. The crossing may bisect; the solve's budget steps may not,
+    # and each is one call of the solve's one stepper that makes one
+    # ScalarFn call, phi(tau_j).
     inst = build_quadratic_instance(d_zero_quadratic(10, 1))
+    phi = inst.majorants.phi
     with _solve_loop() as seen:
         _, trace = coincidence_solve(inst, residual_tol=1e-8)
     assert trace.status == "converged" and trace.steps == 617
-    assert seen.steppers == [[]] and seen.walks == 617
-    assert len(seen.called) == 617 and all(fn is inst.majorants.phi for fn in seen.called)
+    assert len(seen.steppers) == 1 and len(seen.steppers[0]) == 617 and seen.walks == 617
+    assert all(bisections == 0 and len(fns) == 1 and fns[0] is phi
+               for bisections, fns in seen.steppers[0])
+    assert len(seen.called) == 617 and all(fn is phi for fn in seen.called)
 
 
 @pytest.mark.parametrize("name", ["scalar-d-zero", "scalar-d-pos", "matrix-2d",
                                   "kantorovich-affine", "random-quadratic"])
 def test_a_solve_builds_one_stepper(name):
-    # One budget recurrence per solve: each step's budget is an inline walk
-    # or a call of the one stepper's step.
+    # One budget recurrence per solve: each step's budget is one call of the
+    # one stepper's step, which evaluates phi(tau_j) once.
     cfg = gallery_config(name)
+    inst = build_problem(cfg).instance
     with _solve_loop() as seen:
-        _, trace = coincidence_solve(build_problem(cfg).instance, cfg.residual_tol,
-                                     cfg.max_steps)
+        _, trace = coincidence_solve(inst, cfg.residual_tol, cfg.max_steps)
     assert trace.status == "converged"
     assert len(seen.steppers) == 1
-    assert seen.walks + len(seen.steppers[0]) == trace.steps
+    assert len(seen.steppers[0]) == trace.steps
+    assert seen.walks <= trace.steps
+    assert all([fn is inst.majorants.phi for fn in fns].count(True) == 1
+               for _, fns in seen.steppers[0])
+
+
+def test_a_budget_step_that_does_not_walk_evaluates_phi_once():
+    # a = 0.5, b = 3.1, c = 0.3: 4 of the 7 budget steps hand the walk back
+    # to the bisection, which reuses the step's phi(tau_j). The solve calls
+    # phi once per step, once for the crossing and once for the start gap.
+    inst = build_quadratic_instance(scalar_quadratic(0.5, 3.1, 0.3))
+    phi = inst.majorants.phi
+    calls = []
+    call = ScalarFn.__call__
+
+    def counted(self, tau):
+        calls.append(self is phi)
+        return call(self, tau)
+
+    with _solve_loop() as seen, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ScalarFn, "__call__", counted)
+        _, trace = coincidence_solve(inst)
+    assert trace.status == "converged" and trace.steps == 7
+    assert calls.count(True) == trace.steps + 2
+    assert len(seen.steppers[0]) == 7 and seen.walks == 3
+    assert sum(bisections for bisections, _ in seen.steppers[0]) == 4
 
 
 @settings(max_examples=30, deadline=None)
