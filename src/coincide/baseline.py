@@ -4,9 +4,9 @@ The classical scheme inverts u(x_{i+1}) = v(x_i) and contracts with ratio
 beta/alpha whenever the Lipschitz constant beta of v sits strictly below the
 covering constant alpha of u. On the degenerate quadratic instances
 (discriminant zero) beta equals alpha and the scheme is inapplicable, while
-the majorant-controlled solver still certifies a solution; compare_methods
-reports both side by side. alpha_iterate runs the solver's covering_loop and
-ends through IterateTrace.end, as coincidence_solve does.
+the majorant-controlled solver still certifies a solution. Both schemes
+make the same iterates, so compare_methods runs that one iteration once, in
+the solver's covering_loop, and reports both certificates side by side.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .solver import (
     DEFAULT_RESIDUAL_TOL,
     IterateTrace,
     SmoothMap,
-    coincidence_solve,
     covering_loop,
+    majorant_loop_args,
     rate_estimate,
 )
 from .problems import QuadraticMap, QuadraticProblem
@@ -75,11 +75,12 @@ class AlphaCoveringProblem:
         """Restrict the quadratic instance to the ball of radius tau_*.
 
         There the analytic Lipschitz constant of Phi is 2 a tau_*; the
-        covering constant is b. The two coincide exactly when D = 0. u is the
-        problem's own covering, the one its coincidence instance uses, and
-        tau_* is `q.tau_star()`, the one the coincidence solve uses. Raises
-        NotContractive when there is no crossing (a D just below 0): then no
-        ball carries a Lipschitz constant below b.
+        covering constant is b. The two coincide exactly when D = 0, so at
+        D <= 0 beta is b itself: 2 a tau_* from a rounded tau_* can land an
+        ulp below b. u is the problem's own covering, the one its coincidence
+        instance uses, and tau_* is `q.tau_star()`, the one the coincidence
+        solve uses. Raises NotContractive when there is no crossing (a D just
+        below 0): then no ball carries a Lipschitz constant below b.
         """
         try:
             tau_star = q.tau_star()
@@ -89,7 +90,7 @@ class AlphaCoveringProblem:
             u=q.cover,
             v=QuadraticMap(q.bilinear, q.offset, domain_radius=tau_star),
             alpha=q.b,
-            beta=2.0 * q.a * tau_star,
+            beta=q.b if q.discriminant <= 0.0 else 2.0 * q.a * tau_star,
         )
 
 
@@ -103,11 +104,16 @@ def alpha_iterate(p: AlphaCoveringProblem, x0, tol: float,
     solver's `covering_loop`, as coincidence_solve does, so a 1-d problem
     runs on floats; x_star is a fresh float64 ndarray.
     """
+    return covering_loop(p.u, p.v, as_vector(x0), tol, max_steps,
+                         alpha=_contractive_alpha(p))[0]
+
+
+def _contractive_alpha(p: AlphaCoveringProblem) -> float:
+    """p.alpha; NotContractive unless beta < alpha."""
     if not p.applicable:
         raise NotContractive(
             f"beta = {p.beta} >= alpha = {p.alpha}: the linear-rate scheme does not apply")
-    return covering_loop(p.u, p.v, as_vector(x0), 0.0, float("nan"), tol, max_steps,
-                         alpha=p.alpha)
+    return p.alpha
 
 
 @dataclass
@@ -143,41 +149,45 @@ def _rate_or_na(trace: IterateTrace) -> tuple[str, float]:
         return "insufficient-data", float("nan")
 
 
+def _refused(method: str, status: str, err: Exception) -> MethodRun:
+    return MethodRun(method=method, status=status, steps=0, rate_regime="n/a",
+                     rate_value=float("nan"), residual=float("nan"), applicable=False,
+                     detail=str(err))
+
+
 def compare_methods(q: QuadraticProblem, tol: float = DEFAULT_RESIDUAL_TOL,
                     max_steps: int = DEFAULT_MAX_STEPS) -> ComparisonReport:
-    """Run both schemes on the same instance and tabulate the outcomes.
+    """Certify one covering iteration under both schemes and tabulate them.
 
-    The baseline row reports not_contractive when beta >= alpha (exactly the
-    D = 0 regime); the majorant row carries its usual status. Both methods
-    share the same minimal-norm inversion, so step counts are comparable.
+    The minimal-norm correction of q's covering does not depend on the
+    budget, so one `covering_loop` call runs the iteration under the
+    majorant certificate of `coincidence_solve` and the budgets of
+    `alpha_iterate`, and each scheme gets the trace, status and x_star it
+    gets alone. The majorant row reports no_crossing when the majorants
+    never meet, the baseline row not_contractive when beta >= alpha (the
+    D = 0 regime). Traces of one length share one rate fit: it reads only j
+    and step_norm, which they share row for row.
     """
-    report = ComparisonReport()
+    inst, loop, runs, traces, fits = q.instance, {}, {}, {}, {}
     try:
-        x_m, trace_m = coincidence_solve(q.instance, residual_tol=tol, max_steps=max_steps)
-        regime, value = _rate_or_na(trace_m)
-        report.majorant_trace = trace_m
-        report.runs.append(MethodRun(
-            method="majorant", status=trace_m.status, steps=trace_m.steps,
-            rate_regime=regime, rate_value=value,
-            residual=trace_m.final.residual, x_star=x_m, detail=trace_m.detail))
+        loop.update(majorant_loop_args(inst, "warn"))
     except NoCrossing as err:
-        report.runs.append(MethodRun(
-            method="majorant", status=STATUS_NO_CROSSING, steps=0,
-            rate_regime="n/a", rate_value=float("nan"),
-            residual=float("nan"), applicable=False, detail=str(err)))
-
+        runs["majorant"] = _refused("majorant", STATUS_NO_CROSSING, err)
     try:
-        p = AlphaCoveringProblem.from_quadratic(q)
-        x_b, trace_b = alpha_iterate(p, np.zeros(q.dim_x), tol, max_steps)
-        regime, value = _rate_or_na(trace_b)
-        report.baseline_trace = trace_b
-        report.runs.append(MethodRun(
-            method="baseline", status=trace_b.status, steps=trace_b.steps,
-            rate_regime=regime, rate_value=value,
-            residual=trace_b.final.residual, x_star=x_b, detail=""))
+        loop["alpha"] = _contractive_alpha(AlphaCoveringProblem.from_quadratic(q))
     except NotContractive as err:
-        report.runs.append(MethodRun(
-            method="baseline", status="not_contractive", steps=0,
-            rate_regime="n/a", rate_value=float("nan"),
-            residual=float("nan"), applicable=False, detail=str(err)))
-    return report
+        runs["baseline"] = _refused("baseline", "not_contractive", err)
+    ran = covering_loop(inst.cover, inst.phi, inst.x0, tol, max_steps, **loop) if loop else []
+    for method, (x_star, trace) in zip([m for m in ("majorant", "baseline") if m not in runs],
+                                       ran):
+        if len(trace.rows) not in fits:
+            fits[len(trace.rows)] = _rate_or_na(trace)
+        regime, value = fits[len(trace.rows)]
+        traces[method] = trace
+        runs[method] = MethodRun(
+            method=method, status=trace.status, steps=trace.steps, rate_regime=regime,
+            rate_value=value, residual=trace.final.residual, x_star=x_star,
+            detail=trace.detail)
+    return ComparisonReport(runs=[runs["majorant"], runs["baseline"]],
+                            majorant_trace=traces.get("majorant"),
+                            baseline_trace=traces.get("baseline"))

@@ -124,6 +124,28 @@ def write_trace_csv(trace: IterateTrace, path: Path) -> None:
     _write_lines(path, lines)
 
 
+def write_trace_pair(first: tuple[IterateTrace, Path],
+                     second: tuple[IterateTrace, Path]) -> None:
+    """write_trace_csv of each (trace, path), with its bytes. Where the two
+    rows j hold the very same deviation, step_norm and residual objects, as
+    the traces of one compare iteration do, those columns are formatted once
+    for both; objects that are only equal (0.0 and -0.0) are formatted apart."""
+    (trace_a, path_a), (trace_b, path_b) = first, second
+    lines_a, lines_b = [TRACE_HEADER], [TRACE_HEADER]
+    for row_a, row_b in zip(trace_a.rows, trace_b.rows):
+        _, _, deviation, size, residual = row_a
+        if deviation is row_b[2] and size is row_b[3] and residual is row_b[4]:
+            shared = "%.17g,%.17g,%.17g" % (deviation, size, residual)
+            lines_a.append("%d,%.17g," % row_a[:2] + shared)
+            lines_b.append("%d,%.17g," % row_b[:2] + shared)
+        else:
+            lines_a.append(_TRACE_ROW % row_a)
+            lines_b.append(_TRACE_ROW % row_b)
+    for trace, path, lines in ((trace_a, path_a, lines_a), (trace_b, path_b, lines_b)):
+        lines += map(_TRACE_ROW.__mod__, trace.rows[len(lines) - 1:])
+        _write_lines(path, lines)
+
+
 def _rate_lines(trace: IterateTrace) -> list[str]:
     regime, value = _rate_or_na(trace)
     return [f"rate_regime: {regime}", f"rate_value: {_fmt(value)}"]
@@ -273,10 +295,13 @@ def cmd_compare(args) -> int:
         lines.append(f"{run.method},{run.steps},{run.status},{run.rate_regime},"
                      f"{_fmt(run.rate_value)}")
     _write_lines(out / "comparison.csv", lines)
-    if report.majorant_trace is not None:
-        write_trace_csv(report.majorant_trace, out / "trace_majorant.csv")
-    if report.baseline_trace is not None:
-        write_trace_csv(report.baseline_trace, out / "trace_baseline.csv")
+    traces = [(trace, out / f"trace_{method}.csv") for method, trace in
+              (("majorant", report.majorant_trace), ("baseline", report.baseline_trace))
+              if trace is not None]
+    if len(traces) == 2:
+        write_trace_pair(*traces)
+    elif traces:
+        write_trace_csv(*traces[0])
     majorant = report.run_for("majorant")
     return _exit_code(majorant.status, majorant.detail)
 

@@ -13,7 +13,8 @@ termination.
 
 Both this iteration and the alpha-covering baseline run `covering_loop`,
 which takes each majorant budget from one call of the step that
-`majorant.budget_stepper` returns. A 1-d solve runs there as one loop on
+`majorant.budget_stepper` returns; a compare runs the one iteration once and
+certifies it under both schemes. A 1-d solve runs there as one loop on
 Python floats, where numpy's per-call dispatch on one-entry arrays would
 cost more than the arithmetic, when its map is a `QuadraticMap`, an
 `AffineMap` or a `PolynomialMap`, its covering a `LinearSurjectiveCovering`
@@ -21,7 +22,7 @@ or an `IdentityCovering` (exactly those classes) and its norms l2 or linf:
 x, Phi(x), the defect, tau and the rows stay in locals, and a step calls
 only the map's float form and the budget step.
 Every other solve steps by `covering_stepper` on the array methods. Each
-solve ends through `IterateTrace.end`, which returns the last stored point.
+solve returns its trace's last stored point.
 The float path keeps the array methods' bits and checks:
 
 - the 1x1x1 einsum is 0.0 + (A * u) * u and the 1x1 `W @ x` is 0.0 + w * x:
@@ -33,7 +34,8 @@ The float path keeps the array methods' bits and checks:
   test of H2 fire at the same step, with the same messages.
 
 A trace stores each row as a plain tuple in trace.csv's column order and
-each x_j as the loop holds it (a Python float on the float path); its
+each x_j as the loop holds it (a Python float on the float path; the two
+traces of one pass hold the same objects); its
 `records` and `final` build `TraceRecord`s when read, and every x they give,
 like the returned x, is a fresh float64 ndarray.
 """
@@ -47,7 +49,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientData, NonFiniteValue
+from .errors import BudgetExceeded, DimensionMismatch, InsufficientData, NonFiniteValue
 from .covering import BUDGET_TOL, CoveringMap
 from .linalg import (
     NormTag,
@@ -209,12 +211,6 @@ class IterateTrace:
     def final(self) -> TraceRecord:
         return _record(self.rows[-1], self.points[-1])
 
-    def end(self, status: str, detail: str = "") -> tuple[np.ndarray, "IterateTrace"]:
-        """Close the trace with status and detail; returns (x, self), x the
-        last point as a fresh float64 vector."""
-        self.status, self.detail = status, detail
-        return as_point(self.points[-1]), self
-
 
 @dataclass
 class H2Report:
@@ -278,34 +274,27 @@ def _own_float_form(obj, name: str):
     return None if form is None else form(obj)
 
 
-def covering_stepper(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray,
-                     tau0: float, tau_star: float) -> tuple[IterateTrace, Callable]:
-    """Open a trace at x0 and return (trace, step), on the array methods.
-
-    step(budget, tau_next) solves Psi(x_next) = Phi(x) within budget from
-    the current x, records the row at tau_next and returns its residual. It
-    keeps x, Phi(x), the defect Phi(x) - Psi(x), handed to the covering so
-    that it need not evaluate Psi(x) again, and its own copy of x0. budget is
-    passed apart from tau_next: the baseline sums its budgets into tau, and
-    in floats (tau + budget) - tau need not be budget. step propagates
-    BudgetExceeded; it raises NonFiniteValue, before recording the row, when
-    the step norm (an inf or NaN in x, Phi(x) or the covering's answer) or
-    the new residual (Phi or Psi overflowed at x_next) is inf or NaN. The
-    trace stores a copy of each point, so a map that reuses its output
-    buffer cannot alias stored points.
+def covering_stepper(cover: CoveringMap, phi: SmoothMap,
+                     x0: np.ndarray) -> tuple[float, Callable]:
+    """(residual of x0, step) on the array methods. step(k, budget) solves
+    Psi(x_next) = Phi(x) within budget from the current x, moves there and
+    returns row k's (copy of x_next, deviation, step norm, residual); the
+    copy keeps a map that reuses its output buffer from aliasing stored
+    points. It keeps x, Phi(x), the defect, handed to the covering so that
+    it need not evaluate Psi(x) again, and its own copy of x0. step
+    propagates BudgetExceeded, before it moves; it raises NonFiniteValue
+    when the step norm (an inf or NaN in x, Phi(x) or the covering's answer)
+    or the new residual (Phi or Psi overflowed at x_next) is inf or NaN.
     """
     tag_x, tag_y = cover.norm_x, cover.norm_y
     evaluate, psi, correct = phi.evaluate, cover.evaluate, cover.solve_within
     x = x0.copy()
     phi_x = evaluate(x)
     defect = phi_x - psi(x)
-    trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, norm(defect, tag_y))], points=[x.copy()],
-                         tau0=tau0, tau_star=tau_star)
-    rows, points, origin = trace.rows, trace.points, x0.copy()
+    origin = x0.copy()
 
-    def step(budget: float, tau_next: float) -> float:
+    def step(k: int, budget: float) -> tuple:
         nonlocal x, phi_x, defect
-        k = len(rows)
         x_next = correct(x, phi_x, budget, defect)
         size = norm(x_next - x, tag_x)
         if not math.isfinite(size):
@@ -315,12 +304,10 @@ def covering_stepper(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray,
         residual = norm(defect, tag_y)
         if not math.isfinite(residual):
             raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
-        rows.append((k, tau_next, norm(x_next - origin, tag_x), size, residual))
-        points.append(x_next.copy())
         x = x_next
-        return residual
+        return x_next.copy(), norm(x_next - origin, tag_x), size, residual
 
-    return trace, step
+    return norm(defect, tag_y), step
 
 
 def _float_kernels(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray) -> Optional[tuple]:
@@ -335,13 +322,25 @@ def _float_kernels(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray) -> Option
     return None if evaluate is None or factors is None else (evaluate, factors)
 
 
-def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, tau0: float,
-                  tau_star: float, residual_tol: float, max_steps: int, *,
-                  h2_stop: Optional[Callable] = None, pair: Optional[MajorantPair] = None,
-                  alpha: float = math.nan) -> tuple[np.ndarray, IterateTrace]:
-    """The loop of `coincidence_solve` (pair given) or of `alpha_iterate`
-    (alpha given). h2_stop(residual), called on the start's residual, gives
-    the detail of an H2 stop before the first step, or None.
+def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_tol: float,
+                  max_steps: int, *, pair: Optional[MajorantPair] = None,
+                  tau_star: float = math.nan, h2_stop: Optional[Callable] = None,
+                  alpha: Optional[float] = None) -> list[tuple[np.ndarray, IterateTrace]]:
+    """One covering iteration from x0, certified by the majorant recurrence
+    of `coincidence_solve` (pair and its crossing tau_star given), by the
+    budgets residual / alpha of `alpha_iterate` (alpha given), or by both;
+    returns (x, trace) per scheme given, the majorant's first. h2_stop
+    (residual), called on the start's residual, gives the detail of a
+    majorant H2 stop before the first step, or None.
+
+    A compare's covering corrects by its minimal-norm inverse, which does
+    not depend on the budget, so one pass serves both schemes. Each keeps
+    its own budget and its check, stop rule, status and tau column (the
+    baseline's from 0), and the pass runs until both have ended. A step
+    inverts within the smaller running budget; when the covering refuses
+    the baseline's, the baseline ends, with its BudgetExceeded held until
+    the majorant ends normally, and the step is made again within the
+    majorant's. A majorant error is raised at its step.
 
     Each majorant budget is one call of the `budget_stepper` step, followed
     by the stall and H2 tests. A solve `_float_kernels` admits keeps x,
@@ -352,8 +351,8 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, tau0: floa
     sqrt, isfinite = math.sqrt, math.isfinite
     kernels = _float_kernels(cover, phi, x0)
     if kernels is None:
-        trace, step = covering_stepper(cover, phi, x0, tau0, tau_star)
-        residual = trace.rows[0][-1]
+        residual, step = covering_stepper(cover, phi, x0)
+        x = x0.copy()
     else:
         # Psi(x) is -(b * x), or x for the identity covering (b is None).
         step, (evaluate, (b, p)) = None, kernels
@@ -362,61 +361,101 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, tau0: floa
         phi_x = evaluate(x)
         defect = phi_x - (x if b is None else -(b * x))
         residual = sqrt(defect * defect) if l2_y else abs(defect)
-        trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, residual)], points=[x],
-                             tau0=tau0, tau_star=tau_star)
-    rows, points, end = trace.rows, trace.points, trace.end
-    detail = None if h2_stop is None else h2_stop(residual)
-    if detail is not None:
-        return end(STATUS_HYPOTHESIS, detail)
-    if pair is not None:
-        next_budget = budget_stepper(pair, tau_star)
+    live_m, live_b, traces = pair is not None, alpha is not None, []
+    if live_m:
+        tau_m = pair.tau0
+        trace_m = IterateTrace(rows=[(0, tau_m, 0.0, 0.0, residual)], points=[x],
+                               tau0=tau_m, tau_star=tau_star)
+        rows_m, points_m = trace_m.rows, trace_m.points
+        traces.append(trace_m)
+        detail = None if h2_stop is None else h2_stop(residual)
+        if detail is not None:
+            trace_m.status, trace_m.detail, live_m = STATUS_HYPOTHESIS, detail, False
+        else:
+            next_budget = budget_stepper(pair, tau_star)
+    if live_b:
+        tau_b = 0.0
+        trace_b = IterateTrace(rows=[(0, tau_b, 0.0, 0.0, residual)], points=[x], tau0=tau_b)
+        rows_b, points_b = trace_b.rows, trace_b.points
+        traces.append(trace_b)
 
-    tau = tau0
+    held = None
     for j in range(max_steps):
         if residual <= residual_tol:
-            return end(STATUS_CONVERGED)
-        if pair is None:
-            budget = residual / alpha
-            tau_next = tau + budget
-        else:
-            if tau_star - tau <= TAIL_STOP:
-                return end(STATUS_CONVERGED, "tau tail exhausted")
-            tau_next, increment = next_budget(tau)
-            if tau_next <= tau:
-                return end(STATUS_MAX_STEPS, "tau sequence stalled at float resolution")
-            if residual > increment + STEP_TOL:
-                return end(STATUS_HYPOTHESIS, f"H2: defect {residual:.6e} exceeds "
-                                              f"admissible increment {increment:.6e} at step {j}")
-            budget = tau_next - tau
-        tau = tau_next
-        if step is not None:
-            residual = step(budget, tau)
-            continue
+            if live_m:
+                trace_m.status = STATUS_CONVERGED
+            if live_b:
+                trace_b.status = STATUS_CONVERGED
+            break
+        if live_m:
+            if tau_star - tau_m <= TAIL_STOP:
+                trace_m.status, trace_m.detail = STATUS_CONVERGED, "tau tail exhausted"
+                live_m = False
+            else:
+                tau_next, increment = next_budget(tau_m)
+                if tau_next <= tau_m:
+                    trace_m.status = STATUS_MAX_STEPS
+                    trace_m.detail, live_m = "tau sequence stalled at float resolution", False
+                elif residual > increment + STEP_TOL:
+                    trace_m.status, live_m = STATUS_HYPOTHESIS, False
+                    trace_m.detail = (f"H2: defect {residual:.6e} exceeds admissible "
+                                      f"increment {increment:.6e} at step {j}")
+                else:
+                    budget = budget_m = tau_next - tau_m
+                    tau_m = tau_next
+        if live_b:
+            budget_b = residual / alpha
+            tau_b += budget_b
+            if not live_m or budget_b < budget:
+                budget = budget_b
+        elif not live_m:
+            break
 
         k = j + 1
-        if b is None:  # y itself, which moves y - x = defect
-            delta, x_next = defect, phi_x
+        if step is not None:
+            try:
+                x, deviation, size, residual = step(k, budget)
+            except BudgetExceeded as err:
+                if not (live_m and live_b and budget_b < budget_m):
+                    raise
+                held, live_b = err, False
+                x, deviation, size, residual = step(k, budget_m)
         else:
-            delta = p * -defect
-            x_next = x + delta
-        move = sqrt(delta * delta) if l2_x else abs(delta)
-        if move > budget + BUDGET_TOL:
-            raise cover._over_budget(move, budget)
-        v = x_next - x
-        size = sqrt(v * v) if l2_x else abs(v)
-        if not isfinite(size):
-            raise NonFiniteValue(f"iterate {k} is not finite (step norm {size})")
-        phi_x = evaluate(x_next)
-        defect = phi_x - (x_next if b is None else -(b * x_next))
-        residual = sqrt(defect * defect) if l2_y else abs(defect)
-        if not isfinite(residual):
-            raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
-        v = x_next - origin
-        rows.append((k, tau, sqrt(v * v) if l2_x else abs(v), size, residual))
-        points.append(x_next)
-        x = x_next
+            if b is None:  # y itself, which moves y - x = defect
+                delta, x_next = defect, phi_x
+            else:
+                delta = p * -defect
+                x_next = x + delta
+            move = sqrt(delta * delta) if l2_x else abs(delta)
+            if move > budget + BUDGET_TOL:
+                err = cover._over_budget(move, budget)
+                if not (live_m and live_b and budget_b < budget_m):
+                    raise err
+                held, live_b = err, False
+                if move > budget_m + BUDGET_TOL:
+                    raise cover._over_budget(move, budget_m)
+            v = x_next - x
+            size = sqrt(v * v) if l2_x else abs(v)
+            if not isfinite(size):
+                raise NonFiniteValue(f"iterate {k} is not finite (step norm {size})")
+            phi_x = evaluate(x_next)
+            defect = phi_x - (x_next if b is None else -(b * x_next))
+            residual = sqrt(defect * defect) if l2_y else abs(defect)
+            if not isfinite(residual):
+                raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
+            v = x_next - origin
+            deviation = sqrt(v * v) if l2_x else abs(v)
+            x = x_next
+        if live_m:
+            rows_m.append((k, tau_m, deviation, size, residual))
+            points_m.append(x)
+        if live_b:
+            rows_b.append((k, tau_b, deviation, size, residual))
+            points_b.append(x)
 
-    return end(STATUS_MAX_STEPS)
+    if held is not None:
+        raise held
+    return [(as_point(trace.points[-1]), trace) for trace in traces]
 
 
 def _h2_stop(inst: ProblemInstance, tau_star: float, h2_check: str,
@@ -467,11 +506,17 @@ def coincidence_solve(inst: ProblemInstance,
     """
     if h2_check not in ("warn", "strict"):
         raise ValueError("h2_check must be 'warn' or 'strict'")
+    return covering_loop(inst.cover, inst.phi, inst.x0, residual_tol, max_steps,
+                         **majorant_loop_args(inst, h2_check))[0]
+
+
+def majorant_loop_args(inst: ProblemInstance, h2_check: str) -> dict:
+    """`covering_loop`'s majorant arguments for inst: its pair, their
+    crossing tau_* (else NoCrossing) and the H2 stop in h2_check's mode."""
     pair = inst.majorants
     tau_star = smallest_crossing(pair)
-    return covering_loop(inst.cover, inst.phi, inst.x0, pair.tau0, tau_star, residual_tol,
-                         max_steps, pair=pair,
-                         h2_stop=lambda residual: _h2_stop(inst, tau_star, h2_check, residual))
+    return {"pair": pair, "tau_star": tau_star,
+            "h2_stop": lambda residual: _h2_stop(inst, tau_star, h2_check, residual)}
 
 
 def rate_estimate(trace: IterateTrace) -> tuple[str, float]:

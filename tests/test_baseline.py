@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import coincide
-from coincide import baseline
 from coincide.baseline import (
     AlphaCoveringProblem,
     alpha_iterate,
@@ -58,6 +57,19 @@ class TestAlphaIterate:
         assert not p.applicable
         with pytest.raises(NotContractive):
             alpha_iterate(p, np.zeros(1), tol=1e-8, max_steps=100)
+
+    def test_an_exact_zero_discriminant_with_a_rounded_crossing_is_not_contractive(self):
+        # D = b^2 - 4ac is exactly 0, but 2 a tau_* from the rounded tau_*
+        # lands an ulp below b; at D <= 0 beta is b itself.
+        q = scalar_quadratic(6.9925383670345385, 2.9979354152236226, 0.3213288323244334)
+        assert q.discriminant == 0.0 and 2.0 * q.a * q.tau_star() < q.b
+        p = AlphaCoveringProblem.from_quadratic(q)
+        assert p.beta == p.alpha == q.b and not p.applicable
+        with pytest.raises(NotContractive, match="beta = 2.9979354152236226 >= alpha"):
+            alpha_iterate(p, np.zeros(1), tol=1e-8, max_steps=100)
+        report = compare_methods(q, tol=1e-8, max_steps=100)
+        assert report.run_for("baseline").status == "not_contractive"
+        assert report.baseline_trace is None
 
     def test_coincidence_certificate_on_success(self):
         q = scalar_quadratic(1.0, 2.0, 0.6)
@@ -125,33 +137,27 @@ def test_estimate_lipschitz_underestimates_quadratic():
     assert sampled <= p.beta + 1e-9  # analytic bound dominates sampling
 
 
-def _count_loop_calls(monkeypatch, install):
-    """Call counters per loop. install(counted) puts the wrappers in place;
-    counted(name, fn) wraps fn so that its calls count as name."""
-    counts = {"majorant": Counter(), "baseline": Counter()}
-    active = []
+def _count_compare_calls(q, install):
+    """Run compare_methods(q, tol=1e-10); return (call counts, steps).
+    install(counted) puts the counters in place, where counted(name, fn)
+    wraps fn so that each of its calls counts as name. q's instance is built
+    first, so that only the compare's own calls count."""
+    q.instance  # built here, on first use
+    counts = Counter()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            if active:
-                counts[active[-1]][name] += 1
+            counts[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    def scoped(label, fn):
-        def wrapper(*args, **kwargs):
-            active.append(label)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                active.pop()
-        return wrapper
-
-    monkeypatch.setattr(baseline, "coincidence_solve",
-                        scoped("majorant", baseline.coincidence_solve))
-    monkeypatch.setattr(baseline, "alpha_iterate", scoped("baseline", baseline.alpha_iterate))
     install(counted)
-    return counts
+    report = compare_methods(q, tol=1e-10)
+    for trace in (report.majorant_trace, report.baseline_trace):
+        assert trace.status == STATUS_CONVERGED and trace.steps > 300
+    # Both schemes stop on the same residual, so the traces have one length.
+    assert report.majorant_trace.steps == report.baseline_trace.steps
+    return counts, report.majorant_trace.steps
 
 
 def _patch_everywhere(monkeypatch, fn, replacement):
@@ -162,21 +168,13 @@ def _patch_everywhere(monkeypatch, fn, replacement):
                 monkeypatch.setattr(module, key, replacement)
 
 
-def _assert_step_counts(counts, report):
-    # Per step, both loops make one covering solve, two evaluations (Phi and
-    # Psi; the solve is handed the defect and evaluates nothing) and four
-    # norms (the solve's correction, the residual, the step and the
-    # deviation); opening the trace makes two evaluations and one norm. The
-    # counts are exact.
-    for label, trace in (("majorant", report.majorant_trace),
-                         ("baseline", report.baseline_trace)):
-        assert trace.status == STATUS_CONVERGED and trace.steps > 300
-        n = trace.steps
-        assert counts[label] == Counter(solve_within=n, evaluate=2 * n + 2, norm=4 * n + 1)
-
-
 def test_each_loop_step_makes_the_same_calls(monkeypatch):
-    # A 2-d problem: the loops call the array methods.
+    # A 2-d problem: the loop calls the array methods. The two schemes share
+    # one pass: per step one covering solve, two evaluations (Phi and Psi;
+    # the solve is handed the defect and evaluates nothing) and four norms
+    # (the solve's correction, the residual, the step and the deviation);
+    # opening the pass makes two evaluations and one norm. A pass per scheme
+    # makes twice these. The counts are exact.
     def install(counted):
         for cls, meth, name in ((LinearSurjectiveCovering, "solve_within", "solve_within"),
                                 (LinearSurjectiveCovering, "evaluate", "evaluate"),
@@ -185,17 +183,17 @@ def test_each_loop_step_makes_the_same_calls(monkeypatch):
         norm = coincide.linalg.norm
         _patch_everywhere(monkeypatch, norm, counted("norm", norm))
 
-    counts = _count_loop_calls(monkeypatch, install)
-    report = compare_methods(planar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8), tol=1e-10)
-    _assert_step_counts(counts, report)
+    counts, n = _count_compare_calls(planar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8), install)
+    assert counts == Counter(solve_within=n, evaluate=2 * n + 2, norm=4 * n + 1)
 
 
 def test_each_float_loop_step_makes_the_same_calls(monkeypatch):
-    # The 1-d problem: both loops evaluate the map's float form once at the
-    # start and once per step. Psi, the correction and the norms are
-    # inline, so neither loop calls an array method, a norm helper or a
-    # covering method; the covering's float factors are read once. The
-    # counts are exact.
+    # The 1-d problem: the one pass evaluates the map's float form once at
+    # the start and once per step, steps + 1 times for both schemes (a pass
+    # per scheme makes 2 (steps + 1)). Psi, the correction and the norms are
+    # inline, so the pass calls no array method, norm helper or covering
+    # method; the covering's float factors are read once. The counts are
+    # exact.
     def install(counted):
         quadratic_form = QuadraticMap.float_form
 
@@ -212,10 +210,5 @@ def test_each_float_loop_step_makes_the_same_calls(monkeypatch):
         _patch_everywhere(monkeypatch, coincide.linalg.norm,
                           counted("norm", coincide.linalg.norm))
 
-    counts = _count_loop_calls(monkeypatch, install)
-    report = compare_methods(scalar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8), tol=1e-10)
-    for label, trace in (("majorant", report.majorant_trace),
-                         ("baseline", report.baseline_trace)):
-        assert trace.status == STATUS_CONVERGED and trace.steps > 300
-        assert counts[label] == Counter({"evaluate": trace.steps + 1,
-                                         "LinearSurjectiveCovering.float_factors": 1})
+    counts, n = _count_compare_calls(scalar_quadratic(1.0, 2.0, 1.0 - 10 ** -2.8), install)
+    assert counts == Counter({"evaluate": n + 1, "LinearSurjectiveCovering.float_factors": 1})

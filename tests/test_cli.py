@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import coincide
 from coincide import cli, config as config_module, errors
+from coincide.baseline import compare_methods
 from coincide.cli import _write_lines, main
 from coincide.config import (
     ConfigError,
@@ -27,7 +29,8 @@ from coincide.config import (
 )
 from coincide.covering import LinearSurjectiveCovering
 from coincide.majorant import MajorantPair
-from coincide.problems import QuadraticMap
+from coincide.problems import QuadraticMap, scalar_quadratic
+from coincide.solver import IterateTrace
 
 
 def write_json(path, payload):
@@ -160,6 +163,17 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         summary = (out / "summary.txt").read_text()
         assert "alpha: 2" in summary
+
+    def test_baseline_method_is_refused_at_an_exact_zero_discriminant(self, tmp_path, capsys):
+        # D is exactly 0 though 2 a tau_* rounds an ulp below b: beta is b.
+        a, b, c = 6.9925383670345385, 2.9979354152236226, 0.3213288323244334
+        cfg = write_json(tmp_path / "zero.json", {
+            "kind": "quadratic", "method": "baseline", "quadratic": {
+                "tensor": [[[a]]], "matrix": [[b]], "offset": [c], "a": a, "b": b, "c": c}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "NotContractive: beta = 2.9979354152236226 >= alpha = 2.9979354152236226: "
+            "the linear-rate scheme does not apply\n")
 
     def test_baseline_method_builds_one_covering(self, tmp_path, monkeypatch):
         built = []
@@ -403,7 +417,7 @@ class TestCompareCommand:
         def no_crossing(*args, **kwargs):
             raise errors.NoCrossing("injected failure")
 
-        monkeypatch.setattr(coincide.baseline, "coincidence_solve", no_crossing)
+        monkeypatch.setattr(coincide.baseline, "majorant_loop_args", no_crossing)
         cfg = write_json(tmp_path / "pos.json", scalar_config(0.75))
         out = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
@@ -462,6 +476,82 @@ def test_gallery_traces_keep_their_bytes(tmp_path, command, name):
     traces = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
               for p in out.glob("trace*.csv")}
     assert traces == TRACE_DIGESTS[command, name]
+
+
+def _copied(x: float) -> float:
+    """A new float object with the bits of x."""
+    return struct.unpack("<d", struct.pack("<d", x))[0]
+
+
+def _written_alone_and_paired(directory: Path, trace_a, trace_b):
+    """(bytes write_trace_csv writes for each trace, bytes write_trace_pair writes)."""
+    cli.write_trace_csv(trace_a, directory / "alone_a.csv")
+    cli.write_trace_csv(trace_b, directory / "alone_b.csv")
+    cli.write_trace_pair((trace_a, directory / "pair_a.csv"), (trace_b, directory / "pair_b.csv"))
+    return tuple(tuple((directory / f"{kind}_{side}.csv").read_bytes() for side in "ab")
+                 for kind in ("alone", "pair"))
+
+
+def _trace(rows):
+    return IterateTrace(rows=rows, points=[0.0] * len(rows))
+
+
+class TestWriteTracePair:
+    @pytest.mark.parametrize("c, tol", [(1.0 - 10 ** -2.75, 1e-10), (0.75, 0.0)],
+                             ids=["equal-lengths", "majorant-ends-first"])
+    def test_a_compare_pair_writes_each_trace_alone(self, tmp_path, c, tol):
+        report = compare_methods(scalar_quadratic(1.0, 2.0, c), tol=tol)
+        trace_a, trace_b = report.majorant_trace, report.baseline_trace
+        assert (len(trace_a.rows) == len(trace_b.rows)) == (tol > 0.0)
+        alone, paired = _written_alone_and_paired(tmp_path, trace_a, trace_b)
+        assert paired == alone
+
+    def test_a_differing_shared_column_is_written_apart(self, tmp_path):
+        shared = (0.5, 0.25, 0.125)
+        trace_a = _trace([(0, 0.0, *shared), (1, 1.0, 0.5, 0.25, 0.125)])
+        trace_b = _trace([(0, 0.0, *shared), (1, 2.0, 0.5, 0.25, 0.0625), (2, 3.0, 1.0, 1.0, 1.0)])
+        alone, paired = _written_alone_and_paired(tmp_path, trace_a, trace_b)
+        assert paired == alone
+        assert paired[1].splitlines()[2] == b"1,2,0.5,0.25,0.0625"
+
+    def test_a_negative_zero_against_a_zero_keeps_its_sign(self, tmp_path):
+        # The rows compare equal as tuples, but %.17g prints -0 and 0.
+        trace_a = _trace([(0, 0.0, -0.0, 0.0, 1.0)])
+        trace_b = _trace([(0, 0.0, 0.0, -0.0, 1.0)])
+        assert trace_a.rows == trace_b.rows
+        alone, paired = _written_alone_and_paired(tmp_path, trace_a, trace_b)
+        assert paired == alone
+        assert paired[0].splitlines()[1] == b"0,0,-0,0,1"
+        assert paired[1].splitlines()[1] == b"0,0,0,-0,1"
+
+    def test_a_shared_nan_and_a_shared_negative_zero(self, tmp_path):
+        nan, zero = math.nan, -0.0
+        trace_a = _trace([(0, 0.0, zero, nan, math.inf)])
+        trace_b = _trace([(0, 1.0, zero, nan, math.inf), (1, 2.0, _copied(nan), zero, nan)])
+        alone, paired = _written_alone_and_paired(tmp_path, trace_a, trace_b)
+        assert paired == alone
+        assert paired[1].splitlines()[1:] == [b"0,1,-0,nan,inf", b"1,2,nan,-0,nan"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_pair_writes_each_trace_alone(self, tmp_path_factory, data):
+        values = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                                            5e-324, 1e308]), st.floats())
+        n_a, n_b = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        rows_a, rows_b = [], []
+        for j in range(max(n_a, n_b)):
+            head_a = (j, data.draw(values))
+            tail_a = data.draw(st.tuples(values, values, values))
+            # The same objects, new objects with the same bits, or others.
+            how = data.draw(st.sampled_from(["same", "copied", "drawn"]))
+            tail_b = {"same": tail_a, "copied": tuple(map(_copied, tail_a)),
+                      "drawn": data.draw(st.tuples(values, values, values))}[how]
+            rows_a.append(head_a + tail_a)
+            rows_b.append((j, data.draw(values)) + tail_b)
+        directory = tmp_path_factory.mktemp("pair")
+        alone, paired = _written_alone_and_paired(
+            directory, _trace(rows_a[:n_a]), _trace(rows_b[:n_b]))
+        assert paired == alone
 
 
 class TestConfigRoundTrip:

@@ -5,7 +5,8 @@
 Runs every gallery instance under `solve`, `solve --strict-h2` and
 `compare`, then every config path given, under `compare` when the config's
 "method" is "compare" and under `solve` otherwise (after a bench run, say,
-`.bench_run/*/configs/*.json`). Each request runs in its own process, on the
+`.bench_run/*/configs/*.json`); a "quadratic" config run under `solve` runs
+under `compare` too, so that multi-d configs reach compare's array loop. Each request runs in its own process, on the
 package in the src/ directory next to this tool, in a fresh directory that
 holds only its config, as configs/<file name>, and its outputs, under out/.
 A line reads
@@ -75,12 +76,15 @@ def gallery_configs() -> list[tuple[str, bytes]]:
     return made
 
 
-def _command_for(config: bytes) -> list[str]:
+def _commands_for(config: bytes) -> list[list[str]]:
     try:
-        method = json.loads(config).get("method")
+        data = json.loads(config)
+        method, kind = data.get("method"), data.get("kind")
     except (ValueError, AttributeError):
-        method = None
-    return ["compare"] if method == "compare" else ["solve"]
+        method = kind = None
+    if method == "compare":
+        return [["compare"]]
+    return [["solve"], ["compare"]] if kind == "quadratic" else [["solve"]]
 
 
 def main(paths: list[str]) -> int:
@@ -89,7 +93,8 @@ def main(paths: list[str]) -> int:
             print(digest_line(command, f"gallery:{name}", f"{name}.json", config), flush=True)
     for path in paths:
         config = Path(path).read_bytes()
-        print(digest_line(_command_for(config), path, Path(path).name, config), flush=True)
+        for command in _commands_for(config):
+            print(digest_line(command, path, Path(path).name, config), flush=True)
     return 0
 
 
