@@ -101,8 +101,11 @@ def _fmt_vec(v) -> str:
 
 
 # One row of trace.csv: printf-style %.17g prints the bytes _fmt does
-# (-0, inf and nan included) in one formatting call per row.
-_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g"
+# (-0, inf and nan included) in one formatting call per row. Its tail is
+# the deviation, step_norm and residual that the traces of one compare
+# pass share.
+_TRACE_HEAD, _TRACE_TAIL = "%d,%.17g,", "%.17g,%.17g,%.17g"
+_TRACE_ROW = _TRACE_HEAD + _TRACE_TAIL
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -118,32 +121,28 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         os.close(fd)
 
 
-def write_trace_csv(trace: IterateTrace, path: Path) -> None:
-    lines = [TRACE_HEADER]
-    lines += map(_TRACE_ROW.__mod__, trace.rows)
-    _write_lines(path, lines)
-
-
-def write_trace_pair(first: tuple[IterateTrace, Path],
-                     second: tuple[IterateTrace, Path]) -> None:
-    """write_trace_csv of each (trace, path), with its bytes. Where the two
-    rows j hold the very same deviation, step_norm and residual objects, as
-    the traces of one compare iteration do, those columns are formatted once
-    for both; objects that are only equal (0.0 and -0.0) are formatted apart."""
-    (trace_a, path_a), (trace_b, path_b) = first, second
-    lines_a, lines_b = [TRACE_HEADER], [TRACE_HEADER]
-    for row_a, row_b in zip(trace_a.rows, trace_b.rows):
-        _, _, deviation, size, residual = row_a
-        if deviation is row_b[2] and size is row_b[3] and residual is row_b[4]:
-            shared = "%.17g,%.17g,%.17g" % (deviation, size, residual)
-            lines_a.append("%d,%.17g," % row_a[:2] + shared)
-            lines_b.append("%d,%.17g," % row_b[:2] + shared)
-        else:
-            lines_a.append(_TRACE_ROW % row_a)
-            lines_b.append(_TRACE_ROW % row_b)
-    for trace, path, lines in ((trace_a, path_a, lines_a), (trace_b, path_b, lines_b)):
-        lines += map(_TRACE_ROW.__mod__, trace.rows[len(lines) - 1:])
-        _write_lines(path, lines)
+def write_trace_csv(trace: IterateTrace, path: Path,
+                    twin: tuple[IterateTrace, Path] | None = None) -> None:
+    """Write trace to path and, given twin = (trace, path), that trace too,
+    each with the bytes it has alone. Where rows j of the two hold the very
+    same deviation, step_norm and residual objects, as the traces of one
+    compare pass do, that tail is formatted once for both; objects that are
+    only equal (0.0 and -0.0) are formatted apart."""
+    jobs = [(trace, path, [TRACE_HEADER])]
+    if twin is not None:
+        jobs.append((*twin, [TRACE_HEADER]))
+        lines, lines_b = jobs[0][2], jobs[1][2]
+        for row, row_b in zip(trace.rows, twin[0].rows):
+            if row[2] is row_b[2] and row[3] is row_b[3] and row[4] is row_b[4]:
+                tail = _TRACE_TAIL % row[2:]
+                lines.append(_TRACE_HEAD % row[:2] + tail)
+                lines_b.append(_TRACE_HEAD % row_b[:2] + tail)
+            else:
+                lines.append(_TRACE_ROW % row)
+                lines_b.append(_TRACE_ROW % row_b)
+    for job, job_path, lines in jobs:
+        lines += map(_TRACE_ROW.__mod__, job.rows[len(lines) - 1:])
+        _write_lines(job_path, lines)
 
 
 def _rate_lines(trace: IterateTrace) -> list[str]:
@@ -295,13 +294,13 @@ def cmd_compare(args) -> int:
         lines.append(f"{run.method},{run.steps},{run.status},{run.rate_regime},"
                      f"{_fmt(run.rate_value)}")
     _write_lines(out / "comparison.csv", lines)
-    traces = [(trace, out / f"trace_{method}.csv") for method, trace in
-              (("majorant", report.majorant_trace), ("baseline", report.baseline_trace))
-              if trace is not None]
-    if len(traces) == 2:
-        write_trace_pair(*traces)
-    elif traces:
-        write_trace_csv(*traces[0])
+    # Literal names: pathlib interns each part, and a name built anew per
+    # request would be interned and dropped again every time.
+    traces = [(trace, out / name) for name, trace in
+              (("trace_majorant.csv", report.majorant_trace),
+               ("trace_baseline.csv", report.baseline_trace)) if trace is not None]
+    if traces:
+        write_trace_csv(*traces[0], *traces[1:])
     majorant = report.run_for("majorant")
     return _exit_code(majorant.status, majorant.detail)
 

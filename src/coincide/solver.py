@@ -274,27 +274,34 @@ def _own_float_form(obj, name: str):
     return None if form is None else form(obj)
 
 
-def covering_stepper(cover: CoveringMap, phi: SmoothMap,
-                     x0: np.ndarray) -> tuple[float, Callable]:
-    """(residual of x0, step) on the array methods. step(k, budget) solves
-    Psi(x_next) = Phi(x) within budget from the current x, moves there and
-    returns row k's (copy of x_next, deviation, step norm, residual); the
-    copy keeps a map that reuses its output buffer from aliasing stored
-    points. It keeps x, Phi(x), the defect, handed to the covering so that
-    it need not evaluate Psi(x) again, and its own copy of x0. step
-    propagates BudgetExceeded, before it moves; it raises NonFiniteValue
-    when the step norm (an inf or NaN in x, Phi(x) or the covering's answer)
-    or the new residual (Phi or Psi overflowed at x_next) is inf or NaN.
+def covering_stepper(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray,
+                     tau0: float, tau_star: float) -> tuple[IterateTrace, Callable]:
+    """Open a trace at x0 and return (trace, step), on the array methods.
+
+    step(budget, tau_next) solves Psi(x_next) = Phi(x) within budget from
+    the current x, records the row at tau_next and returns its residual. It
+    keeps x, Phi(x), the defect Phi(x) - Psi(x), handed to the covering so
+    that it need not evaluate Psi(x) again, and its own copy of x0. budget is
+    passed apart from tau_next: the baseline sums its budgets into tau, and
+    in floats (tau + budget) - tau need not be budget. step propagates
+    BudgetExceeded; it raises NonFiniteValue, before recording the row, when
+    the step norm (an inf or NaN in x, Phi(x) or the covering's answer) or
+    the new residual (Phi or Psi overflowed at x_next) is inf or NaN. The
+    trace stores a copy of each point, so a map that reuses its output
+    buffer cannot alias stored points.
     """
     tag_x, tag_y = cover.norm_x, cover.norm_y
     evaluate, psi, correct = phi.evaluate, cover.evaluate, cover.solve_within
     x = x0.copy()
     phi_x = evaluate(x)
     defect = phi_x - psi(x)
-    origin = x0.copy()
+    trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, norm(defect, tag_y))], points=[x.copy()],
+                         tau0=tau0, tau_star=tau_star)
+    rows, points, origin = trace.rows, trace.points, x0.copy()
 
-    def step(k: int, budget: float) -> tuple:
+    def step(budget: float, tau_next: float) -> float:
         nonlocal x, phi_x, defect
+        k = len(rows)
         x_next = correct(x, phi_x, budget, defect)
         size = norm(x_next - x, tag_x)
         if not math.isfinite(size):
@@ -304,10 +311,12 @@ def covering_stepper(cover: CoveringMap, phi: SmoothMap,
         residual = norm(defect, tag_y)
         if not math.isfinite(residual):
             raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
+        rows.append((k, tau_next, norm(x_next - origin, tag_x), size, residual))
+        points.append(x_next.copy())
         x = x_next
-        return x_next.copy(), norm(x_next - origin, tag_x), size, residual
+        return residual
 
-    return norm(defect, tag_y), step
+    return trace, step
 
 
 def _float_kernels(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray) -> Optional[tuple]:
@@ -333,14 +342,14 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
     (residual), called on the start's residual, gives the detail of a
     majorant H2 stop before the first step, or None.
 
-    A compare's covering corrects by its minimal-norm inverse, which does
-    not depend on the budget, so one pass serves both schemes. Each keeps
-    its own budget and its check, stop rule, status and tau column (the
-    baseline's from 0), and the pass runs until both have ended. A step
-    inverts within the smaller running budget; when the covering refuses
-    the baseline's, the baseline ends, with its BudgetExceeded held until
-    the majorant ends normally, and the step is made again within the
-    majorant's. A majorant error is raised at its step.
+    A compare's covering corrects by its minimal-norm inverse, whatever the
+    budget, so one pass serves both schemes. While both run, the majorant
+    leads: the rows carry its tau, the baseline's (from 0) are kept apart,
+    and a step inverts within the smaller budget; once the majorant stops,
+    the baseline leads alone. A refused baseline budget ends the baseline,
+    its BudgetExceeded held until the majorant ends normally, and the step
+    is made again as the majorant's alone; a majorant error is raised at
+    its step. A single scheme's step pays only the majorant's `joint` test.
 
     Each majorant budget is one call of the `budget_stepper` step, followed
     by the stall and H2 tests. A solve `_float_kernels` admits keeps x,
@@ -349,10 +358,11 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
     `covering_stepper`'s step, which every other solve calls.
     """
     sqrt, isfinite = math.sqrt, math.isfinite
+    tau = 0.0 if pair is None else pair.tau0
     kernels = _float_kernels(cover, phi, x0)
     if kernels is None:
-        residual, step = covering_stepper(cover, phi, x0)
-        x = x0.copy()
+        trace, step = covering_stepper(cover, phi, x0, tau, tau_star)
+        residual = trace.rows[0][-1]
     else:
         # Psi(x) is -(b * x), or x for the identity covering (b is None).
         step, (evaluate, (b, p)) = None, kernels
@@ -361,101 +371,105 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
         phi_x = evaluate(x)
         defect = phi_x - (x if b is None else -(b * x))
         residual = sqrt(defect * defect) if l2_y else abs(defect)
-    live_m, live_b, traces = pair is not None, alpha is not None, []
-    if live_m:
-        tau_m = pair.tau0
-        trace_m = IterateTrace(rows=[(0, tau_m, 0.0, 0.0, residual)], points=[x],
-                               tau0=tau_m, tau_star=tau_star)
-        rows_m, points_m = trace_m.rows, trace_m.points
-        traces.append(trace_m)
+        trace = IterateTrace(rows=[(0, tau, 0.0, 0.0, residual)], points=[x],
+                             tau0=tau, tau_star=tau_star)
+    rows, points = trace.rows, trace.points
+    has_m, joint = pair is not None, pair is not None and alpha is not None
+    tau_b, taus_b, held, stop, end, end_m, j = 0.0, [0.0], None, None, None, None, 0
+    if has_m:
         detail = None if h2_stop is None else h2_stop(residual)
         if detail is not None:
-            trace_m.status, trace_m.detail, live_m = STATUS_HYPOTHESIS, detail, False
+            stop = STATUS_HYPOTHESIS, detail
         else:
             next_budget = budget_stepper(pair, tau_star)
-    if live_b:
-        tau_b = 0.0
-        trace_b = IterateTrace(rows=[(0, tau_b, 0.0, 0.0, residual)], points=[x], tau0=tau_b)
-        rows_b, points_b = trace_b.rows, trace_b.points
-        traces.append(trace_b)
 
-    held = None
-    for j in range(max_steps):
-        if residual <= residual_tol:
-            if live_m:
-                trace_m.status = STATUS_CONVERGED
-            if live_b:
-                trace_b.status = STATUS_CONVERGED
-            break
-        if live_m:
-            if tau_star - tau_m <= TAIL_STOP:
-                trace_m.status, trace_m.detail = STATUS_CONVERGED, "tau tail exhausted"
-                live_m = False
-            else:
-                tau_next, increment = next_budget(tau_m)
-                if tau_next <= tau_m:
-                    trace_m.status = STATUS_MAX_STEPS
-                    trace_m.detail, live_m = "tau sequence stalled at float resolution", False
-                elif residual > increment + STEP_TOL:
-                    trace_m.status, live_m = STATUS_HYPOTHESIS, False
-                    trace_m.detail = (f"H2: defect {residual:.6e} exceeds admissible "
-                                      f"increment {increment:.6e} at step {j}")
-                else:
-                    budget = budget_m = tau_next - tau_m
-                    tau_m = tau_next
-        if live_b:
-            budget_b = residual / alpha
-            tau_b += budget_b
-            if not live_m or budget_b < budget:
-                budget = budget_b
-        elif not live_m:
-            break
-
-        k = j + 1
-        if step is not None:
+    while True:
+        if stop is None:
             try:
-                x, deviation, size, residual = step(k, budget)
+                for j in range(j, max_steps):
+                    if residual <= residual_tol:
+                        end = STATUS_CONVERGED
+                        break
+                    if pair is None:
+                        budget = residual / alpha
+                        tau_next = tau + budget
+                    else:
+                        if tau_star - tau <= TAIL_STOP:
+                            stop = STATUS_CONVERGED, "tau tail exhausted"
+                            break
+                        tau_next, increment = next_budget(tau)
+                        if tau_next <= tau:
+                            stop = STATUS_MAX_STEPS, "tau sequence stalled at float resolution"
+                            break
+                        if residual > increment + STEP_TOL:
+                            stop = STATUS_HYPOTHESIS, (f"H2: defect {residual:.6e} exceeds "
+                                                       f"admissible increment {increment:.6e} "
+                                                       f"at step {j}")
+                            break
+                        budget = tau_next - tau
+                        if joint:
+                            tau_m, budget_b = tau, residual / alpha
+                            tau_b += budget_b
+                            taus_b.append(tau_b)
+                            if budget_b < budget:
+                                budget = budget_b
+                    tau = tau_next
+                    if step is not None:
+                        residual = step(budget, tau)
+                        continue
+
+                    k = j + 1
+                    if b is None:  # y itself, which moves y - x = defect
+                        delta, x_next = defect, phi_x
+                    else:
+                        delta = p * -defect
+                        x_next = x + delta
+                    move = sqrt(delta * delta) if l2_x else abs(delta)
+                    if move > budget + BUDGET_TOL:
+                        raise cover._over_budget(move, budget)
+                    v = x_next - x
+                    size = sqrt(v * v) if l2_x else abs(v)
+                    if not isfinite(size):
+                        raise NonFiniteValue(f"iterate {k} is not finite (step norm {size})")
+                    phi_x = evaluate(x_next)
+                    defect = phi_x - (x_next if b is None else -(b * x_next))
+                    residual = sqrt(defect * defect) if l2_y else abs(defect)
+                    if not isfinite(residual):
+                        raise NonFiniteValue(
+                            f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
+                    v = x_next - origin
+                    rows.append((k, tau, sqrt(v * v) if l2_x else abs(v), size, residual))
+                    points.append(x_next)
+                    x = x_next
+                else:
+                    end = STATUS_MAX_STEPS
             except BudgetExceeded as err:
-                if not (live_m and live_b and budget_b < budget_m):
+                if not joint:
                     raise
-                held, live_b = err, False
-                x, deviation, size, residual = step(k, budget_m)
-        else:
-            if b is None:  # y itself, which moves y - x = defect
-                delta, x_next = defect, phi_x
-            else:
-                delta = p * -defect
-                x_next = x + delta
-            move = sqrt(delta * delta) if l2_x else abs(delta)
-            if move > budget + BUDGET_TOL:
-                err = cover._over_budget(move, budget)
-                if not (live_m and live_b and budget_b < budget_m):
-                    raise err
-                held, live_b = err, False
-                if move > budget_m + BUDGET_TOL:
-                    raise cover._over_budget(move, budget_m)
-            v = x_next - x
-            size = sqrt(v * v) if l2_x else abs(v)
-            if not isfinite(size):
-                raise NonFiniteValue(f"iterate {k} is not finite (step norm {size})")
-            phi_x = evaluate(x_next)
-            defect = phi_x - (x_next if b is None else -(b * x_next))
-            residual = sqrt(defect * defect) if l2_y else abs(defect)
-            if not isfinite(residual):
-                raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
-            v = x_next - origin
-            deviation = sqrt(v * v) if l2_x else abs(v)
-            x = x_next
-        if live_m:
-            rows_m.append((k, tau_m, deviation, size, residual))
-            points_m.append(x)
-        if live_b:
-            rows_b.append((k, tau_b, deviation, size, residual))
-            points_b.append(x)
+                # Only a covering step raises this. Refused within a joint
+                # step's budget, it ends the baseline, and step j is made
+                # again as the majorant's alone, which raises the covering's
+                # own error if the refused budget was the majorant's.
+                held, joint, tau = err, False, tau_m
+                continue
+        if stop is None or not joint:
+            break
+        # The majorant stopped at row j; the baseline leads on alone.
+        end_m, stop, pair, joint, tau = (len(rows), *stop), None, None, False, tau_b
 
     if held is not None:
         raise held
-    return [(as_point(trace.points[-1]), trace) for trace in traces]
+    trace.status, trace.detail = stop or (end, "")
+    if not has_m or alpha is None:
+        return [(as_point(points[-1]), trace)]
+    # Both schemes: the majorant's trace is the first n rows, and the
+    # baseline's rows take its own taus.
+    n, status, detail = end_m or (len(rows), trace.status, trace.detail)
+    ran = (IterateTrace(rows=rows[:n], points=points[:n], status=status, detail=detail,
+                        tau0=trace.tau0, tau_star=tau_star),
+           IterateTrace(rows=[row[:1] + (t,) + row[2:] for row, t in zip(rows, taus_b)]
+                        + rows[len(taus_b):], points=points, status=end))
+    return [(as_point(t.points[-1]), t) for t in ran]
 
 
 def _h2_stop(inst: ProblemInstance, tau_star: float, h2_check: str,

@@ -484,10 +484,11 @@ def _copied(x: float) -> float:
 
 
 def _written_alone_and_paired(directory: Path, trace_a, trace_b):
-    """(bytes write_trace_csv writes for each trace, bytes write_trace_pair writes)."""
+    """(bytes write_trace_csv writes for each trace alone, bytes it writes for
+    trace_a with trace_b as its twin)."""
     cli.write_trace_csv(trace_a, directory / "alone_a.csv")
     cli.write_trace_csv(trace_b, directory / "alone_b.csv")
-    cli.write_trace_pair((trace_a, directory / "pair_a.csv"), (trace_b, directory / "pair_b.csv"))
+    cli.write_trace_csv(trace_a, directory / "pair_a.csv", (trace_b, directory / "pair_b.csv"))
     return tuple(tuple((directory / f"{kind}_{side}.csv").read_bytes() for side in "ab")
                  for kind in ("alone", "pair"))
 
@@ -496,7 +497,7 @@ def _trace(rows):
     return IterateTrace(rows=rows, points=[0.0] * len(rows))
 
 
-class TestWriteTracePair:
+class TestWriteTraceTwin:
     @pytest.mark.parametrize("c, tol", [(1.0 - 10 ** -2.75, 1e-10), (0.75, 0.0)],
                              ids=["equal-lengths", "majorant-ends-first"])
     def test_a_compare_pair_writes_each_trace_alone(self, tmp_path, c, tol):

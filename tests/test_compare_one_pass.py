@@ -185,6 +185,17 @@ def test_an_h2_sampled_compare_warns_as_the_majorant_alone(max_steps):
     assert majorant["steps"] == 1 and baseline["steps"] == min(max_steps, 31)
 
 
+@pytest.mark.parametrize("make", [scalar_quadratic, planar_quadratic], ids=["float", "array"])
+@pytest.mark.parametrize("c, tol", [(1.0 - 10 ** -2.75, 1e-10), (0.75, 0.0)],
+                         ids=["one-length", "majorant-ends-first"])
+def test_each_trace_keeps_its_own_lists(make, c, tol):
+    # The two traces of one pass hold the same row values, never one list.
+    report = compare_methods(make(1.0, 2.0, c), tol=tol)
+    majorant, baseline = report.majorant_trace, report.baseline_trace
+    assert (len(majorant.rows) == len(baseline.rows)) == (tol > 0.0)
+    assert majorant.rows is not baseline.rows and majorant.points is not baseline.points
+
+
 def test_the_majorant_ends_first_by_its_tail():
     q = scalar_quadratic(1.0, 2.0, 0.75)
     ours = assert_one_pass_matches(q, 0.0, 200)
@@ -228,6 +239,9 @@ LOOP_CASES = {
     # tau_* twice the crossing: the majorant stalls at float resolution, and
     # with a negative tolerance the baseline runs to its step cap.
     "majorant-stalls-first": (2.0, 2.0, -1.0, ("max_steps", "max_steps")),
+    # The same with alpha = 1.5 below b = 2: the baseline's budgets exceed
+    # its corrections, and its taus lead on from its own, not the majorant's.
+    "majorant-stalls-first-taus-apart": (2.0, 1.5, -1.0, ("max_steps", "max_steps")),
     # alpha = 4 claims more than b = 2: the baseline's budget is half its
     # correction at step 1, and its error waits for the majorant to end.
     "baseline-over-budget": (1.0, 4.0, 1e-10, "BudgetExceeded"),

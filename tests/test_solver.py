@@ -429,10 +429,10 @@ class _Target(solver.SmoothMap):
 
 
 def _step(cover, x, phi_x, budget):
-    """One covering step from x with target phi_x; returns the pieces of its
-    row: (x_1, deviation, step norm, residual)."""
-    _, step = solver.covering_stepper(cover, _Target(phi_x), x)
-    return step(1, budget)
+    """One covering step from x with target phi_x; returns the trace it extends."""
+    trace, step = solver.covering_stepper(cover, _Target(phi_x), x, 0.0, 1.0)
+    step(budget, 0.5)
+    return trace
 
 
 class TestCoveringStepRefusesANonFiniteIterate:
@@ -472,9 +472,8 @@ class TestCoveringStepRefusesANonFiniteIterate:
             _step(NaNCovering(2), np.zeros(2), np.ones(2), budget=10.0)
 
     def test_finite_step_appends_its_row(self):
-        point, deviation, size, residual = _step(IdentityCovering(2), np.zeros(2),
-                                                 np.array([0.3, 0.4]), budget=1.0)
-        assert point.tolist() == [0.3, 0.4] and deviation == size == 0.5 and residual == 0.0
+        trace = _step(IdentityCovering(2), np.zeros(2), np.array([0.3, 0.4]), budget=1.0)
+        assert len(trace.records) == 2 and trace.records[1].step_norm == 0.5
 
 
 class TestRateEstimate:
