@@ -43,6 +43,8 @@ SECTIONS = {
     "custom-scalar": ("custom_scalar",),
 }
 KINDS = tuple(SECTIONS)
+# The top-level fields of every kind; any other key must name a kind's section.
+COMMON = ("kind", "method", "norms", "residual_tol", "max_steps", "label")
 METHODS = ("majorant", "baseline", "compare")
 # Largest generated tensor, dim_y * dim_x^2 entries (256 MiB of float64):
 # admits dim_x = dim_y = 300.
@@ -81,17 +83,16 @@ class ProblemConfig:
 def config_from_dict(data: dict) -> ProblemConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
+    for key in data:
+        if key not in COMMON and key not in chain(*SECTIONS.values()):
+            raise ConfigError(f"unknown key {key!r}")
     kind = data.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
     method = data.get("method", "majorant")
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
-    norms_raw = data.get("norms", {"x": "l2", "y": "l2"})
-    try:
-        norms = (NormTag(norms_raw["x"]), NormTag(norms_raw["y"]))
-    except (KeyError, ValueError, TypeError) as err:
-        raise ConfigError(f"bad norms section: {norms_raw!r}") from err
+    norms = tuple(_fields(data.get("norms", {"x": "l2", "y": "l2"}), "norms"))
     residual_tol, max_steps = checked_limits(data.get("residual_tol", DEFAULT_RESIDUAL_TOL),
                                              data.get("max_steps", DEFAULT_MAX_STEPS))
     keys = SECTIONS[kind]
@@ -100,16 +101,9 @@ def config_from_dict(data: dict) -> ProblemConfig:
         names = " or ".join(f"'{key}'" for key in keys)
         need = f"exactly one of {names}" if len(keys) > 1 else f"a {names} section"
         raise ConfigError(f"{kind} configs need {need}")
-    return ProblemConfig(
-        kind=kind,
-        method=method,
-        norms=norms,
-        residual_tol=residual_tol,
-        max_steps=max_steps,
-        section=present[0],
-        body=data[present[0]],
-        label=data.get("label", ""),
-    )
+    return ProblemConfig(kind=kind, section=present[0], body=data[present[0]], method=method,
+                         norms=norms, residual_tol=residual_tol, max_steps=max_steps,
+                         label=data.get("label", ""))
 
 
 def checked_limits(residual_tol, max_steps) -> tuple[float, int]:
@@ -159,6 +153,58 @@ def _number_array(value, key: str) -> np.ndarray:
     if bool in map(type, entries):
         raise TypeError(f"{key} must hold numbers only, got booleans")
     return array.astype(float, copy=False)
+
+
+def _real(value, key: str) -> float:
+    return float(_number(value, key))
+
+
+def _integer(value, key: str) -> int:
+    if type(value) is not int:  # not a float, and not a bool
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _coefficients(value, key: str) -> list:
+    """A polynomial's coefficients: a 1-d array of numbers, as Python floats."""
+    array = _number_array(value, key)
+    if array.ndim != 1:
+        raise TypeError(f"{key} must be a list of numbers, got shape {array.shape}")
+    return array.tolist()
+
+
+# Each section's fields and their parsers, in the order its reader unpacks
+# them. OPTIONAL holds the defaults of those that may be absent; an absent
+# quadratic constant (None) is left to the problem, which certifies it.
+FIELDS = {
+    "norms": dict.fromkeys("xy", lambda value, key: NormTag(value)),
+    "quadratic": dict(tensor=_number_array, matrix=_number_array, offset=_number_array,
+                      a=_real, b=_real, c=_real),
+    "generate": dict(dim_x=_integer, dim_y=_integer, margin=_real, seed=_integer),
+    "kantorovich": dict(linear=_number_array, shift=_number_array, x0=_number_array,
+                        lipschitz=_real, domain_radius=_real),
+    "custom_scalar": dict(phi_poly=_coefficients, majorant_poly=_coefficients,
+                          psi_slope=_real, x0=_real, tau0=_real, horizon=_real),
+}
+OPTIONAL = {"norms": {}, "generate": {}, "quadratic": dict(a=None, b=None, c=None),
+            "kantorovich": dict(domain_radius=DEFAULT_HORIZON),
+            "custom_scalar": dict(x0=0.0, tau0=0.0)}
+
+
+def _fields(body, section: str) -> list:
+    """The section's fields, parsed, in FIELDS[section]'s order; ConfigError for
+    a body that is no object, an unknown key, an absent field or a bad value."""
+    fields, defaults = FIELDS[section], OPTIONAL[section]
+    if not isinstance(body, dict):
+        raise ConfigError(f"bad {section} section: expected an object, got {body!r}")
+    for key in body:
+        if key not in fields:
+            raise ConfigError(f"bad {section} section: unknown key {key!r}")
+    try:
+        return [parse(body[key], key) if key in body or key not in defaults else defaults[key]
+                for key, parse in fields.items()]
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad {section} section: {err}") from err
 
 
 def _reject_constant(literal: str):
@@ -224,15 +270,9 @@ class BuiltProblem:
 
 
 def _build_explicit_quadratic(section: dict, norms) -> QuadraticProblem:
+    tensor, matrix, offset, a, b, c = _fields(section, "quadratic")
     if norms != (NormTag.L2, NormTag.L2):
         raise ConfigError("quadratic instances are built for l2/l2 norms")
-    try:
-        tensor, matrix, offset = (_number_array(section[k], k)
-                                  for k in ("tensor", "matrix", "offset"))
-        # An absent constant is left to the problem, which certifies it.
-        a, b, c = (float(_number(section[k], k)) if k in section else None for k in "abc")
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad quadratic section: {err}") from err
     try:
         return QuadraticProblem(
             bilinear=BilinearMap(coeffs=tensor, bound=a),
@@ -243,15 +283,7 @@ def _build_explicit_quadratic(section: dict, norms) -> QuadraticProblem:
 
 def _build_generated_quadratic(section: dict) -> QuadraticProblem:
     """A seeded random quadratic, its sizes checked before anything is allocated."""
-    try:
-        dims = {key: section[key] for key in ("dim_x", "dim_y", "seed")}
-        margin = float(_number(section["margin"], "margin"))
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad generate section: {err}") from err
-    for key, value in dims.items():
-        if type(value) is not int:  # not a float, and not a bool
-            raise ConfigError(f"bad generate section: {key} must be an integer, got {value!r}")
-    dim_x, dim_y = dims["dim_x"], dims["dim_y"]
+    dim_x, dim_y, margin, seed = _fields(section, "generate")
     if not 1 <= dim_y <= dim_x:
         raise ConfigError(f"bad generate section: need 1 <= dim_y <= dim_x, "
                           f"got dim_y = {dim_y}, dim_x = {dim_x}")
@@ -259,22 +291,15 @@ def _build_generated_quadratic(section: dict) -> QuadraticProblem:
         raise ConfigError(f"bad generate section: dim_y * dim_x^2 = {dim_y * dim_x ** 2} "
                           f"tensor entries exceed the limit {MAX_TENSOR_ENTRIES}")
     try:
-        return random_quadratic(dim_x=dim_x, dim_y=dim_y, target_margin=margin,
-                                seed=dims["seed"])
+        return random_quadratic(dim_x=dim_x, dim_y=dim_y, target_margin=margin, seed=seed)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad generate section: {err}") from err
 
 
 def _build_kantorovich(section: dict, norms) -> ProblemInstance:
+    W, d, x0, lip, radius = _fields(section, "kantorovich")
     if norms[0] != norms[1]:
         raise ConfigError("the fixed-point reduction needs matching X and Y norms")
-    try:
-        W, d, x0 = (_number_array(section[k], k) for k in ("linear", "shift", "x0"))
-        lip = float(_number(section["lipschitz"], "lipschitz"))
-        radius = float(_number(section.get("domain_radius", DEFAULT_HORIZON),
-                               "domain_radius"))
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad kantorovich section: {err}") from err
     f = AffineMap(W, d, domain_center=x0, domain_radius=radius)
     try:
         return build_kantorovich_instance(
@@ -284,15 +309,7 @@ def _build_kantorovich(section: dict, norms) -> ProblemInstance:
 
 
 def _build_custom_scalar(section: dict, norms) -> ProblemInstance:
-    try:
-        phi_poly, majorant_poly = (_coefficients(section[k], k)
-                                   for k in ("phi_poly", "majorant_poly"))
-        psi_slope = float(_number(section["psi_slope"], "psi_slope"))
-        x0 = float(_number(section.get("x0", 0.0), "x0"))
-        tau0 = float(_number(section.get("tau0", 0.0), "tau0"))
-        horizon = float(_number(section["horizon"], "horizon"))
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad custom_scalar section: {err}") from err
+    phi_poly, majorant_poly, psi_slope, x0, tau0, horizon = _fields(section, "custom_scalar")
     if psi_slope <= 0:
         raise ConfigError("psi_slope must be positive")
     try:
@@ -300,14 +317,6 @@ def _build_custom_scalar(section: dict, norms) -> ProblemInstance:
                                          x0=x0, tau0=tau0, norms=norms)
     except ValueError as err:
         raise ConfigError(f"invalid majorant pair: {err}") from err
-
-
-def _coefficients(value, key: str) -> list:
-    """A polynomial's coefficients: a 1-d array of numbers, as Python floats."""
-    array = _number_array(value, key)
-    if array.ndim != 1:
-        raise TypeError(f"{key} must be a list of numbers, got shape {array.shape}")
-    return array.tolist()
 
 
 def build_problem(cfg: ProblemConfig) -> BuiltProblem:

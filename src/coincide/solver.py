@@ -21,8 +21,8 @@ cost more than the arithmetic, when its map is a `QuadraticMap`, an
 or an `IdentityCovering` (exactly those classes) and its norms l2 or linf:
 x, Phi(x), the defect, tau and the rows stay in locals, and a step calls
 only the map's float form and the budget step.
-Every other solve steps by `covering_stepper` on the array methods. Each
-solve returns its trace's last stored point.
+Every other solve steps by `covering_stepper` on the array methods. Either
+loop holds only the current x, and each solve returns it.
 The float path keeps the array methods' bits and checks:
 
 - the 1x1x1 einsum is 0.0 + (A * u) * u and the 1x1 `W @ x` is 0.0 + w * x:
@@ -33,11 +33,9 @@ The float path keeps the array methods' bits and checks:
 - BudgetExceeded, BracketFailure, both NonFiniteValue tests and the STEP_TOL
   test of H2 fire at the same step, with the same messages.
 
-A trace stores each row as a plain tuple in trace.csv's column order and
-each x_j as the loop holds it (a Python float on the float path; the two
-traces of one pass hold the same objects); its
-`records` and `final` build `TraceRecord`s when read, and every x they give,
-like the returned x, is a fresh float64 ndarray.
+A trace is its rows: each a plain tuple in trace.csv's column order, which
+holds every certified distance. Its `records` and `final` build
+`TraceRecord`s when read; the returned x is a fresh float64 ndarray.
 """
 
 from __future__ import annotations
@@ -167,7 +165,7 @@ class ProblemInstance:
 
 
 def as_point(v) -> np.ndarray:
-    """A stored or loop point (a float or an ndarray) as a fresh float64 vector."""
+    """A loop point (a float or an ndarray) as a fresh float64 vector."""
     return np.array(v, dtype=float, ndmin=1)
 
 
@@ -175,25 +173,18 @@ def as_point(v) -> np.ndarray:
 class TraceRecord:
     j: int
     tau: float
-    x: np.ndarray
-    step_norm: float
     deviation: float
+    step_norm: float
     residual: float
-
-
-def _record(row: tuple, point) -> TraceRecord:
-    j, tau, deviation, step_norm, residual = row
-    return TraceRecord(j, tau, as_point(point), step_norm, deviation, residual)
 
 
 @dataclass
 class IterateTrace:
-    """rows[j] is (j, tau, deviation, step_norm, residual), trace.csv's columns,
-    and points[j] is x_j as the loop held it. `records` and `final` are views
-    built on each read, so hoist a `records` read out of a loop."""
+    """rows[j] is (j, tau, deviation, step_norm, residual), trace.csv's columns.
+    `records` and `final` are views built on each read, so hoist a `records`
+    read out of a loop."""
 
     rows: list = field(default_factory=list)
-    points: list = field(default_factory=list)
     status: str = STATUS_MAX_STEPS
     detail: str = ""
     tau0: float = 0.0
@@ -205,11 +196,11 @@ class IterateTrace:
 
     @property
     def records(self) -> list[TraceRecord]:
-        return list(map(_record, self.rows, self.points))
+        return [TraceRecord(*row) for row in self.rows]
 
     @property
     def final(self) -> TraceRecord:
-        return _record(self.rows[-1], self.points[-1])
+        return TraceRecord(*self.rows[-1])
 
 
 @dataclass
@@ -279,27 +270,26 @@ def covering_stepper(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray,
     """Open a trace at x0 and return (trace, step), on the array methods.
 
     step(budget, tau_next) solves Psi(x_next) = Phi(x) within budget from
-    the current x, records the row at tau_next and returns its residual. It
-    keeps x, Phi(x), the defect Phi(x) - Psi(x), handed to the covering so
-    that it need not evaluate Psi(x) again, and its own copy of x0. budget is
-    passed apart from tau_next: the baseline sums its budgets into tau, and
-    in floats (tau + budget) - tau need not be budget. step propagates
-    BudgetExceeded; it raises NonFiniteValue, before recording the row, when
-    the step norm (an inf or NaN in x, Phi(x) or the covering's answer) or
-    the new residual (Phi or Psi overflowed at x_next) is inf or NaN. The
-    trace stores a copy of each point, so a map that reuses its output
-    buffer cannot alias stored points.
+    the current x, records the row at tau_next and returns (x_next, its
+    residual). It keeps x, Phi(x), the defect Phi(x) - Psi(x), handed to the
+    covering so that it need not evaluate Psi(x) again, and its own copy of
+    x0. budget is passed apart from tau_next: the baseline sums its budgets
+    into tau, and in floats (tau + budget) - tau need not be budget. step
+    propagates BudgetExceeded; it raises NonFiniteValue, before recording
+    the row, when the step norm (an inf or NaN in x, Phi(x) or the
+    covering's answer) or the new residual (Phi or Psi overflowed at x_next)
+    is inf or NaN.
     """
     tag_x, tag_y = cover.norm_x, cover.norm_y
     evaluate, psi, correct = phi.evaluate, cover.evaluate, cover.solve_within
     x = x0.copy()
     phi_x = evaluate(x)
     defect = phi_x - psi(x)
-    trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, norm(defect, tag_y))], points=[x.copy()],
+    trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, norm(defect, tag_y))],
                          tau0=tau0, tau_star=tau_star)
-    rows, points, origin = trace.rows, trace.points, x0.copy()
+    rows, origin = trace.rows, x0.copy()
 
-    def step(budget: float, tau_next: float) -> float:
+    def step(budget: float, tau_next: float) -> tuple[np.ndarray, float]:
         nonlocal x, phi_x, defect
         k = len(rows)
         x_next = correct(x, phi_x, budget, defect)
@@ -312,9 +302,8 @@ def covering_stepper(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray,
         if not math.isfinite(residual):
             raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
         rows.append((k, tau_next, norm(x_next - origin, tag_x), size, residual))
-        points.append(x_next.copy())
         x = x_next
-        return residual
+        return x, residual
 
     return trace, step
 
@@ -338,7 +327,8 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
     """One covering iteration from x0, certified by the majorant recurrence
     of `coincidence_solve` (pair and its crossing tau_star given), by the
     budgets residual / alpha of `alpha_iterate` (alpha given), or by both;
-    returns (x, trace) per scheme given, the majorant's first. h2_stop
+    returns (x_star, trace) per scheme given, the majorant's first: each
+    x_star is the iterate of its trace's last row. h2_stop
     (residual), called on the start's residual, gives the detail of a
     majorant H2 stop before the first step, or None.
 
@@ -352,17 +342,17 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
     its step. A single scheme's step pays only the majorant's `joint` test.
 
     Each majorant budget is one call of the `budget_stepper` step, followed
-    by the stall and H2 tests. A solve `_float_kernels` admits keeps x,
-    Phi(x), the defect and the norms in floats and the covering's Psi and
-    correction inline, with the rows, points and errors of
-    `covering_stepper`'s step, which every other solve calls.
+    by the stall and H2 tests. The loop holds the current x only. A solve
+    `_float_kernels` admits keeps x, Phi(x), the defect and the norms in
+    floats and the covering's Psi and correction inline, with the rows and
+    errors of `covering_stepper`'s step, which every other solve calls.
     """
     sqrt, isfinite = math.sqrt, math.isfinite
     tau = 0.0 if pair is None else pair.tau0
     kernels = _float_kernels(cover, phi, x0)
     if kernels is None:
         trace, step = covering_stepper(cover, phi, x0, tau, tau_star)
-        residual = trace.rows[0][-1]
+        x, residual = x0, trace.rows[0][-1]
     else:
         # Psi(x) is -(b * x), or x for the identity covering (b is None).
         step, (evaluate, (b, p)) = None, kernels
@@ -371,9 +361,8 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
         phi_x = evaluate(x)
         defect = phi_x - (x if b is None else -(b * x))
         residual = sqrt(defect * defect) if l2_y else abs(defect)
-        trace = IterateTrace(rows=[(0, tau, 0.0, 0.0, residual)], points=[x],
-                             tau0=tau, tau_star=tau_star)
-    rows, points = trace.rows, trace.points
+        trace = IterateTrace(rows=[(0, tau, 0.0, 0.0, residual)], tau0=tau, tau_star=tau_star)
+    rows = trace.rows
     has_m, joint = pair is not None, pair is not None and alpha is not None
     tau_b, taus_b, held, stop, end, end_m, j = 0.0, [0.0], None, None, None, None, 0
     if has_m:
@@ -415,7 +404,7 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
                                 budget = budget_b
                     tau = tau_next
                     if step is not None:
-                        residual = step(budget, tau)
+                        x, residual = step(budget, tau)
                         continue
 
                     k = j + 1
@@ -439,7 +428,6 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
                             f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
                     v = x_next - origin
                     rows.append((k, tau, sqrt(v * v) if l2_x else abs(v), size, residual))
-                    points.append(x_next)
                     x = x_next
                 else:
                     end = STATUS_MAX_STEPS
@@ -454,22 +442,22 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
                 continue
         if stop is None or not joint:
             break
-        # The majorant stopped at row j; the baseline leads on alone.
-        end_m, stop, pair, joint, tau = (len(rows), *stop), None, None, False, tau_b
+        # The majorant stopped at row j, at x; the baseline leads on alone.
+        end_m, stop, pair, joint = (len(rows), as_point(x), *stop), None, None, False
+        tau = tau_b
 
     if held is not None:
         raise held
     trace.status, trace.detail = stop or (end, "")
     if not has_m or alpha is None:
-        return [(as_point(points[-1]), trace)]
+        return [(as_point(x), trace)]
     # Both schemes: the majorant's trace is the first n rows, and the
     # baseline's rows take its own taus.
-    n, status, detail = end_m or (len(rows), trace.status, trace.detail)
-    ran = (IterateTrace(rows=rows[:n], points=points[:n], status=status, detail=detail,
-                        tau0=trace.tau0, tau_star=tau_star),
-           IterateTrace(rows=[row[:1] + (t,) + row[2:] for row, t in zip(rows, taus_b)]
-                        + rows[len(taus_b):], points=points, status=end))
-    return [(as_point(t.points[-1]), t) for t in ran]
+    n, x_m, status, detail = end_m or (len(rows), as_point(x), trace.status, trace.detail)
+    rows_b = [row[:1] + (t,) + row[2:] for row, t in zip(rows, taus_b)] + rows[len(taus_b):]
+    return [(x_m, IterateTrace(rows=rows[:n], status=status, detail=detail,
+                               tau0=trace.tau0, tau_star=tau_star)),
+            (as_point(x), IterateTrace(rows=rows_b, status=end))]
 
 
 def _h2_stop(inst: ProblemInstance, tau_star: float, h2_check: str,

@@ -14,7 +14,8 @@ they were streamlined.
   step norm.
 
 The reference iterations return a `ReferenceTrace`, the trace shape of the
-solver before it stored rows as tuples: a list of `TraceRecord`s.
+solver before it stored rows as tuples: a list of `ReferenceRecord`s, each
+with its iterate x.
 
 The tests compare the library against them bit for bit (and byte for byte).
 """
@@ -45,9 +46,18 @@ from coincide.solver import (
     STEP_TOL,
     TAIL_STOP,
     ProblemInstance,
-    TraceRecord,
     validate_h2_derivative,
 )
+
+
+@dataclass
+class ReferenceRecord:
+    j: int
+    tau: float
+    x: np.ndarray
+    step_norm: float
+    deviation: float
+    residual: float
 
 
 @dataclass
@@ -63,7 +73,7 @@ class ReferenceTrace:
         return len(self.records) - 1
 
     @property
-    def final(self) -> TraceRecord:
+    def final(self) -> ReferenceRecord:
         return self.records[-1]
 
 
@@ -181,7 +191,7 @@ def reference_coincidence_solve(inst: ProblemInstance,
     tau = pair.tau0
     phi_x = inst.phi.evaluate(x)
     residual = reference_norm(phi_x - inst.cover.evaluate(x), norm_y)
-    trace = ReferenceTrace(records=[TraceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
+    trace = ReferenceTrace(records=[ReferenceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
                            tau0=pair.tau0, tau_star=tau_star)
 
     if not validate_h2_start(pair, residual):
@@ -227,7 +237,7 @@ def reference_coincidence_solve(inst: ProblemInstance,
         x_next = inst.cover.solve_within(x, phi_x, tau_next - tau)  # may raise BudgetExceeded
         phi_x = inst.phi.evaluate(x_next)
         residual = reference_norm(phi_x - inst.cover.evaluate(x_next), norm_y)
-        trace.records.append(TraceRecord(
+        trace.records.append(ReferenceRecord(
             j=j + 1,
             tau=tau_next,
             x=np.array(x_next, dtype=float),
@@ -257,7 +267,7 @@ def reference_alpha_iterate(p, x0, tol: float,
     v_x = p.v.evaluate(x)
     residual = reference_norm(v_x - p.u.evaluate(x), p.u.norm_y)
     tau = 0.0
-    trace = ReferenceTrace(records=[TraceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
+    trace = ReferenceTrace(records=[ReferenceRecord(0, tau, x.copy(), 0.0, 0.0, residual)],
                            tau0=0.0, tau_star=float("nan"))
     for i in range(max_steps):
         if residual <= tol:
@@ -268,7 +278,7 @@ def reference_alpha_iterate(p, x0, tol: float,
         v_x = p.v.evaluate(x_next)
         residual = reference_norm(v_x - p.u.evaluate(x_next), p.u.norm_y)
         tau += budget
-        trace.records.append(TraceRecord(
+        trace.records.append(ReferenceRecord(
             j=i + 1,
             tau=tau,
             x=np.array(x_next, dtype=float),

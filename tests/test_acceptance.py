@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import assert_trace_invariants, build_gallery
+from conftest import assert_trace_invariants, build_gallery, replay_points
 from coincide.baseline import AlphaCoveringProblem, alpha_iterate, compare_methods
 from coincide.cli import main
 from coincide.config import gallery_config, gallery_names, save_config
@@ -197,9 +197,10 @@ def test_criterion_6_fixed_point_reduction_is_exact():
         direct = [built.instance.x0.copy()]
         for _ in range(trace.steps):
             direct.append(f.evaluate(direct[-1]))
-        assert len(direct) == len(trace.records)
-        for rec, ref in zip(trace.records, direct):
-            assert rec.x.tobytes() == ref.tobytes()
+        points = replay_points(built.instance, trace)
+        assert len(direct) == len(points) == len(trace.rows)
+        for x, ref in zip(points, direct):
+            assert x.tobytes() == ref.tobytes()
         assert x_star.tobytes() == direct[-1].tobytes()
 
 

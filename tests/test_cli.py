@@ -494,7 +494,7 @@ def _written_alone_and_paired(directory: Path, trace_a, trace_b):
 
 
 def _trace(rows):
-    return IterateTrace(rows=rows, points=[0.0] * len(rows))
+    return IterateTrace(rows=rows)
 
 
 class TestWriteTraceTwin:
@@ -953,6 +953,53 @@ class TestNonNumbers:
                                a=1, b=3, c=2)
         cfg = write_json(tmp_path / "cfg.json", payload)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+# A misspelled or stray key, and the key the config error names. Each was
+# once ignored: the solve ran with the default, or without the field.
+UNKNOWN_KEYS = {
+    "top-level": (scalar_config(0.75, residual_tolerance=0.1), "residual_tolerance"),
+    "norms": (scalar_config(0.75, norms={"x": "l2", "y": "l2", "z": "linf"}), "z"),
+    "quadratic": (_with_fields("quadratic", d=5.0), "d"),
+    "generate": ({"kind": "quadratic", "generate": {**GENERATE, "dimx": 2}}, "dimx"),
+    "kantorovich": (_with_fields("kantorovich", domain_radus=8.0), "domain_radus"),
+    "custom-scalar": (_with_fields("custom-scalar", tau_0=0.5), "tau_0"),
+}
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("where", UNKNOWN_KEYS)
+    def test_an_unknown_key_is_one_config_error_naming_it(self, tmp_path, capsys, where):
+        payload, key = UNKNOWN_KEYS[where]
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert f"unknown key {key!r}" in err[0]
+        assert not (out / "trace.csv").exists()
+
+    def test_misspelled_limits_and_a_stray_constant_are_refused(self, tmp_path, capsys):
+        # scalar-d-pos with its limits misspelled and a stray d: this solve
+        # exited 0 after 31 steps, at the default tolerance and with no cap.
+        payload = json.loads(json.dumps(config_module.GALLERY["scalar-d-pos"]))
+        payload.update(residual_tolerance=0.1, max_step=1)
+        payload["quadratic"]["d"] = 5
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: unknown key 'residual_tolerance'\n")
+        del payload["residual_tolerance"], payload["max_step"]
+        write_json(tmp_path / "cfg.json", payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: bad quadratic section: unknown key 'd'\n"
+
+    def test_a_section_of_another_kind_is_ignored(self, tmp_path, capsys):
+        # Its fields are not read, so not checked either.
+        payload = scalar_config(0.75, kantorovich={"typo": 1}, generate=None)
+        cfg = write_json(tmp_path / "cfg.json", payload)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_mixed_norm_tags_of_a_huge_derivative_solve_cleanly(tmp_path, capsys):

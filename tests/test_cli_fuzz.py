@@ -3,10 +3,12 @@
 A config starts well formed for its kind, with random finite fields, and then
 up to two of its fields (or one entry of an array field) are made
 overflowing (a literal json cannot emit, written into the text), non-numeric,
-missing, wrong-shaped or out of range. max_steps stays small so a run that
-does solve is short. Whatever the config, the command exits 0, 1 or 2, lets
-no exception escape, and prints exactly one stderr line when it exits 1 and
-none otherwise. Python warnings (the H2 sampling warning, numpy overflow)
+missing, wrong-shaped or out of range, and one of its keys may be
+misspelled. max_steps stays small so a run that does solve is short.
+Whatever the config, the command exits 0, 1 or 2, lets no exception escape,
+and prints exactly one stderr line when it exits 1 and none otherwise. A
+misspelled key fails the config, and when it is the only fault, its line
+names the key. Python warnings (the H2 sampling warning, numpy overflow)
 are not stderr lines of the command and are not counted.
 """
 
@@ -116,16 +118,25 @@ def configs(draw):
         cfg["norms"] = {"x": draw(st.sampled_from(["l2", "linf"])),
                         "y": draw(st.sampled_from(["l2", "linf"]))}
     slots = [(cfg, key) for key in cfg] + [(cfg[name], key) for key in cfg[name]]
+    faults = 0
     for _ in range(draw(st.integers(0, 2))):
         owner, key = draw(st.sampled_from(slots))
         if key not in owner:
             continue
+        faults += 1
         value = draw(corrupted(key, owner[key]))
         if value is MISSING:
             del owner[key]
         else:
             owner[key] = value
-    return cfg
+    typo = None
+    if draw(st.integers(0, 3)) == 0:
+        owner, key = draw(st.sampled_from(slots))
+        if key in owner:
+            # A letter added or dropped, which spells no other key.
+            typo = draw(st.sampled_from([key + "s", key[:-1]]))
+            owner[typo] = owner.pop(key)
+    return cfg, typo, faults
 
 
 def config_text(cfg) -> str:
@@ -135,7 +146,8 @@ def config_text(cfg) -> str:
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(configs(), st.booleans())
-def test_solve_exits_cleanly_on_any_config(cfg, strict_h2):
+def test_solve_exits_cleanly_on_any_config(drawn, strict_h2):
+    cfg, typo, faults = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(config_text(cfg), encoding="utf-8")
@@ -147,3 +159,6 @@ def test_solve_exits_cleanly_on_any_config(cfg, strict_h2):
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2)
     assert len(lines) == (1 if code == 1 else 0), lines
+    if typo is not None:
+        assert code == 1
+        assert faults or f"unknown key {typo!r}" in lines[0], lines

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_trace_invariants, planar_quadratic
+from conftest import (
+    array_calls,
+    assert_trace_invariants,
+    baseline_start,
+    planar_quadratic,
+    replay_points,
+)
 from coincide.covering import IdentityCovering, LinearSurjectiveCovering
 from coincide.errors import InsufficientData, NoCrossing, NonFiniteValue
 from coincide.linalg import NormTag
@@ -16,7 +22,9 @@ from coincide.majorant import MajorantPair, ScalarFn, smallest_crossing
 from coincide.baseline import AlphaCoveringProblem, alpha_iterate
 from coincide.cli import write_trace_csv
 from coincide.problems import (
+    BilinearMap,
     QuadraticMap,
+    QuadraticProblem,
     build_kantorovich_instance,
     build_quadratic_instance,
     random_quadratic,
@@ -32,6 +40,7 @@ from coincide.solver import (
     ProblemInstance,
     check_jacobian,
     coincidence_solve,
+    _float_kernels,
     rate_estimate,
     validate_h2_derivative,
 )
@@ -65,10 +74,10 @@ class TestCoincidenceSolve:
         oracle = [0.0]
         for _ in range(1000):
             oracle.append(-(oracle[-1] ** 2 + 1.0) / 2.0)
-        records = trace.records
+        points = replay_points(inst, trace)
         for j in (100, 500, 1000):
-            assert records[j].x[0] == pytest.approx(oracle[j], abs=1e-11)
-            assert abs(records[j].x[0] + 1.0) == pytest.approx(2.0 / j, rel=0.25)
+            assert points[j][0] == pytest.approx(oracle[j], abs=1e-11)
+            assert abs(points[j][0] + 1.0) == pytest.approx(2.0 / j, rel=0.25)
 
     def test_degenerate_step_loop_evaluates_psi_once_per_step(self, monkeypatch):
         # D = 4 - 4 * 2^10 * 2^-10 = 0. The crossing is precomputed, so every
@@ -292,27 +301,31 @@ def _undersized(q):
 
 
 def _strict(q, **kwargs):
-    return coincidence_solve(build_quadratic_instance(q), h2_check="strict", **kwargs)
+    inst = build_quadratic_instance(q)
+    return inst, coincidence_solve(inst, h2_check="strict", **kwargs)
 
 
 def _off_start(q):
     inst = build_quadratic_instance(q)
     inst.x0 = inst.x0 + 1.0
-    return coincidence_solve(inst, h2_check="strict")
+    return inst, coincidence_solve(inst, h2_check="strict")
 
 
 def _in_loop_defect(q):
+    inst = build_quadratic_instance(_undersized(q))
     with pytest.warns(RuntimeWarning, match="sampled derivative bound violated"):
-        return coincidence_solve(build_quadratic_instance(_undersized(q)))
+        return inst, coincidence_solve(inst)
 
 
 def _baseline(q, max_steps):
-    return alpha_iterate(AlphaCoveringProblem.from_quadratic(q), np.zeros(q.dim_x), 1e-10,
-                         max_steps)
+    p = AlphaCoveringProblem.from_quadratic(q)
+    start = baseline_start(p, np.zeros(q.dim_x))
+    return start, alpha_iterate(p, start.x0, 1e-10, max_steps)
 
 
-# Every exit of both loops on a = 1, b = 2, c = 0.75: (x_star, trace) and
-# the (status, steps, detail) it ends with.
+# Every exit of both loops on a = 1, b = 2, c = 0.75: the map, covering and
+# start the loop ran on, its (x_star, trace), and the (status, steps,
+# detail) it ends with.
 EXITS = {
     "initial-gap": (_off_start, (STATUS_HYPOTHESIS, 0, "H2: initial defect")),
     "strict-sample": (lambda q: _strict(_undersized(q)),
@@ -334,43 +347,57 @@ EXITS = {
 @pytest.mark.parametrize("exit_at", EXITS)
 def test_every_return_gives_a_fresh_float_array(problem, exit_at):
     # x_star is a float64 ndarray of x0's shape with the bytes of the last
-    # row's x, apart from every trace row, on every exit of both loops.
+    # row's iterate, apart from the start, on every exit of both loops.
     run, (status, steps, detail) = EXITS[exit_at]
     q = problem(1.0, 2.0, 0.75)
-    x, trace = run(q)
+    start, (x, trace) = run(q)
     assert (trace.status, trace.steps) == (status, steps)
     assert trace.detail.startswith(detail) and bool(trace.detail) is bool(detail)
-    for v in [x] + [r.x for r in trace.records]:
-        assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (q.dim_x,)
-    assert x.tobytes() == trace.final.x.tobytes()
-    records = trace.records
-    assert all(not np.shares_memory(x, r.x) for r in records)
-    for a, b in zip(records, records[1:]):
-        assert not np.shares_memory(a.x, b.x)
+    assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (q.dim_x,)
+    assert x.tobytes() == replay_points(start, trace)[-1].tobytes()
+    assert not np.shares_memory(x, start.x0)
 
 
 def _loops(q):
-    """(x_star, trace) of the majorant loop and of the baseline loop on q."""
-    yield coincidence_solve(build_quadratic_instance(q))
-    yield alpha_iterate(AlphaCoveringProblem.from_quadratic(q), np.zeros(q.dim_x), 1e-10, 1000)
+    """(the map, covering and start, a solve giving (x_star, trace)) of the
+    majorant loop and of the baseline loop on q."""
+    inst = build_quadratic_instance(q)
+    yield inst, lambda: coincidence_solve(inst)
+    p = AlphaCoveringProblem.from_quadratic(q)
+    start = baseline_start(p, np.zeros(q.dim_x))
+    yield start, lambda: alpha_iterate(p, start.x0, 1e-10, 1000)
+
+
+def _solved_in_d_zero_rows(inst, tol: float = 0.0):
+    """The bytes a D = 0 solve of 10,000 steps from inst holds per trace row."""
+    coincidence_solve(inst, residual_tol=tol, max_steps=10)  # warm up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, trace = coincidence_solve(inst, residual_tol=tol, max_steps=10_000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = trace.steps + 1
+    assert rows >= 10_000
+    return held / rows
 
 
 class TestTraceStorage:
-    # A trace keeps each row as a tuple and each x_j as the loop held it;
-    # records and final build fresh TraceRecords on each read.
+    # A trace keeps each row as a tuple and no iterate; records and final
+    # build fresh TraceRecords on each read.
 
-    def test_float_path_points_are_python_floats(self):
-        for _, trace in _loops(scalar_quadratic(1.0, 2.0, 0.75)):
-            assert trace.steps > 2 and len(trace.points) == trace.steps + 1
-            assert all(type(p) is float for p in trace.points)
-
-    def test_array_path_points_share_no_memory(self):
-        for x, trace in _loops(planar_quadratic(1.0, 2.0, 0.75)):
-            points = trace.points
-            assert trace.steps > 2 and len(points) == trace.steps + 1
-            for i, p in enumerate(points):
-                assert type(p) is np.ndarray and not np.shares_memory(p, x)
-                assert not any(np.shares_memory(p, q) for q in points[i + 1:])
+    @pytest.mark.parametrize("problem", [scalar_quadratic, planar_quadratic],
+                             ids=["float", "array"])
+    def test_only_the_array_path_calls_the_array_methods(self, problem):
+        # The float loop calls neither; the array loop calls solve_within
+        # once a step and evaluate once more, at the start.
+        for start, solve in _loops(problem(1.0, 2.0, 0.75)):
+            with array_calls(start.phi, start.cover) as calls:
+                _, trace = solve()
+            steps = trace.steps
+            assert steps > 2 and calls == ({} if problem is scalar_quadratic else
+                                           {"solve_within": steps, "evaluate": steps + 1})
 
     @pytest.mark.parametrize("problem", [scalar_quadratic, planar_quadratic],
                              ids=["float", "array"])
@@ -378,13 +405,13 @@ class TestTraceStorage:
         _, trace = coincidence_solve(build_quadratic_instance(problem(1.0, 2.0, 0.75)))
         first, second = trace.records, trace.records
         assert len(first) == len(second) == trace.steps + 1
-        assert not any(np.shares_memory(a.x, b.x) for a in first for b in second)
-        want = [r.x.tobytes() for r in second]
+        assert not any(a is b for a in first for b in second)
+        want = list(trace.rows)
         for r in first:
-            r.x[:] = 7.0
-        trace.final.x[:] = 7.0
-        assert [r.x.tobytes() for r in trace.records] == want
-        assert trace.final.x.tobytes() == want[-1]
+            r.tau = 7.0
+        trace.final.residual = 7.0
+        assert [tuple(vars(r).values()) for r in trace.records] == want == trace.rows
+        assert tuple(vars(trace.final).values()) == want[-1]
 
     @pytest.mark.parametrize("problem", [scalar_quadratic, planar_quadratic],
                              ids=["float", "array"])
@@ -400,22 +427,25 @@ class TestTraceStorage:
         hexed = [(r[0], *map(float.hex, r[1:])) for r in trace.rows]
         assert hexed == [(r[0], *map(float.hex, r[1:])) for r in parsed]
 
-    def test_a_float_path_row_costs_under_300_bytes(self):
-        # D = 0: the solve runs all 10,000 steps. A TraceRecord holding a
-        # one-entry ndarray costs about 380 B a row; a tuple and a float
-        # about 245 B.
+    def test_a_float_path_row_costs_under_240_bytes(self):
+        # D = 0: the solve runs all 10,000 steps. A row is a tuple of an int
+        # and four floats, about 215 B; a stored float x_j added about 30 B.
         inst = build_quadratic_instance(scalar_quadratic(1.0, 2.0, 1.0))
-        coincidence_solve(inst, residual_tol=0.0, max_steps=10)  # warm up
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            _, trace = coincidence_solve(inst, residual_tol=0.0, max_steps=10_000)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        rows = trace.steps + 1
-        assert rows >= 10_000
-        assert held / rows < 300
+        assert _solved_in_d_zero_rows(inst) < 240
+
+    def test_an_array_path_row_costs_under_300_bytes_at_dim_x_50(self):
+        # The same solve on the first axis of R^50, onto R: a row costs what
+        # it costs on the float path, whatever dim_x is; a stored copy of
+        # each x_j added about 520 B here.
+        coeffs = np.zeros((1, 50, 50))
+        coeffs[0, 0, 0] = 1.0
+        linear = np.zeros((1, 50))
+        linear[0, 0] = 2.0
+        q = QuadraticProblem(bilinear=BilinearMap(coeffs=coeffs, bound=1.0), linear=linear,
+                             offset=np.array([1.0]), b=2.0, c=1.0)
+        inst = build_quadratic_instance(q)
+        assert _float_kernels(inst.cover, inst.phi, inst.x0) is None
+        assert _solved_in_d_zero_rows(inst) < 300
 
 
 class _Target(solver.SmoothMap):
@@ -525,8 +555,7 @@ class TestRateEstimate:
     @example(steps=[5e-324] * 12 + [math.nan, -0.0, math.inf] * 4 + [1e-310] * 6)
     def test_tail_filter_matches_the_np_isfinite_one(self, steps):
         # Row 0 is the start; the rest carry the drawn step norms.
-        trace = IterateTrace(rows=[(j, 0.0, 0.0, s, 0.0) for j, s in enumerate([0.0] + steps)],
-                             points=[0.0] * (len(steps) + 1))
+        trace = IterateTrace(rows=[(j, 0.0, 0.0, s, 0.0) for j, s in enumerate([0.0] + steps)])
         with np.errstate(all="ignore"):
             assert self._outcome(rate_estimate, trace) == self._outcome(
                 reference_rate_estimate, trace)
@@ -577,6 +606,26 @@ class TestTraceInvariants:
                                  target_margin=(0.0, 0.1, 0.5)[seed % 3], seed=seed)
             inst = build_quadratic_instance(q)
             x, trace = coincidence_solve(inst, max_steps=600)
+            assert_trace_invariants(inst, trace)
+
+    @pytest.mark.parametrize("problem", [scalar_quadratic, planar_quadratic],
+                             ids=["float", "array"])
+    def test_a_deviation_one_ulp_off_fails(self, problem):
+        inst = build_quadratic_instance(problem(1.0, 2.0, 0.75))
+        _, trace = coincidence_solve(inst)
+        assert_trace_invariants(inst, trace)
+        j, tau, deviation, step_norm, residual = trace.rows[5]
+        trace.rows[5] = (j, tau, math.nextafter(deviation, math.inf), step_norm, residual)
+        with pytest.raises(AssertionError):
+            assert_trace_invariants(inst, trace)
+
+    @pytest.mark.parametrize("problem", [scalar_quadratic, planar_quadratic],
+                             ids=["float", "array"])
+    def test_a_trace_replayed_from_another_start_fails(self, problem):
+        inst = build_quadratic_instance(problem(1.0, 2.0, 0.75))
+        _, trace = coincidence_solve(inst)
+        inst.x0 = inst.x0 + 2.0 ** -30
+        with pytest.raises(AssertionError):
             assert_trace_invariants(inst, trace)
 
     def test_monotone_residuals_on_quadratic_gallery(self, gallery):

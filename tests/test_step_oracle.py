@@ -58,7 +58,7 @@ from coincide.solver import (
     coincidence_solve,
 )
 
-from conftest import planar_quadratic
+from conftest import array_calls, baseline_start, planar_quadratic, replay_points
 from step_reference import (
     ReferenceTrace,
     reference_alpha_iterate,
@@ -444,7 +444,7 @@ def test_quadratic_evaluate_keeps_signed_zeros():
 
 def _write_both(records):
     trace = IterateTrace(rows=[(r.j, r.tau, r.deviation, r.step_norm, r.residual)
-                               for r in records], points=[r.x for r in records])
+                               for r in records])
     with tempfile.TemporaryDirectory() as tmp:
         ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
         write_trace_csv(trace, ours)
@@ -454,8 +454,8 @@ def _write_both(records):
 
 def _record(j, values):
     tau, deviation, step_norm, residual = values
-    return TraceRecord(j=j, tau=tau, x=np.zeros(1), step_norm=step_norm,
-                       deviation=deviation, residual=residual)
+    return TraceRecord(j=j, tau=tau, deviation=deviation, step_norm=step_norm,
+                       residual=residual)
 
 
 trace_values = st.one_of(
@@ -486,14 +486,24 @@ def test_trace_rows_print_special_values():
     ]
 
 
+def _points(solve, args, trace):
+    """Each x_j of trace: a reference trace stores them, and the library's
+    are made again by `replay_points` from the start that solve was given."""
+    if isinstance(trace, ReferenceTrace):
+        return [r.x for r in trace.records]
+    return replay_points(baseline_start(*args[:2]) if solve is alpha_iterate else args[0], trace)
+
+
 def _loop_outcome(solve, *args, **kwargs):
-    """Everything an iteration hands back, in bits, or ("raise", class, message)."""
+    """Everything an iteration hands back, each iterate of its trace
+    included, in bits, or ("raise", class, message)."""
     try:
         x, trace = solve(*args, **kwargs)
     except CoincidenceError as err:
         return "raise", type(err).__name__, str(err)
-    rows = [(r.j, float.hex(r.tau), r.x.dtype.str, r.x.tobytes(), float.hex(r.step_norm),
-             float.hex(r.deviation), float.hex(r.residual)) for r in trace.records]
+    rows = [(r.j, float.hex(r.tau), p.dtype.str, p.tobytes(), float.hex(r.step_norm),
+             float.hex(r.deviation), float.hex(r.residual))
+            for r, p in zip(trace.records, _points(solve, args, trace), strict=True)]
     return (x.dtype.str, x.tobytes(), trace.status, trace.detail,
             float.hex(trace.tau0), float.hex(trace.tau_star), rows)
 
@@ -634,11 +644,16 @@ ONE_D_FAMILIES = {
 
 
 def _runs_on_floats(inst) -> bool:
-    """Whether a solve of inst runs on the float loop: its trace then holds x0 as a float."""
-    with warnings.catch_warnings():
+    """Whether a solve of inst runs on the float loop, which calls neither
+    the map's evaluate nor the covering's solve_within; the array methods
+    call solve_within once a step."""
+    with warnings.catch_warnings(), array_calls(inst.phi, inst.cover) as calls:
         warnings.simplefilter("ignore")
-        _, trace = coincidence_solve(inst, max_steps=0)
-    return type(trace.points[0]) is float
+        _, trace = coincidence_solve(inst, max_steps=3)
+    if not calls:
+        return True
+    assert calls["solve_within"] == trace.steps > 0
+    return False
 
 
 def _warned(solve, *args, **kwargs):
