@@ -95,6 +95,9 @@ def config_from_dict(data: dict) -> ProblemConfig:
     norms = tuple(_fields(data.get("norms", {"x": "l2", "y": "l2"}), "norms"))
     residual_tol, max_steps = checked_limits(data.get("residual_tol", DEFAULT_RESIDUAL_TOL),
                                              data.get("max_steps", DEFAULT_MAX_STEPS))
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ConfigError(f"label must be a string, got {label!r}")
     keys = SECTIONS[kind]
     present = [key for key in keys if data.get(key) is not None]
     if len(present) != 1:
@@ -103,7 +106,7 @@ def config_from_dict(data: dict) -> ProblemConfig:
         raise ConfigError(f"{kind} configs need {need}")
     return ProblemConfig(kind=kind, section=present[0], body=data[present[0]], method=method,
                          norms=norms, residual_tol=residual_tol, max_steps=max_steps,
-                         label=data.get("label", ""))
+                         label=label)
 
 
 def checked_limits(residual_tol, max_steps) -> tuple[float, int]:
@@ -203,7 +206,7 @@ def _fields(body, section: str) -> list:
     try:
         return [parse(body[key], key) if key in body or key not in defaults else defaults[key]
                 for key, parse in fields.items()]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad {section} section: {err}") from err
 
 

@@ -8,7 +8,7 @@ tightly. `verify_covering_sampled` audits any implementation of the
 interface against that contract.
 
 `solve_within` checks the shapes of x' and y but does not scan their entries;
-the step of the solver's `covering_stepper` checks that the iterate it returns
+the step of the solver's `covering_loop` checks that the iterate it returns
 is finite. The step hands over the defect y - Psi(x') it has already formed
 for its residual, so a covering that needs it does not evaluate Psi(x') again.
 

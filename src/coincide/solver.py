@@ -14,15 +14,15 @@ termination.
 Both this iteration and the alpha-covering baseline run `covering_loop`,
 which takes each majorant budget from one call of the step that
 `majorant.budget_stepper` returns; a compare runs the one iteration once and
-certifies it under both schemes. A 1-d solve runs there as one loop on
-Python floats, where numpy's per-call dispatch on one-entry arrays would
-cost more than the arithmetic, when its map is a `QuadraticMap`, an
-`AffineMap` or a `PolynomialMap`, its covering a `LinearSurjectiveCovering`
-or an `IdentityCovering` (exactly those classes) and its norms l2 or linf:
-x, Phi(x), the defect, tau and the rows stay in locals, and a step calls
-only the map's float form and the budget step.
-Every other solve steps by `covering_stepper` on the array methods. Either
-loop holds only the current x, and each solve returns it.
+certifies it under both schemes. The loop has one step body and holds only
+the current x, which each solve returns. A 1-d solve runs it on Python
+floats, where numpy's per-call dispatch on one-entry arrays would cost more
+than the arithmetic, when its map is a `QuadraticMap`, an `AffineMap` or a
+`PolynomialMap`, its covering a `LinearSurjectiveCovering` or an
+`IdentityCovering` (exactly those classes) and its norms l2 or linf: x,
+Phi(x), the defect, tau and the rows stay in locals, and a step calls only
+the map's float form and the budget step. Every other solve runs the same
+body on the array methods.
 The float path keeps the array methods' bits and checks:
 
 - the 1x1x1 einsum is 0.0 + (A * u) * u and the 1x1 `W @ x` is 0.0 + w * x:
@@ -265,49 +265,6 @@ def _own_float_form(obj, name: str):
     return None if form is None else form(obj)
 
 
-def covering_stepper(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray,
-                     tau0: float, tau_star: float) -> tuple[IterateTrace, Callable]:
-    """Open a trace at x0 and return (trace, step), on the array methods.
-
-    step(budget, tau_next) solves Psi(x_next) = Phi(x) within budget from
-    the current x, records the row at tau_next and returns (x_next, its
-    residual). It keeps x, Phi(x), the defect Phi(x) - Psi(x), handed to the
-    covering so that it need not evaluate Psi(x) again, and its own copy of
-    x0. budget is passed apart from tau_next: the baseline sums its budgets
-    into tau, and in floats (tau + budget) - tau need not be budget. step
-    propagates BudgetExceeded; it raises NonFiniteValue, before recording
-    the row, when the step norm (an inf or NaN in x, Phi(x) or the
-    covering's answer) or the new residual (Phi or Psi overflowed at x_next)
-    is inf or NaN.
-    """
-    tag_x, tag_y = cover.norm_x, cover.norm_y
-    evaluate, psi, correct = phi.evaluate, cover.evaluate, cover.solve_within
-    x = x0.copy()
-    phi_x = evaluate(x)
-    defect = phi_x - psi(x)
-    trace = IterateTrace(rows=[(0, tau0, 0.0, 0.0, norm(defect, tag_y))],
-                         tau0=tau0, tau_star=tau_star)
-    rows, origin = trace.rows, x0.copy()
-
-    def step(budget: float, tau_next: float) -> tuple[np.ndarray, float]:
-        nonlocal x, phi_x, defect
-        k = len(rows)
-        x_next = correct(x, phi_x, budget, defect)
-        size = norm(x_next - x, tag_x)
-        if not math.isfinite(size):
-            raise NonFiniteValue(f"iterate {k} is not finite (step norm {size})")
-        phi_x = evaluate(x_next)
-        defect = phi_x - psi(x_next)
-        residual = norm(defect, tag_y)
-        if not math.isfinite(residual):
-            raise NonFiniteValue(f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
-        rows.append((k, tau_next, norm(x_next - origin, tag_x), size, residual))
-        x = x_next
-        return x, residual
-
-    return trace, step
-
-
 def _float_kernels(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray) -> Optional[tuple]:
     """(evaluate, (b, p)) when a solve from x0 runs on Python floats, else
     None: x0 has shape (1,), both norms are l2 or linf, and the map's own
@@ -342,26 +299,37 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
     its step. A single scheme's step pays only the majorant's `joint` test.
 
     Each majorant budget is one call of the `budget_stepper` step, followed
-    by the stall and H2 tests. The loop holds the current x only. A solve
-    `_float_kernels` admits keeps x, Phi(x), the defect and the norms in
-    floats and the covering's Psi and correction inline, with the rows and
-    errors of `covering_stepper`'s step, which every other solve calls.
+    by the stall and H2 tests. A step then corrects x within the budget,
+    handing the covering the defect Phi(x) - Psi(x) so that it need not
+    evaluate Psi(x) again; the budget is passed apart from tau, since the
+    baseline sums its budgets into tau and in floats (tau + budget) - tau
+    need not be budget. A refused budget raises BudgetExceeded; an inf or
+    NaN step norm (in x, Phi(x) or the correction) or new residual (Phi or
+    Psi overflowed) raises NonFiniteValue before the row is recorded. A
+    solve `_float_kernels` admits computes the correction, Psi and the
+    norms inline on floats (`floats`); every other solve calls the
+    covering's `solve_within` and `evaluate` and `linalg.norm`.
     """
     sqrt, isfinite = math.sqrt, math.isfinite
     tau = 0.0 if pair is None else pair.tau0
     kernels = _float_kernels(cover, phi, x0)
-    if kernels is None:
-        trace, step = covering_stepper(cover, phi, x0, tau, tau_star)
-        x, residual = x0, trace.rows[0][-1]
-    else:
+    floats = kernels is not None
+    if floats:
         # Psi(x) is -(b * x), or x for the identity covering (b is None).
-        step, (evaluate, (b, p)) = None, kernels
+        evaluate, (b, p) = kernels
         l2_x, l2_y = cover.norm_x == NormTag.L2, cover.norm_y == NormTag.L2
         x = origin = float(x0[0])
         phi_x = evaluate(x)
         defect = phi_x - (x if b is None else -(b * x))
         residual = sqrt(defect * defect) if l2_y else abs(defect)
-        trace = IterateTrace(rows=[(0, tau, 0.0, 0.0, residual)], tau0=tau, tau_star=tau_star)
+    else:
+        tag_x, tag_y = cover.norm_x, cover.norm_y
+        evaluate, psi, correct = phi.evaluate, cover.evaluate, cover.solve_within
+        x, origin = x0.copy(), x0.copy()
+        phi_x = evaluate(x)
+        defect = phi_x - psi(x)
+        residual = norm(defect, tag_y)
+    trace = IterateTrace(rows=[(0, tau, 0.0, 0.0, residual)], tau0=tau, tau_star=tau_star)
     rows = trace.rows
     has_m, joint = pair is not None, pair is not None and alpha is not None
     tau_b, taus_b, held, stop, end, end_m, j = 0.0, [0.0], None, None, None, None, 0
@@ -402,32 +370,39 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
                             taus_b.append(tau_b)
                             if budget_b < budget:
                                 budget = budget_b
-                    tau = tau_next
-                    if step is not None:
-                        x, residual = step(budget, tau)
-                        continue
-
-                    k = j + 1
-                    if b is None:  # y itself, which moves y - x = defect
-                        delta, x_next = defect, phi_x
+                    tau, k = tau_next, j + 1
+                    if floats:
+                        if b is None:  # y itself, which moves y - x = defect
+                            delta, x_next = defect, phi_x
+                        else:
+                            delta = p * -defect
+                            x_next = x + delta
+                        move = sqrt(delta * delta) if l2_x else abs(delta)
+                        if move > budget + BUDGET_TOL:
+                            raise cover._over_budget(move, budget)
+                        v = x_next - x
+                        size = sqrt(v * v) if l2_x else abs(v)
                     else:
-                        delta = p * -defect
-                        x_next = x + delta
-                    move = sqrt(delta * delta) if l2_x else abs(delta)
-                    if move > budget + BUDGET_TOL:
-                        raise cover._over_budget(move, budget)
-                    v = x_next - x
-                    size = sqrt(v * v) if l2_x else abs(v)
+                        x_next = correct(x, phi_x, budget, defect)
+                        size = norm(x_next - x, tag_x)
                     if not isfinite(size):
                         raise NonFiniteValue(f"iterate {k} is not finite (step norm {size})")
                     phi_x = evaluate(x_next)
-                    defect = phi_x - (x_next if b is None else -(b * x_next))
-                    residual = sqrt(defect * defect) if l2_y else abs(defect)
+                    if floats:
+                        defect = phi_x - (x_next if b is None else -(b * x_next))
+                        residual = sqrt(defect * defect) if l2_y else abs(defect)
+                    else:
+                        defect = phi_x - psi(x_next)
+                        residual = norm(defect, tag_y)
                     if not isfinite(residual):
                         raise NonFiniteValue(
                             f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
-                    v = x_next - origin
-                    rows.append((k, tau, sqrt(v * v) if l2_x else abs(v), size, residual))
+                    if floats:
+                        v = x_next - origin
+                        deviation = sqrt(v * v) if l2_x else abs(v)
+                    else:
+                        deviation = norm(x_next - origin, tag_x)
+                    rows.append((k, tau, deviation, size, residual))
                     x = x_next
                 else:
                     end = STATUS_MAX_STEPS

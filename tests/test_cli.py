@@ -1002,6 +1002,37 @@ class TestUnknownKeys:
         assert capsys.readouterr().err == ""
 
 
+# A config of each section that has real fields.
+REAL_SECTIONS = {"quadratic": scalar_config(0.75),
+                 "generate": {"kind": "quadratic", "generate": GENERATE},
+                 "kantorovich": OVERFLOW_FIELDS["kantorovich"][0],
+                 "custom_scalar": OVERFLOW_FIELDS["custom-scalar"][0]}
+
+
+@pytest.mark.parametrize("section,key", [
+    (section, key) for section, fields in config_module.FIELDS.items()
+    for key, parse in fields.items() if parse is config_module._real],
+    ids=lambda v: v)
+def test_an_oversized_integer_in_a_real_field_is_a_config_error(section, key):
+    # A config file cannot hold 10**400 (its literal is refused), but a dict
+    # can: float() raised OverflowError past the section's except.
+    payload = json.loads(json.dumps(REAL_SECTIONS[section]))
+    payload[section][key] = 10 ** 400
+    with pytest.raises(ConfigError, match=rf"^bad {section} section: int too large"):
+        config_module.build_problem(config_from_dict(payload))
+
+
+@pytest.mark.parametrize("label", [7, {"not": "a string"}], ids=["int", "object"])
+def test_a_label_that_is_no_string_is_one_config_error(tmp_path, capsys, label):
+    # Both solved and exited 0, and to_dict wrote the label back.
+    payload = {**json.loads(json.dumps(config_module.GALLERY["scalar-d-pos"])), "label": label}
+    cfg = write_json(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: label must be a string, got {label!r}\n"
+    assert not (out / "trace.csv").exists()
+
+
 def test_mixed_norm_tags_of_a_huge_derivative_solve_cleanly(tmp_path, capsys):
     # |J| = 1e200: the l2 -> linf and linf -> l2 operator norms squared it
     # unscaled, overflowed, and --strict-h2 refused the solve.

@@ -456,6 +456,8 @@ def test_float_loop_matches_the_array_methods(name, monkeypatch):
          steps=1)              # over budget
 @example(b=1.0, tags=(NormTag.L2, NormTag.L2), constant=1.0, w=1e200, d=1.0, x0=0.0,
          steps=3)              # the l2 norm of a finite defect overflows
+@example(b=0.5, tags=(NormTag.LINF, NormTag.LINF), constant=1.0, w=0.0, d=-1.25e308,
+         x0=1.5e308, steps=1)  # the correction 1e308 fits its budget, x0 + 1e308 overflows
 def test_float_steps_match_the_array_methods(b, tags, constant, w, d, x0, steps):
     # One to three baseline steps from special values: the linear covering's
     # inline Psi, correction and norms against the array methods, errors

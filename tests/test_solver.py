@@ -458,10 +458,10 @@ class _Target(solver.SmoothMap):
         return self.target
 
 
-def _step(cover, x, phi_x, budget):
-    """One covering step from x with target phi_x; returns the trace it extends."""
-    trace, step = solver.covering_stepper(cover, _Target(phi_x), x, 0.0, 1.0)
-    step(budget, 0.5)
+def _step(cover, x, phi_x, alpha):
+    """One covering step from x with target phi_x, within the baseline's
+    budget residual / alpha; returns the trace it extends."""
+    [(_, trace)] = solver.covering_loop(cover, _Target(phi_x), x, 0.0, 1, alpha=alpha)
     return trace
 
 
@@ -475,23 +475,24 @@ class TestCoveringStepRefusesANonFiniteIterate:
     def test_non_finite_start_or_target(self, cover, where, bad):
         y, x = np.array([-1.0, 0.5]), np.zeros(2)
         (y if where == "target" else x)[1] = bad
-        # An unbounded budget lets an inf correction through the budget check.
+        # The start's residual, and so the budget, is inf or NaN, which lets
+        # an inf correction through the budget check.
         with pytest.raises(NonFiniteValue,
                            match=r"iterate 1 is not finite \(step norm (nan|inf)\)"), \
                 np.errstate(all="ignore"):
-            _step(cover, x, y, budget=math.inf)
+            _step(cover, x, y, alpha=1.0)
 
     def test_sum_that_overflows_behind_a_finite_correction(self):
         # Psi(x) = -x/2 under linf norms (an l2 norm of 1e308 overflows):
-        # the correction 1e308 is finite and within budget, but x' + 1e308
-        # overflows.
+        # the correction 1e308 is finite and within its budget 5e307 / 0.5,
+        # but x' + 1e308 overflows.
         cover = LinearSurjectiveCovering([[0.5]], b=0.5, norm_x=NormTag.LINF,
                                          norm_y=NormTag.LINF)
         x, y = np.array([1.5e308]), np.array([-1.25e308])
         with np.errstate(over="ignore"):
-            assert cover.solve_within(x, y, budget=1.7e308)[0] == math.inf
+            assert cover.solve_within(x, y, budget=1e308)[0] == math.inf
             with pytest.raises(NonFiniteValue, match=r"step norm inf"):
-                _step(cover, x, y, budget=1.7e308)
+                _step(cover, x, y, alpha=0.5)
 
     def test_user_covering(self):
         class NaNCovering(IdentityCovering):
@@ -499,10 +500,10 @@ class TestCoveringStepRefusesANonFiniteIterate:
                 return np.full_like(y, math.nan)
 
         with pytest.raises(NonFiniteValue, match=r"step norm nan"):
-            _step(NaNCovering(2), np.zeros(2), np.ones(2), budget=10.0)
+            _step(NaNCovering(2), np.zeros(2), np.ones(2), alpha=0.1)
 
     def test_finite_step_appends_its_row(self):
-        trace = _step(IdentityCovering(2), np.zeros(2), np.array([0.3, 0.4]), budget=1.0)
+        trace = _step(IdentityCovering(2), np.zeros(2), np.array([0.3, 0.4]), alpha=0.5)
         assert len(trace.records) == 2 and trace.records[1].step_norm == 0.5
 
 
