@@ -12,12 +12,13 @@ cannot be a directory and a warning that a -W filter turns into an error, each
 reported as one stderr line named by ERROR_PREFIXES, or by STATUS_PREFIXES
 for a solve or compare's majorant row that ends in a failed hypothesis.
 residual_tol (config or --tol) must be finite and positive, max_steps (config
-or --max-steps) and --jobs at least 1, and JSON Infinity/NaN literals and
-number literals that overflow a double (1e400) are refused. A batch (several
---config paths) writes each config to OUT/<file stem>, is refused when two
-stems collide, and exits 1 if any config failed, else 2 if any hit its step
-cap, else 0. A usage error exits 1, not argparse's 2, after its usage text.
-All floats are printed with 17 significant digits so reruns are bit-identical.
+or --max-steps) a whole number, max_steps and --jobs at least 1, and JSON
+Infinity/NaN literals and number literals that overflow a double (1e400) are
+refused. A batch (several --config paths) writes each config to OUT/<file
+stem>, is refused when two stems collide, and exits 1 if any config failed,
+else 2 if any hit its step cap, else 0. A usage error exits 1, not
+argparse's 2, after its usage text. All floats are printed with 17
+significant digits so reruns are bit-identical.
 """
 
 from __future__ import annotations

@@ -111,10 +111,14 @@ def config_from_dict(data: dict) -> ProblemConfig:
 
 def checked_limits(residual_tol, max_steps) -> tuple[float, int]:
     """The stopping fields as (float, int): residual_tol finite and positive,
-    max_steps >= 1. Shared by config files and command-line overrides."""
+    max_steps a whole number >= 1. Shared by config files and command-line
+    overrides."""
     try:
         residual_tol = _number(residual_tol, "residual_tol")
-        max_steps = int(_number(max_steps, "max_steps"))
+        steps = _number(max_steps, "max_steps")
+        max_steps = int(steps)
+        if max_steps != steps:
+            raise ValueError(f"max_steps must be a whole number, got {steps!r}")
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad tolerance fields: {err}") from err
     if not (math.isfinite(residual_tol) and residual_tol > 0) or max_steps < 1:

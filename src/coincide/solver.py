@@ -13,17 +13,17 @@ termination.
 
 Both this iteration and the alpha-covering baseline run `covering_loop`,
 which takes each majorant budget from one call of the step that
-`majorant.budget_stepper` returns; a compare runs the one iteration once and
-certifies it under both schemes. The loop has one step body and holds only
-the current x, which each solve returns. A 1-d solve runs it on Python
-floats, where numpy's per-call dispatch on one-entry arrays would cost more
-than the arithmetic, when its map is a `QuadraticMap`, an `AffineMap` or a
-`PolynomialMap`, its covering a `LinearSurjectiveCovering` or an
-`IdentityCovering` (exactly those classes) and its norms l2 or linf: x,
-Phi(x), the defect, tau and the rows stay in locals, and a step calls only
-the map's float form and the budget step. Every other solve runs the same
-body on the array methods.
-The float path keeps the array methods' bits and checks:
+`majorant.budget_stepper` returns; a compare runs the one iteration once, and
+each scheme appends its own rows while it runs. The loop is one flat pass
+with one step body and holds only the current x, which each solve returns.
+A 1-d solve runs it on Python floats, where numpy's per-call dispatch on
+one-entry arrays would cost more than the arithmetic, when its map is a
+`QuadraticMap`, an `AffineMap` or a `PolynomialMap`, its covering a
+`LinearSurjectiveCovering` or an `IdentityCovering` (exactly those classes)
+and its norms l2 or linf: x, Phi(x), the defect, tau and the rows stay in
+locals, and a step calls only the map's float form and the budget step.
+Every other solve runs the same body on the array methods. The float path
+keeps the array methods' bits and checks:
 
 - the 1x1x1 einsum is 0.0 + (A * u) * u and the 1x1 `W @ x` is 0.0 + w * x:
   a sum that starts at +0 turns a -0 product into +0;
@@ -285,33 +285,35 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
     of `coincidence_solve` (pair and its crossing tau_star given), by the
     budgets residual / alpha of `alpha_iterate` (alpha given), or by both;
     returns (x_star, trace) per scheme given, the majorant's first: each
-    x_star is the iterate of its trace's last row. h2_stop
-    (residual), called on the start's residual, gives the detail of a
-    majorant H2 stop before the first step, or None.
+    x_star is the iterate of its trace's last row. h2_stop (residual),
+    called on the start's residual, gives the detail of a majorant H2 stop
+    before the first step, or None.
 
-    A compare's covering corrects by its minimal-norm inverse, whatever the
-    budget, so one pass serves both schemes. While both run, the majorant
-    leads: the rows carry its tau, the baseline's (from 0) are kept apart,
-    and a step inverts within the smaller budget; once the majorant stops,
-    the baseline leads alone. A refused baseline budget ends the baseline,
-    its BudgetExceeded held until the majorant ends normally, and the step
-    is made again as the majorant's alone; a majorant error is raised at
-    its step. A single scheme's step pays only the majorant's `joint` test.
+    Each scheme runs while its flag is set and appends its own rows, with
+    its own tau: the majorant's from tau0, the baseline's the sum of its
+    budgets from 0. A step corrects within the smaller budget of the
+    schemes still running, and the rows of one step share their deviation,
+    step norm and residual objects. A compare's covering corrects by its
+    minimal-norm inverse, whatever the budget, so the pass gives each
+    scheme what it gives alone. A majorant stop (tail, stall or H2) keeps
+    its x and status, and the pass goes on while the baseline runs. A
+    budget refused while both run ends the baseline, its BudgetExceeded
+    held until the majorant ends normally, and the correction is made again
+    within the majorant's budget; a majorant error is raised at its step.
 
     Each majorant budget is one call of the `budget_stepper` step, followed
     by the stall and H2 tests. A step then corrects x within the budget,
     handing the covering the defect Phi(x) - Psi(x) so that it need not
-    evaluate Psi(x) again; the budget is passed apart from tau, since the
-    baseline sums its budgets into tau and in floats (tau + budget) - tau
-    need not be budget. A refused budget raises BudgetExceeded; an inf or
-    NaN step norm (in x, Phi(x) or the correction) or new residual (Phi or
-    Psi overflowed) raises NonFiniteValue before the row is recorded. A
-    solve `_float_kernels` admits computes the correction, Psi and the
-    norms inline on floats (`floats`); every other solve calls the
-    covering's `solve_within` and `evaluate` and `linalg.norm`.
+    evaluate Psi(x) again; the budget is kept apart from tau, since in
+    floats (tau + budget) - tau need not be budget. A refused budget raises
+    BudgetExceeded; an inf or NaN step norm (in x, Phi(x) or the
+    correction) or new residual (Phi or Psi overflowed) raises
+    NonFiniteValue before the rows are recorded. A solve `_float_kernels`
+    admits computes the correction, Psi and the norms inline on floats
+    (`floats`); every other solve calls the covering's `solve_within` and
+    `evaluate` and `linalg.norm`.
     """
     sqrt, isfinite = math.sqrt, math.isfinite
-    tau = 0.0 if pair is None else pair.tau0
     kernels = _float_kernels(cover, phi, x0)
     floats = kernels is not None
     if floats:
@@ -329,110 +331,102 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
         phi_x = evaluate(x)
         defect = phi_x - psi(x)
         residual = norm(defect, tag_y)
-    trace = IterateTrace(rows=[(0, tau, 0.0, 0.0, residual)], tau0=tau, tau_star=tau_star)
-    rows = trace.rows
-    has_m, joint = pair is not None, pair is not None and alpha is not None
-    tau_b, taus_b, held, stop, end, end_m, j = 0.0, [0.0], None, None, None, None, 0
-    if has_m:
+    run_m, run_b = pair is not None, alpha is not None
+    tau = pair.tau0 if run_m else 0.0
+    tau_b, held, stop, end = 0.0, None, None, STATUS_MAX_STEPS
+    rows, rows_b = [(0, tau, 0.0, 0.0, residual)], [(0, tau_b, 0.0, 0.0, residual)]
+    if run_m:
         detail = None if h2_stop is None else h2_stop(residual)
-        if detail is not None:
-            stop = STATUS_HYPOTHESIS, detail
-        else:
+        if detail is None:
             next_budget = budget_stepper(pair, tau_star)
+        else:
+            run_m, stop, x_m = False, (STATUS_HYPOTHESIS, detail), as_point(x)
 
-    while True:
-        if stop is None:
-            try:
-                for j in range(j, max_steps):
-                    if residual <= residual_tol:
-                        end = STATUS_CONVERGED
-                        break
-                    if pair is None:
-                        budget = residual / alpha
-                        tau_next = tau + budget
-                    else:
-                        if tau_star - tau <= TAIL_STOP:
-                            stop = STATUS_CONVERGED, "tau tail exhausted"
-                            break
-                        tau_next, increment = next_budget(tau)
-                        if tau_next <= tau:
-                            stop = STATUS_MAX_STEPS, "tau sequence stalled at float resolution"
-                            break
-                        if residual > increment + STEP_TOL:
-                            stop = STATUS_HYPOTHESIS, (f"H2: defect {residual:.6e} exceeds "
-                                                       f"admissible increment {increment:.6e} "
-                                                       f"at step {j}")
-                            break
-                        budget = tau_next - tau
-                        if joint:
-                            tau_m, budget_b = tau, residual / alpha
-                            tau_b += budget_b
-                            taus_b.append(tau_b)
-                            if budget_b < budget:
-                                budget = budget_b
-                    tau, k = tau_next, j + 1
-                    if floats:
-                        if b is None:  # y itself, which moves y - x = defect
-                            delta, x_next = defect, phi_x
-                        else:
-                            delta = p * -defect
-                            x_next = x + delta
-                        move = sqrt(delta * delta) if l2_x else abs(delta)
-                        if move > budget + BUDGET_TOL:
-                            raise cover._over_budget(move, budget)
-                        v = x_next - x
-                        size = sqrt(v * v) if l2_x else abs(v)
-                    else:
-                        x_next = correct(x, phi_x, budget, defect)
-                        size = norm(x_next - x, tag_x)
-                    if not isfinite(size):
-                        raise NonFiniteValue(f"iterate {k} is not finite (step norm {size})")
-                    phi_x = evaluate(x_next)
-                    if floats:
-                        defect = phi_x - (x_next if b is None else -(b * x_next))
-                        residual = sqrt(defect * defect) if l2_y else abs(defect)
-                    else:
-                        defect = phi_x - psi(x_next)
-                        residual = norm(defect, tag_y)
-                    if not isfinite(residual):
-                        raise NonFiniteValue(
-                            f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
-                    if floats:
-                        v = x_next - origin
-                        deviation = sqrt(v * v) if l2_x else abs(v)
-                    else:
-                        deviation = norm(x_next - origin, tag_x)
-                    rows.append((k, tau, deviation, size, residual))
-                    x = x_next
-                else:
-                    end = STATUS_MAX_STEPS
-            except BudgetExceeded as err:
-                if not joint:
-                    raise
-                # Only a covering step raises this. Refused within a joint
-                # step's budget, it ends the baseline, and step j is made
-                # again as the majorant's alone, which raises the covering's
-                # own error if the refused budget was the majorant's.
-                held, joint, tau = err, False, tau_m
-                continue
-        if stop is None or not joint:
+    for j in range(max_steps if run_m or run_b else 0):
+        if residual <= residual_tol:
+            end = STATUS_CONVERGED
             break
-        # The majorant stopped at row j, at x; the baseline leads on alone.
-        end_m, stop, pair, joint = (len(rows), as_point(x), *stop), None, None, False
-        tau = tau_b
+        if run_m:
+            if tau_star - tau <= TAIL_STOP:
+                stop = STATUS_CONVERGED, "tau tail exhausted"
+            else:
+                tau_next, increment = next_budget(tau)
+                if tau_next <= tau:
+                    stop = STATUS_MAX_STEPS, "tau sequence stalled at float resolution"
+                elif residual > increment + STEP_TOL:
+                    stop = STATUS_HYPOTHESIS, (f"H2: defect {residual:.6e} exceeds "
+                                               f"admissible increment {increment:.6e} "
+                                               f"at step {j}")
+                budget = tau_next - tau
+            if stop is not None:
+                run_m, x_m = False, as_point(x)
+                if not run_b:
+                    break
+        if run_b:
+            budget_b = residual / alpha
+            tau_b += budget_b
+            if not run_m or budget_b < budget:
+                budget = budget_b
+        k = j + 1
+        if floats:
+            if b is None:  # y itself, which moves y - x = defect
+                delta, x_next = defect, phi_x
+            else:
+                delta = p * -defect
+                x_next = x + delta
+            move = sqrt(delta * delta) if l2_x else abs(delta)
+            if move > budget + BUDGET_TOL:
+                if not (run_m and run_b):
+                    raise cover._over_budget(move, budget)
+                held, run_b, budget = cover._over_budget(move, budget), False, tau_next - tau
+                if move > budget + BUDGET_TOL:
+                    raise cover._over_budget(move, budget)
+            v = x_next - x
+            size = sqrt(v * v) if l2_x else abs(v)
+        else:
+            try:
+                x_next = correct(x, phi_x, budget, defect)
+            except BudgetExceeded as err:
+                if not (run_m and run_b):
+                    raise
+                held, run_b = err, False
+                x_next = correct(x, phi_x, tau_next - tau, defect)
+            size = norm(x_next - x, tag_x)
+        if not isfinite(size):
+            raise NonFiniteValue(f"iterate {k} is not finite (step norm {size})")
+        phi_x = evaluate(x_next)
+        if floats:
+            defect = phi_x - (x_next if b is None else -(b * x_next))
+            residual = sqrt(defect * defect) if l2_y else abs(defect)
+        else:
+            defect = phi_x - psi(x_next)
+            residual = norm(defect, tag_y)
+        if not isfinite(residual):
+            raise NonFiniteValue(
+                f"Phi(x_{k}) - Psi(x_{k}) is not finite (residual {residual})")
+        if floats:
+            v = x_next - origin
+            deviation = sqrt(v * v) if l2_x else abs(v)
+        else:
+            deviation = norm(x_next - origin, tag_x)
+        if run_m:
+            tau = tau_next
+            rows.append((k, tau, deviation, size, residual))
+        if run_b:
+            rows_b.append((k, tau_b, deviation, size, residual))
+        x = x_next
 
     if held is not None:
         raise held
-    trace.status, trace.detail = stop or (end, "")
-    if not has_m or alpha is None:
-        return [(as_point(x), trace)]
-    # Both schemes: the majorant's trace is the first n rows, and the
-    # baseline's rows take its own taus.
-    n, x_m, status, detail = end_m or (len(rows), as_point(x), trace.status, trace.detail)
-    rows_b = [row[:1] + (t,) + row[2:] for row, t in zip(rows, taus_b)] + rows[len(taus_b):]
-    return [(x_m, IterateTrace(rows=rows[:n], status=status, detail=detail,
-                               tau0=trace.tau0, tau_star=tau_star)),
-            (as_point(x), IterateTrace(rows=rows_b, status=end))]
+    out = []
+    if pair is not None:
+        status, detail = stop or (end, "")
+        out.append((x_m if stop else as_point(x),
+                    IterateTrace(rows=rows, status=status, detail=detail, tau0=pair.tau0,
+                                 tau_star=tau_star)))
+    if alpha is not None:
+        out.append((as_point(x), IterateTrace(rows=rows_b, status=end)))
+    return out
 
 
 def _h2_stop(inst: ProblemInstance, tau_star: float, h2_check: str,

@@ -931,6 +931,8 @@ NON_NUMBERS = {
     "custom-scalar-string-slope": _with_fields("custom-scalar", psi_slope="2"),
     "custom-scalar-null-coefficient": _with_fields("custom-scalar", majorant_poly=[0.75, None]),
     "true-max-steps": scalar_config(0.75, max_steps=True),
+    # Once truncated: 2.7 ran 2 steps and exited 2.
+    "fractional-max-steps": scalar_config(0.75, max_steps=2.7),
     "string-residual-tol": scalar_config(0.75, residual_tol="1e-8"),
 }
 
@@ -953,6 +955,11 @@ class TestNonNumbers:
                                a=1, b=3, c=2)
         cfg = write_json(tmp_path / "cfg.json", payload)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def test_an_integral_float_max_steps_is_a_step_cap(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", scalar_config(0.75, max_steps=3.0))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "steps: 3\n" in (tmp_path / "out" / "summary.txt").read_text()
 
 
 # A misspelled or stray key, and the key the config error names. Each was

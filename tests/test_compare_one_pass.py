@@ -29,6 +29,7 @@ from coincide.errors import CoincidenceError, NoCrossing, NotContractive
 from coincide.problems import (
     BilinearMap,
     QuadraticProblem,
+    build_polynomial_instance,
     build_quadratic_instance,
     random_quadratic,
     scalar_quadratic,
@@ -246,6 +247,9 @@ LOOP_CASES = {
     # Both fail: the baseline at step 1, the majorant later, when phi(tau_j)
     # passes psi(0.9 tau_*); the majorant's error wins.
     "both-fail": (0.9, 4.0, 1e-10, "BracketFailure"),
+    # The baseline is refused at step 1 and the majorant then stalls, which
+    # is no error: the held baseline error is raised after it.
+    "baseline-over-budget-then-majorant-stalls": (2.0, 4.0, -1.0, "BudgetExceeded"),
 }
 
 
@@ -289,3 +293,35 @@ def test_a_baseline_error_waits_for_the_whole_majorant_pass(path, monkeypatch):
     with pytest.raises(CoincidenceError, match=r"correction 3\.75.*exceeds budget 1\.875"):
         _loop_joint(inst, 1e-10, 100, loop, 4.0)
     assert len(calls) == steps + 1
+
+
+@pytest.mark.parametrize("max_steps, want", [(1, "max_steps"), (3, "max_steps"),
+                                             (50, "converged")])
+def test_a_majorant_stopped_before_its_first_step_leaves_the_baseline_running(max_steps,
+                                                                              want):
+    # c sits 5e-10 below ||C|| = 0.75: the start's defect exceeds
+    # phi(tau0) - psi(tau0) = c, so the majorant stops on H2 at row 0, while
+    # the baseline converges at step 31.
+    q = QuadraticProblem(bilinear=BilinearMap(coeffs=np.array([[[1.0]]]), bound=1.0),
+                         linear=np.array([[2.0]]), offset=np.array([0.75]), c=0.75 - 5e-10)
+    ours = assert_one_pass_matches(q, 1e-10, max_steps)
+    majorant, baseline = ours[1]
+    assert (majorant["status"], majorant["steps"]) == ("hypothesis_violation", 0)
+    assert (baseline["status"], baseline["steps"]) == (want, min(max_steps, 31))
+
+
+@pytest.mark.parametrize("path", ["float", "array"])
+def test_a_joint_loop_from_a_nonzero_tau0_keeps_each_schemes_taus(path):
+    # tau0 = 0.25: the majorant's rows carry its tau from 0.25, the
+    # baseline's its budgets summed from 0, on the same iterates.
+    inst = build_polynomial_instance([0.75, 0.0, 1.0], [1.3125, -0.5, 1.0], 2.0, 1.0,
+                                     tau0=0.25)
+    assert _float_kernels(inst.cover, inst.phi, inst.x0) is not None
+    inst = {"float": inst, "array": _twin_instance(inst)}[path]
+    loop = majorant_loop_args(inst, "warn")
+    ours = _outcome(_loop_joint, inst, 1e-10, 100, loop, 2.0)
+    assert ours == _outcome(_loop_apart, inst, 1e-10, 100, loop, 2.0)
+    (_, majorant), (_, baseline) = ours[1]
+    assert majorant[1] == baseline[1] == "converged"
+    assert len(majorant[0]) == len(baseline[0]) == 32
+    assert majorant[0][0][1] == _bits(0.25) and baseline[0][0][1] == _bits(0.0)
