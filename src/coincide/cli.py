@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="problem config path(s); several run independently")
     solve.add_argument("--out", default=".", help="output directory")
     solve.add_argument("--tol", type=float, default=None, help="residual tolerance override")
-    solve.add_argument("--max-steps", type=int, default=None, help="step cap override")
+    solve.add_argument("--max-steps", type=float, default=None, help="step cap override")
     solve.add_argument("--strict-h2", action="store_true",
                        help="abort when the sampled derivative bound fails")
     solve.add_argument("--jobs", type=int, default=1,
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--config", required=True, nargs=1)
     compare.add_argument("--out", default=".", help="output directory")
     compare.add_argument("--tol", type=float, default=None)
-    compare.add_argument("--max-steps", type=int, default=None)
+    compare.add_argument("--max-steps", type=float, default=None)
 
     return parser
 

@@ -28,7 +28,7 @@ from .linalg import (RANK_TOL, NormTag, as_matrix, as_vector, norm,
                      random_direction, shaped_vector)
 from .majorant import ScalarFn
 
-# Budget slack of the covering contract.
+# Budget slack of the covering contract; `check_budget` alone compares it.
 BUDGET_TOL = 1e-9
 # Relative inversion residual and budget overshoot a sampled audit forgives.
 AUDIT_TOL = 1e-8
@@ -80,8 +80,7 @@ class IdentityCovering(CoveringMap):
                 f"identity covering of dimension {self.dimension} got a start of size "
                 f"{x_prime.size} and a target of size {y.size}")
         step = norm(y - x_prime, self.norm_x)
-        if step > budget + BUDGET_TOL:
-            raise self._over_budget(step, budget)
+        check_budget(self, step, budget)
         return y
 
     def float_factors(self):
@@ -89,8 +88,7 @@ class IdentityCovering(CoveringMap):
         solve_within returns y, which moves |y - x'| from x'."""
         return (None, None) if self.dimension == 1 else None
 
-    @staticmethod
-    def _over_budget(step: float, budget: float) -> BudgetExceeded:
+    def _over_budget(self, step: float, budget: float) -> BudgetExceeded:
         return BudgetExceeded(
             f"identity covering asked to move {step:.6e} > budget {budget:.6e}",
             step=step, budget=budget)
@@ -152,8 +150,7 @@ class LinearSurjectiveCovering(CoveringMap):
         defect = y - self.evaluate(x_prime) if defect is None else shaped_vector(defect)
         delta = self._pinv.dot(-defect)
         step = norm(delta, self.norm_x)
-        if step > budget + BUDGET_TOL:
-            raise self._over_budget(step, budget)
+        check_budget(self, step, budget)
         return x_prime + delta
 
     def float_factors(self):
@@ -170,6 +167,12 @@ class LinearSurjectiveCovering(CoveringMap):
             f"correction {step:.6e} exceeds budget {budget:.6e} "
             f"(covering constant b={self.b} too large?)",
             step=step, budget=budget)
+
+
+def check_budget(cover: CoveringMap, step: float, budget: float) -> None:
+    """Raise cover's BudgetExceeded if step > budget + BUDGET_TOL; NaN passes."""
+    if step > budget + BUDGET_TOL:
+        raise cover._over_budget(step, budget)
 
 
 def _c_or_f_ordered(M: np.ndarray) -> bool:

@@ -48,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, InsufficientData, NonFiniteValue
-from .covering import BUDGET_TOL, CoveringMap
+from .covering import CoveringMap, check_budget
 from .linalg import (
     NormTag,
     as_vector,
@@ -310,10 +310,10 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
     correction) or new residual (Phi or Psi overflowed) raises
     NonFiniteValue before the rows are recorded. A solve `_float_kernels`
     admits computes the correction, Psi and the norms inline on floats
-    (`floats`); every other solve calls the covering's `solve_within` and
-    `evaluate` and `linalg.norm`.
+    (`floats`), testing budgets by `check_budget`; every other solve calls
+    the covering's `solve_within` and `evaluate` and `linalg.norm`.
     """
-    sqrt, isfinite = math.sqrt, math.isfinite
+    sqrt, isfinite, check = math.sqrt, math.isfinite, check_budget
     kernels = _float_kernels(cover, phi, x0)
     floats = kernels is not None
     if floats:
@@ -375,12 +375,13 @@ def covering_loop(cover: CoveringMap, phi: SmoothMap, x0: np.ndarray, residual_t
                 delta = p * -defect
                 x_next = x + delta
             move = sqrt(delta * delta) if l2_x else abs(delta)
-            if move > budget + BUDGET_TOL:
+            try:
+                check(cover, move, budget)
+            except BudgetExceeded as err:
                 if not (run_m and run_b):
-                    raise cover._over_budget(move, budget)
-                held, run_b, budget = cover._over_budget(move, budget), False, tau_next - tau
-                if move > budget + BUDGET_TOL:
-                    raise cover._over_budget(move, budget)
+                    raise
+                held, run_b, budget = err, False, tau_next - tau
+                check(cover, move, budget)
             v = x_next - x
             size = sqrt(v * v) if l2_x else abs(v)
         else:

@@ -962,6 +962,51 @@ class TestNonNumbers:
         assert "steps: 3\n" in (tmp_path / "out" / "summary.txt").read_text()
 
 
+# Each stopping value as (config field, literal, exit code); the literal is
+# written both into the config's JSON text and after its flag. Once
+# `--max-steps 3.0` and `--max-steps 1e5` were usage errors, refused by
+# argparse's int, while the same fields in a config ran.
+STOPPING_LIMITS = [
+    ("max_steps", "3", 2), ("max_steps", "3.0", 2), ("max_steps", "1e5", 0),
+    ("max_steps", "2.7", 1), ("max_steps", "0", 1), ("max_steps", "-1", 1),
+    ("residual_tol", "1e-3", 0), ("residual_tol", "0", 1), ("residual_tol", "-1", 1),
+]
+LIMIT_FLAGS = {"max_steps": "--max-steps", "residual_tol": "--tol"}
+
+
+def _run_with_limit(tmp_path, capsys, command, name, field=None, flag=()):
+    """Exit code, stderr lines and the bytes of every written file of one run
+    of scalar_config(0.75), with field = (key, literal) spliced into its JSON
+    text and flag appended to its arguments."""
+    text = json.dumps(scalar_config(0.75))
+    if field is not None:
+        text = text[:-1] + f', "{field[0]}": {field[1]}}}'
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / name
+    code = main([command, "--config", str(cfg), "--out", str(out), *flag])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return code, capsys.readouterr().err.splitlines(), files
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("key, literal, want", STOPPING_LIMITS,
+                         ids=[f"{k}={v}" for k, v, _ in STOPPING_LIMITS])
+def test_a_stopping_value_runs_or_is_refused_alike_as_field_and_flag(
+        tmp_path, capsys, command, key, literal, want):
+    as_field = _run_with_limit(tmp_path, capsys, command, "field", field=(key, literal))
+    as_flag = _run_with_limit(tmp_path, capsys, command, "flag",
+                              flag=(LIMIT_FLAGS[key], literal))
+    code, err, files = as_field
+    assert code == want
+    if want == 1:
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert files == {}
+    else:
+        assert err == [] and files
+    assert as_flag == as_field
+
+
 # A misspelled or stray key, and the key the config error names. Each was
 # once ignored: the solve ran with the default, or without the field.
 UNKNOWN_KEYS = {
@@ -1141,7 +1186,7 @@ class TestParser:
         assert ran == [[cfg]]
 
     @pytest.mark.parametrize("argv,message", [
-        (["solve", "--config", "x.json", "--max-steps", "abc"], "invalid int value: 'abc'"),
+        (["solve", "--config", "x.json", "--max-steps", "abc"], "invalid float value: 'abc'"),
         (["solve"], "the following arguments are required: --config"),
         (["fit"], "invalid choice: 'fit'"),
     ], ids=["unparsed-value", "no-config", "unknown-subcommand"])

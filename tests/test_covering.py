@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coincide import covering
 from coincide.covering import (
     IdentityCovering,
     LinearSurjectiveCovering,
@@ -11,8 +14,9 @@ from coincide.covering import (
 from coincide.errors import BudgetExceeded, DimensionMismatch, RankDeficient
 from coincide.linalg import NormTag, smallest_singular_value
 from coincide.problems import build_quadratic_instance, scalar_quadratic
-from coincide.solver import coincidence_solve
+from coincide.solver import coincidence_solve, covering_loop, majorant_loop_args
 from conftest import planar_quadratic
+from test_float_kernels import _kantorovich, _quadratic, _twin_instance
 
 
 def test_identity_returns_target_bitwise():
@@ -308,3 +312,48 @@ def test_evaluate_has_the_bits_of_matmul_in_any_layout(rows, n, seed, matrix, ve
     cover = LinearSurjectiveCovering(B, check_constant=False)
     x = _laid_out(rng, (n,), vector)
     assert cover.evaluate(x).tobytes() == (-(B @ x)).tobytes()
+
+
+def _outcome(call, *args, **kwargs):
+    """("refused", message) when call raises BudgetExceeded, else ("accepted", None)."""
+    try:
+        call(*args, **kwargs)
+    except BudgetExceeded as err:
+        return "refused", str(err)
+    return "accepted", None
+
+
+# A 1-d instance per shipped covering, and an alpha above its covering
+# constant, so that the baseline's first budget residual / alpha is refused
+# at the shipped slack: the identity covering of the Kantorovich reduction
+# (b = 1) and the linear covering of a scalar quadratic (b = 2).
+BUDGET_OWNER_CASES = {"identity": (_kantorovich, 1.5), "linear": (_quadratic, 3.0)}
+
+
+@pytest.mark.parametrize("over", [True, False], ids=["over", "under"])
+@pytest.mark.parametrize("scheme", ["solve", "compare"])
+@pytest.mark.parametrize("kind", BUDGET_OWNER_CASES)
+def test_the_budget_slack_is_read_from_its_one_owner(monkeypatch, kind, scheme, over):
+    # The slack is patched where it lives, just under or just over what
+    # separates the first correction from its budget: the majorant's for a
+    # solve, the baseline's residual / alpha for a compare, whose refused
+    # baseline error is held and raised after the pass. The covering called
+    # directly, the solve or compare on the float loop and on its array twin
+    # must all give the same outcome and message.
+    make, alpha = BUDGET_OWNER_CASES[kind]
+    inst = make()
+    rows = coincidence_solve(inst, max_steps=1)[1].rows
+    move = rows[1][3]  # from x0 = 0 the step norm is the correction's norm
+    budget = rows[1][1] - rows[0][1] if scheme == "solve" else rows[0][4] / alpha
+    slack = (math.nextafter(move, -math.inf) if over else move) - budget
+    assert (move > budget + slack) is over
+    monkeypatch.setattr(covering, "BUDGET_TOL", slack)
+    want = _outcome(inst.cover.solve_within, inst.x0, inst.phi.evaluate(inst.x0), budget)
+    assert want[0] == ("refused" if over else "accepted")
+    for path in (inst, _twin_instance(inst)):
+        if scheme == "solve":
+            got = _outcome(coincidence_solve, path, max_steps=1)
+        else:
+            got = _outcome(covering_loop, path.cover, path.phi, path.x0, 1e-10, 1,
+                           **majorant_loop_args(path, "warn"), alpha=alpha)
+        assert got == want
